@@ -34,16 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var m scaling.Mode
-	switch strings.ToLower(*mode) {
-	case "ec2", "ec2-autoscaling":
-		m = scaling.EC2
-	case "dcm":
-		m = scaling.DCM
-	case "conscale":
-		m = scaling.ConScale
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+	m, err := scaling.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -51,7 +51,6 @@ var defaultPackages = []string{
 	"internal/cluster",
 	"internal/sct",
 	"internal/scaling",
-	"internal/controller",
 	"internal/forensics",
 	"internal/twin",
 	"internal/qnet",

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"conscale/internal/admission"
-	"conscale/internal/controller"
 	"conscale/internal/des"
 	"conscale/internal/experiment"
 	"conscale/internal/forensics"
@@ -568,19 +567,6 @@ func runReport(seed uint64, outDir string) error {
 	})
 }
 
-// parseScaleMode resolves a -scale-modes token.
-func parseScaleMode(name string) (scaling.Mode, error) {
-	switch strings.TrimSpace(strings.ToLower(name)) {
-	case "ec2", "ec2-autoscaling":
-		return scaling.EC2, nil
-	case "dcm":
-		return scaling.DCM, nil
-	case "conscale":
-		return scaling.ConScale, nil
-	}
-	return 0, fmt.Errorf("unknown scale mode %q; available: ec2, dcm, conscale", name)
-}
-
 // parseScaleSweep expands the scale flags into the run configurations of
 // the sweep, clients ascending × modes in flag order.
 func parseScaleSweep(seed uint64) ([]experiment.ScaleConfig, error) {
@@ -605,7 +591,7 @@ func parseScaleSweep(seed uint64) ([]experiment.ScaleConfig, error) {
 		if strings.TrimSpace(tok) == "" {
 			continue
 		}
-		m, err := parseScaleMode(tok)
+		m, err := scaling.ParseMode(tok)
 		if err != nil {
 			return nil, err
 		}
@@ -731,7 +717,7 @@ func parseTournament(seed uint64) (experiment.TournamentConfig, error) {
 			if tok == "" {
 				continue
 			}
-			if _, err := controller.New(tok, controller.Options{}); err != nil {
+			if _, err := scaling.Canonical(tok); err != nil {
 				return cfg, err
 			}
 			cfg.Controllers = append(cfg.Controllers, tok)
@@ -828,7 +814,7 @@ func parseFrontier(seed uint64) (experiment.FrontierConfig, error) {
 			if tok == "" {
 				continue
 			}
-			if _, err := controller.New(tok, controller.Options{}); err != nil {
+			if _, err := scaling.Canonical(tok); err != nil {
 				return cfg, err
 			}
 			cfg.Controllers = append(cfg.Controllers, tok)
@@ -955,7 +941,7 @@ func parseEpisodes(seed uint64) (experiment.EpisodesConfig, error) {
 			if tok == "" {
 				continue
 			}
-			if _, err := controller.New(tok, controller.Options{}); err != nil {
+			if _, err := scaling.Canonical(tok); err != nil {
 				return cfg, err
 			}
 			cfg.Controllers = append(cfg.Controllers, tok)

@@ -73,17 +73,6 @@ func TestParseScaleSweep(t *testing.T) {
 	}
 }
 
-func TestParseScaleModeRejectsUnknown(t *testing.T) {
-	if _, err := parseScaleMode("turbo"); err == nil {
-		t.Fatal("unknown mode must be rejected")
-	}
-	for _, ok := range []string{"ec2", "EC2-AutoScaling", "dcm", " conscale "} {
-		if _, err := parseScaleMode(ok); err != nil {
-			t.Errorf("parseScaleMode(%q): %v", ok, err)
-		}
-	}
-}
-
 func TestSelectRunnersSubset(t *testing.T) {
 	// Order follows the runner table, not the spec; duplicates collapse.
 	rs, err := selectRunners("table1, fig3,fig3")

@@ -45,7 +45,6 @@ import (
 	"conscale/internal/admission"
 	"conscale/internal/chaos"
 	"conscale/internal/cluster"
-	"conscale/internal/controller"
 	"conscale/internal/des"
 	"conscale/internal/experiment"
 	"conscale/internal/forensics"
@@ -222,13 +221,15 @@ func NewSCTEstimator(cfg SCTConfig) *SCTEstimator { return sct.New(cfg) }
 // DefaultSCTConfig returns the paper's estimator configuration.
 func DefaultSCTConfig() SCTConfig { return sct.DefaultConfig() }
 
-// Scaling frameworks.
+// Scaling: the control runtime and the three paper policies.
 type (
-	// Framework drives a cluster with one scaling strategy.
+	// Framework is the control runtime: it drives one scaling policy
+	// against one cluster (collection, SCT refresh, decision ticks,
+	// repair, decision log, audit, telemetry).
 	Framework = scaling.Framework
-	// ScalingConfig tunes a framework.
+	// ScalingConfig carries the knobs every policy shares.
 	ScalingConfig = scaling.Config
-	// Mode selects EC2-AutoScaling, DCM, or ConScale behaviour.
+	// Mode names a paper policy: EC2-AutoScaling, DCM, or ConScale.
 	Mode = scaling.Mode
 	// DCMProfile is the offline-trained soft-resource recommendation.
 	DCMProfile = scaling.DCMProfile
@@ -243,7 +244,7 @@ const (
 	ModeConScale = scaling.ConScale
 )
 
-// NewFramework attaches a scaling framework to a cluster.
+// NewFramework attaches the paper policy cfg.Mode names to a cluster.
 func NewFramework(c *Cluster, cfg ScalingConfig) *Framework { return scaling.New(c, cfg) }
 
 // DefaultScalingConfig returns the shared evaluation settings for a mode.
@@ -610,33 +611,34 @@ func WriteScaleReport(w io.Writer, rows []ScaleRow) error {
 // RenderScale prints a scale sweep as an ASCII table.
 func RenderScale(w io.Writer, rows []ScaleRow) { experiment.RenderScale(w, rows) }
 
-// Controller zoo: pluggable scaling policies driven by a shared runtime,
-// and the full-factorial tournament that ranks them.
+// Controller zoo: pluggable scaling policies — the paper three and the
+// related-work families alike — driven by the one Framework runtime, and
+// the full-factorial tournament that ranks them.
 type (
 	// Controller is one pluggable scaling policy: it observes the
 	// cluster once per decision tick and acts through an Actuator.
-	Controller = controller.Controller
+	Controller = scaling.Controller
 	// ControllerEnv is everything a controller may touch at Init time.
-	ControllerEnv = controller.Env
+	ControllerEnv = scaling.Env
 	// ControllerActuator is the action surface controllers mutate
 	// the cluster through (scale-out/in, pool resizes).
-	ControllerActuator = controller.Actuator
+	ControllerActuator = scaling.Actuator
 	// ControllerObservation is the per-tick cluster view handed to Tick.
-	ControllerObservation = controller.Observation
+	ControllerObservation = scaling.Observation
 	// ControllerTierState is the per-tier slice of an observation.
-	ControllerTierState = controller.TierState
+	ControllerTierState = scaling.TierState
 	// ControllerTierEstimate is the tier-aggregated SCT signal.
-	ControllerTierEstimate = controller.TierEstimate
+	ControllerTierEstimate = scaling.TierEstimate
 	// ControllerOptions parameterizes controller construction.
-	ControllerOptions = controller.Options
+	ControllerOptions = scaling.Options
 	// ControllerFactory builds one controller instance from options.
-	ControllerFactory = controller.Factory
-	// ControllerRuntime drives a controller against a cluster: metric
-	// collection, SCT refresh, decision ticks, repair, audit, telemetry.
-	ControllerRuntime = controller.Runtime
+	ControllerFactory = scaling.Factory
+	// ControllerRuntime is the Framework under the name the controller
+	// zoo introduced it by.
+	ControllerRuntime = scaling.Framework
 	// SCTSignal is the composable SCT concurrency-range estimator any
 	// controller can consume.
-	SCTSignal = controller.Signal
+	SCTSignal = scaling.Signal
 	// TournamentConfig describes the controllers × traces × tiers
 	// factorial.
 	TournamentConfig = experiment.TournamentConfig
@@ -651,23 +653,22 @@ type (
 // RegisterController adds a custom controller family to the zoo under a
 // unique name; it panics on a duplicate. Registered controllers are
 // buildable by NewController and play in RunTournament.
-func RegisterController(name string, f ControllerFactory) { controller.Register(name, f) }
+func RegisterController(name string, f ControllerFactory) { scaling.Register(name, f) }
 
 // NewController builds a registered controller by name ("ec2", "dcm",
 // "conscale", "target-tracking", "step-scaling", "hybrid-mpc",
 // "tabs-token", or any name added via RegisterController).
 func NewController(name string, opts ControllerOptions) (Controller, error) {
-	return controller.New(name, opts)
+	return scaling.NewController(name, opts)
 }
 
 // ControllerNames returns every registered controller name, sorted.
-func ControllerNames() []string { return controller.Names() }
+func ControllerNames() []string { return scaling.Names() }
 
-// NewControllerRuntime attaches a controller to a cluster. Call Start
-// before running the engine; legacy adapters ("ec2", "dcm", "conscale")
-// delegate to the untouched scaling.Framework byte-identically.
+// NewControllerRuntime attaches a controller to a cluster under the
+// Framework runtime. Call Start before running the engine.
 func NewControllerRuntime(c *Cluster, ctrl Controller, opts ControllerOptions) *ControllerRuntime {
-	return controller.NewRuntime(c, ctrl, opts)
+	return scaling.Attach(c, ctrl, opts)
 }
 
 // DefaultTournamentConfig returns the standard factorial: every

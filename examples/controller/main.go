@@ -6,7 +6,7 @@
 // ticks, and ignores everything else. Real policies read more of the
 // Observation (tier CPU, the windowed tail, the SCT concurrency signal)
 // and act on both tiers; see the built-in families in
-// internal/controller for fuller shapes.
+// internal/scaling for fuller shapes.
 //
 // Run with:
 //

@@ -47,11 +47,7 @@ func BlameRuns(seed uint64, duration des.Time, users int) []BlameResult {
 		// 1/16 head sampling keeps tens of thousands of blame records per
 		// run while exercising the sampled path, not the firehose.
 		cfg.Tracing = &trace.Config{SampleRate: 1.0 / 16, Reservoir: 8}
-		if mode == scaling.DCM {
-			fcfg := scaling.DefaultConfig(scaling.DCM)
-			fcfg.Profile = profile
-			cfg.Framework = &fcfg
-		}
+		cfg.Framework = profiledConfig(mode, profile)
 		cfgs[i] = cfg
 	}
 	results := RunMany(cfgs)

@@ -80,11 +80,7 @@ func ChaosRun(mode scaling.Mode, seed uint64, duration des.Time, sched *chaos.Sc
 		cfg.Duration = duration
 	}
 	cfg.Chaos = sched
-	if mode == scaling.DCM {
-		fcfg := scaling.DefaultConfig(scaling.DCM)
-		fcfg.Profile = profile
-		cfg.Framework = &fcfg
-	}
+	cfg.Framework = profiledConfig(mode, profile)
 	return Run(cfg)
 }
 

@@ -15,7 +15,7 @@ import (
 	"conscale/internal/workload"
 )
 
-// The fluctuation-episodes experiment: run every trace under the legacy
+// The fluctuation-episodes experiment: run every trace under the paper's
 // three controllers plus the tournament winner with the forensics layer
 // armed and a known chaos overlay injected, rank the controllers by how
 // many fluctuation episodes they let through (and how long/deep), and
@@ -199,27 +199,18 @@ func RunEpisodes(cfg EpisodesConfig) []EpisodeCell {
 	var cfgs []RunConfig
 	for _, tr := range cfg.Traces {
 		for _, ctrl := range cfg.Controllers {
-			mode := tournamentModeFor(ctrl)
-			fcfg := scaling.DefaultConfig(mode)
-			if mode == scaling.DCM {
-				fcfg.Profile = profile
-			}
+			fcfg := profiledConfig(scaling.EC2, profile) // Controller, not Mode, names the policy
 			if cfg.Duration <= 300*des.Second {
-				// Short smoke cells need sub-minute SCT windows or the
-				// signal stays dark for most of the run (as in scale mode).
-				fcfg.SCT.CollectionWindow = 60 * des.Second
-				fcfg.SCT.MinTotalSamples = 30
-				fcfg.SCT.MinDistinctBins = 3
+				shortHorizonSCT(fcfg, 60*des.Second) // short smoke cells
 			}
 			rc := RunConfig{
-				Mode:       mode,
 				Controller: ctrl,
 				TraceName:  tr,
 				MaxUsers:   cfg.Users,
 				Duration:   cfg.Duration,
 				Seed:       cfg.Seed,
 				ThinkTime:  3,
-				Framework:  &fcfg,
+				Framework:  fcfg,
 				Tracing:    &trace.Config{SampleRate: 1.0 / 8},
 				Telemetry:  &TelemetryOptions{},
 				Forensics:  &forensics.Config{},

@@ -202,9 +202,7 @@ func Fig11(seed uint64) CompareResult {
 	d := DefaultRunConfig(scaling.DCM, workload.LargeVariations)
 	d.Seed = seed
 	d.Cluster = &ccfg
-	fcfg := scaling.DefaultConfig(scaling.DCM)
-	fcfg.Profile = profile
-	d.Framework = &fcfg
+	d.Framework = profiledConfig(scaling.DCM, profile)
 
 	c := DefaultRunConfig(scaling.ConScale, workload.LargeVariations)
 	c.Seed = seed
@@ -454,8 +452,7 @@ func AblationSLATrigger(seed uint64) []AblationRow {
 	labels := []string{"dcm", "dcm+sla-trigger"}
 	cfgs := make([]RunConfig, len(labels))
 	for i, withSLA := range []bool{false, true} {
-		fcfg := scaling.DefaultConfig(scaling.DCM)
-		fcfg.Profile = profile
+		fcfg := profiledConfig(scaling.DCM, profile)
 		if withSLA {
 			fcfg.SLATarget = 0.300 // the paper's web QoS example: p99 < 300 ms
 			fcfg.SLAPercentile = 99
@@ -463,7 +460,7 @@ func AblationSLATrigger(seed uint64) []AblationRow {
 		cfg := DefaultRunConfig(scaling.DCM, workload.LargeVariations)
 		cfg.Seed = seed
 		cfg.Cluster = &ccfg
-		cfg.Framework = &fcfg
+		cfg.Framework = fcfg
 		cfgs[i] = cfg
 	}
 	results := RunMany(cfgs)

@@ -12,7 +12,6 @@ import (
 	"conscale/internal/admission"
 	"conscale/internal/chaos"
 	"conscale/internal/cluster"
-	"conscale/internal/controller"
 	"conscale/internal/des"
 	"conscale/internal/forensics"
 	"conscale/internal/metrics"
@@ -30,19 +29,18 @@ import (
 // RunConfig describes one full scaling run (a Fig. 1/10/11 style
 // experiment).
 type RunConfig struct {
+	// Mode names the paper policy (EC2, DCM, ConScale) that drives the
+	// run when Controller is empty.
 	Mode      scaling.Mode
 	TraceName string
 	MaxUsers  int
 	Duration  des.Time
 	Seed      uint64
 
-	// Controller (if non-empty) names a registered controller from the
-	// internal/controller zoo to drive the run instead of the Mode
-	// switch. The legacy names ("ec2", "dcm", "conscale") route through
-	// adapters that wrap the untouched scaling.Framework, so their
-	// trajectories are byte-identical to the Mode path; any other name
-	// runs under the controller Runtime. When empty, Mode selects the
-	// framework directly — the pre-zoo behavior, preserved verbatim.
+	// Controller (if non-empty) names the registered policy that drives
+	// the run, resolved as scaling.Canonical does (case-insensitive,
+	// aliases accepted). The paper names ("ec2", "dcm", "conscale") are
+	// the same policies Mode selects.
 	Controller string
 
 	// ThinkTime is the mean user think time (7 s, the RUBBoS default).
@@ -59,7 +57,8 @@ type RunConfig struct {
 	// (TestAlwaysAdmitByteIdentical).
 	Admission map[cluster.Tier]admission.Config
 
-	// Framework overrides; zero value takes scaling.DefaultConfig(Mode).
+	// Framework overrides the shared scaling knobs; nil takes
+	// scaling.DefaultConfig(Mode).
 	Framework *scaling.Config
 
 	// DatasetChangeAt (if > 0) switches the dataset scale mid-run to
@@ -141,8 +140,8 @@ type TierSeries struct {
 type RunResult struct {
 	Mode  scaling.Mode
 	Trace string
-	// Controller is the zoo controller that drove the run ("" when the
-	// Mode switch drove it directly).
+	// Controller echoes RunConfig.Controller ("" when Mode named the
+	// policy).
 	Controller string
 
 	// Timeline is the client-observed per-second series (RT, TP, errors).
@@ -223,17 +222,40 @@ var tierMap = [...]struct {
 	{cluster.DB, trace.TierDB},
 }
 
-// driver is what Run needs from whatever controls the cluster — the
-// scaling.Framework Mode switch and the controller.Runtime both satisfy
-// it, so every run flows through one code path regardless of policy.
-type driver interface {
-	SetAudit(*trace.Audit)
-	RegisterTelemetry(*telemetry.Registry)
-	Start()
-	Stop()
-	Warehouse() *metrics.Warehouse
-	Events() []scaling.Event
-	Estimates() map[string]sct.Estimate
+// newFramework builds the policy a run config selects — controller when
+// set, else the paper policy mode names — and attaches it to the cluster:
+// the one assembly path of Run and RunScale. The registry resolves the
+// name, so every spelling it accepts ("DCM", " dcm ", Mode: scaling.DCM)
+// builds the same policy. It panics on an unknown name: callers validate
+// user input; a typo that reaches a run is a programming error.
+func newFramework(c *cluster.Cluster, controller string, mode scaling.Mode, seed uint64, fcfg scaling.Config) *scaling.Framework {
+	if controller == "" {
+		controller = mode.String()
+	}
+	f, err := scaling.NewNamed(c, controller, scaling.Options{Seed: seed, Base: fcfg})
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// profiledConfig returns the evaluation settings with DCM's offline
+// profile installed. Only DCM reads the profile, so installing it
+// whatever the policy keeps the recipe free of a "which policy is this"
+// test.
+func profiledConfig(mode scaling.Mode, profile scaling.DCMProfile) *scaling.Config {
+	fcfg := scaling.DefaultConfig(mode)
+	fcfg.Profile = profile
+	return &fcfg
+}
+
+// shortHorizonSCT sizes the SCT estimator for a run of a few minutes: it
+// must estimate from a sub-default collection window with relaxed sample
+// floors, or the signal stays dark for most of the run.
+func shortHorizonSCT(fcfg *scaling.Config, window des.Time) {
+	fcfg.SCT.CollectionWindow = window
+	fcfg.SCT.MinTotalSamples = 30
+	fcfg.SCT.MinDistinctBins = 3
 }
 
 // Run executes one full scaling experiment.
@@ -275,16 +297,7 @@ func Run(cfg RunConfig) *RunResult {
 		c.SetTracer(tracer)
 	}
 
-	var f driver
-	if cfg.Controller == "" {
-		f = scaling.New(c, fcfg)
-	} else {
-		ctrl, err := controller.New(cfg.Controller, controller.Options{Seed: cfg.Seed, Base: fcfg})
-		if err != nil {
-			panic(err) // validated by callers; a typo here is a programming error
-		}
-		f = controller.NewRuntime(c, ctrl, controller.Options{Seed: cfg.Seed, Base: fcfg})
-	}
+	f := newFramework(c, cfg.Controller, cfg.Mode, cfg.Seed, fcfg)
 	f.SetAudit(tracer.Audit())
 
 	// Arm the telemetry layer before the control loops start so the first
@@ -610,9 +623,7 @@ func TrainDCM(seed uint64, clusterCfg cluster.Config) scaling.DCMProfile {
 	clusterCfg.Seed = seed
 	c := cluster.New(clusterCfg)
 	fcfg := scaling.DefaultConfig(scaling.ConScale)
-	fcfg.SCT.CollectionWindow = 120 * des.Second
-	fcfg.SCT.MinTotalSamples = 30
-	fcfg.SCT.MinDistinctBins = 3
+	shortHorizonSCT(&fcfg, 120*des.Second)
 	f := scaling.New(c, fcfg)
 	f.Start()
 

@@ -13,7 +13,6 @@ import (
 
 	"conscale/internal/admission"
 	"conscale/internal/cluster"
-	"conscale/internal/controller"
 	"conscale/internal/des"
 	"conscale/internal/rng"
 	"conscale/internal/scaling"
@@ -28,12 +27,11 @@ import (
 // that takes the simulator from RUBBoS-scale (~10³) to ~10⁶ concurrent
 // clients on one machine.
 type ScaleConfig struct {
-	// Mode selects the scaling framework every cell runs.
+	// Mode names the paper policy every cell runs when Controller is
+	// empty.
 	Mode scaling.Mode
-	// Controller (if non-empty) names a zoo controller to drive every
-	// cell instead of the Mode switch — same contract as
-	// RunConfig.Controller: the legacy names route through byte-identical
-	// adapters, any other name runs under the controller Runtime.
+	// Controller (if non-empty) names the registered policy that drives
+	// every cell — same contract as RunConfig.Controller.
 	Controller string
 	// Admission optionally installs per-tier admission policies on every
 	// cell (each cell's cluster.Config copies the entries). Empty — or an
@@ -123,9 +121,8 @@ func ScaleCellConfig() cluster.Config {
 // the streaming population, fleet state, and the execution-cost metrics
 // (wall time, events, peak heap) the BENCH_5 report tracks.
 type ScaleResult struct {
-	// Mode and the population parameters of the run. Controller names the
-	// zoo controller that drove the cells ("" when the Mode switch drove
-	// them directly).
+	// Mode and the population parameters of the run. Controller echoes
+	// ScaleConfig.Controller ("" when Mode named the policy).
 	Mode       scaling.Mode
 	Controller string
 	Clients    int
@@ -236,37 +233,18 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 	if len(cfg.Admission) > 0 {
 		ccfg.Admission = cfg.Admission // cluster.New copies the entries
 	}
-	needDCM := cfg.Mode == scaling.DCM || cfg.Controller == "dcm"
-	var profile scaling.DCMProfile
-	if needDCM {
-		profile = AnalyticDCMProfile(ccfg)
-	}
+	fcfg := profiledConfig(cfg.Mode, AnalyticDCMProfile(ccfg))
+	// A 2-minute scale run must estimate from sub-minute windows or
+	// ConScale never acts.
+	shortHorizonSCT(fcfg, 45*des.Second)
 	cells := make([]*cluster.Cluster, cfg.Cells)
-	drs := make([]driver, cfg.Cells)
+	drs := make([]*scaling.Framework, cfg.Cells)
 	for i := range cells {
 		cc := ccfg
 		cc.Seed = master.Uint64()
 		cc.Engine = str.Shard(i + 1).Eng
 		cells[i] = cluster.New(cc)
-		fcfg := scaling.DefaultConfig(cfg.Mode)
-		// Short-horizon SCT windows (as in TrainDCM): a 2-minute scale run
-		// must estimate from sub-minute windows or ConScale never acts.
-		fcfg.SCT.CollectionWindow = 45 * des.Second
-		fcfg.SCT.MinTotalSamples = 30
-		fcfg.SCT.MinDistinctBins = 3
-		if needDCM {
-			fcfg.Profile = profile
-		}
-		if cfg.Controller == "" {
-			drs[i] = scaling.New(cells[i], fcfg)
-		} else {
-			opts := controller.Options{Seed: cc.Seed, Base: fcfg}
-			ctrl, err := controller.New(cfg.Controller, opts)
-			if err != nil {
-				panic(err) // validated by callers; a typo here is a programming error
-			}
-			drs[i] = controller.NewRuntime(cells[i], ctrl, opts)
-		}
+		drs[i] = newFramework(cells[i], cfg.Controller, cfg.Mode, cc.Seed, *fcfg)
 		drs[i].Start()
 	}
 

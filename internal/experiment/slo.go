@@ -230,11 +230,7 @@ func SLORunsSized(seed uint64, duration des.Time, users int) []SLORun {
 			// The audit trail carries the CPU triggers and SLO transitions;
 			// light head sampling keeps the span machinery out of the way.
 			cfg.Tracing = &trace.Config{SampleRate: 1.0 / 64}
-			if mode == scaling.DCM {
-				fcfg := scaling.DefaultConfig(scaling.DCM)
-				fcfg.Profile = profile
-				cfg.Framework = &fcfg
-			}
+			cfg.Framework = profiledConfig(mode, profile)
 			cfgs = append(cfgs, cfg)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"conscale/internal/cluster"
-	"conscale/internal/controller"
 	"conscale/internal/des"
 	"conscale/internal/scaling"
 	"conscale/internal/trace"
@@ -48,7 +47,7 @@ type TournamentConfig struct {
 // registered controller × all six traces × two scale tiers.
 func DefaultTournamentConfig() TournamentConfig {
 	return TournamentConfig{
-		Controllers: controller.Names(),
+		Controllers: scaling.Names(),
 		Traces: []string{
 			workload.LargeVariations, workload.QuicklyVarying, workload.SlowlyVarying,
 			workload.BigSpike, workload.DualPhase, workload.SteepTriPhase,
@@ -136,19 +135,6 @@ type TournamentResult struct {
 	Ranking []TournamentRank
 }
 
-// tournamentModeFor maps legacy controller names to their Mode so the
-// base config (and the DCM profile) match the pre-zoo runs.
-func tournamentModeFor(name string) scaling.Mode {
-	switch name {
-	case "dcm":
-		return scaling.DCM
-	case "conscale":
-		return scaling.ConScale
-	default:
-		return scaling.EC2
-	}
-}
-
 // RunTournament executes the factorial and ranks the controllers. Every
 // cell runs with telemetry (for SLO burn accounting) and the audit
 // trail armed, flowing each controller's decisions through the same
@@ -173,26 +159,16 @@ func RunTournament(cfg TournamentConfig) *TournamentResult {
 	res := &TournamentResult{Cells: make([]TournamentCell, len(specs))}
 	runCell := func(i int) {
 		spec := specs[i]
-		mode := tournamentModeFor(spec.ctrl)
-		fcfg := scaling.DefaultConfig(mode)
-		// Short-horizon SCT windows (as in the scale mode): a 5-minute
-		// cell must estimate from sub-minute windows or the SCT signal
-		// stays dark for most of the run.
-		fcfg.SCT.CollectionWindow = 60 * des.Second
-		fcfg.SCT.MinTotalSamples = 30
-		fcfg.SCT.MinDistinctBins = 3
-		if mode == scaling.DCM {
-			fcfg.Profile = profile
-		}
+		fcfg := profiledConfig(scaling.EC2, profile) // Controller, not Mode, names the policy
+		shortHorizonSCT(fcfg, 60*des.Second)
 		r := Run(RunConfig{
-			Mode:       mode,
 			Controller: spec.ctrl,
 			TraceName:  spec.trace,
 			MaxUsers:   spec.users,
 			Duration:   cfg.Duration,
 			Seed:       cfg.Seed,
 			ThinkTime:  3,
-			Framework:  &fcfg,
+			Framework:  fcfg,
 			Tracing:    &trace.Config{},
 			Telemetry:  &TelemetryOptions{},
 			WarmupSkip: cfg.WarmupSkip,

@@ -1,49 +1,16 @@
-// Package controller is the pluggable scaling-controller zoo. It turns
-// the repo's hardwired three-way Mode switch (EC2 / DCM / ConScale in
-// internal/scaling) into an open interface: a Controller observes the
-// cluster once per decision tick — tier utilization, queue depths,
-// windowed tail latency, and the SCT concurrency-range signal — and
-// emits scale-out/in and pool-resize actions through an Actuator that
-// handles the bookkeeping every controller shares (pending-launch
-// tracking, the dark-tier repair path, the decision log, and the audit
-// trail).
-//
-// The three paper frameworks remain available as adapters ("ec2",
-// "dcm", "conscale") that delegate to the untouched scaling.Framework,
-// so their trajectories stay byte-identical to the pre-zoo code. The
-// new families are grounded in the related work:
-//
-//   - "target-tracking" / "target-tracking-sct": AWS-style
-//     target-tracking on tier CPU with out/in cooldowns (the policy
-//     shape of ECS/EC2 application auto-scaling); the -sct variant also
-//     consumes the SCT signal for soft-resource adaptation.
-//   - "step-scaling": AWS step policies — breach-magnitude bands map to
-//     step adjustments (+1 VM above High, +2 above the surge band).
-//   - "hybrid-mpc": an OptScaler-style hybrid — a seed-deterministic
-//     Holt linear forecaster over per-tier demand feeds a proactive
-//     capacity plan, corrected each tick by an MPC-like one-step search
-//     over candidate actions.
-//   - "tabs-token": TABS-style token-based elasticity (Mukherjee &
-//     Borst) — scale-out on idle-token depletion, scale-in after a
-//     sustained idle timeout.
-//
-// Every controller is seeded and deterministic: the same seed and trace
-// produce an identical decision log on every run.
-package controller
+package scaling
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
 
 	"conscale/internal/cluster"
 	"conscale/internal/des"
-	"conscale/internal/scaling"
 )
 
-// Controller is one scaling policy. The Runtime drives it: Init is
+// Controller is one scaling policy. The Framework drives it: Init is
 // called once before simulation events fire, Tick on every decision
 // interval with a fresh Observation, and Stop when the run ends.
 //
@@ -51,6 +18,9 @@ import (
 // directly), must not retain the Observation past the tick, and must
 // draw any randomness from a source seeded by Options.Seed so a run's
 // decision log is a pure function of (seed, trace, config).
+//
+// A policy that needs more than the decision tick also implements
+// LoopDeclarer and/or HardwareObserver.
 type Controller interface {
 	// Name returns the registry name of the controller.
 	Name() string
@@ -64,6 +34,41 @@ type Controller interface {
 	Stop()
 }
 
+// Loops declares which control loops the Framework arms for a policy
+// besides the metric collector and the decision tick. Which loops a
+// policy gets is a property of the policy, not a user option, and the
+// arm order is fixed — collector, decider, estimator, adapter — because
+// the engine breaks same-instant ties by arm order: a 5 s estimator
+// armed at t=0 fires before the 1 s decider re-armed at t=4, and a
+// trajectory depends on which of two same-instant loops ran first.
+type Loops struct {
+	// Estimator arms the SCT signal refresh every Config.EstimateEvery.
+	Estimator bool
+	// AfterEstimate, if set, runs right after each estimator refresh.
+	AfterEstimate func()
+	// Adapt, if set, runs every Config.AdaptEvery (when positive).
+	Adapt func()
+}
+
+// LoopDeclarer is implemented by a policy whose loops differ from the
+// default Loops{Estimator: true}.
+type LoopDeclarer interface {
+	// Loops returns the policy's loop declaration. The Framework reads
+	// it once, after Init.
+	Loops() Loops
+}
+
+// HardwareObserver is implemented by a policy that reacts the instant a
+// VM launch lands on a tier — a scale-out it asked for or a dark-tier
+// repair the Framework started. The hook runs inside the cluster's
+// ready callback, after the Framework logged and audited the event, so
+// a policy can restart its quiet counters, stamp its cooldown, and
+// re-apply soft resources to the grown tier.
+type HardwareObserver interface {
+	// HardwareChanged reports that a new VM entered service on the tier.
+	HardwareChanged(tier cluster.Tier)
+}
+
 // Env is everything a controller may touch: the cluster (read-only
 // inspection), the Actuator (all mutations), the shared SCT signal, and
 // the options it was built with.
@@ -74,17 +79,21 @@ type Env struct {
 	// Act is the only mutation path: scale and pool actions flow through
 	// it so the decision log and audit trail see every action.
 	Act Actuator
-	// Signal is the shared SCT concurrency-range estimator (nil for
-	// self-driving legacy adapters, which embed their own).
+	// Signal is the shared SCT concurrency-range estimator.
 	Signal *Signal
-	// Opts echoes the Options the controller was constructed with.
+	// Opts echoes the Options the runtime was attached with, defaults
+	// filled.
 	Opts Options
+
+	// rt gives the in-package paper policies the runtime's primitives
+	// (launch, resize, log, audit) whose wording they own.
+	rt *Framework
 }
 
-// Actuator is the action surface the Runtime exposes to controllers.
-// Scale actions return false when refused (launch already pending, tier
-// at capacity, or last VM); pool setters clamp to the configured range
-// and ignore no-op changes.
+// Actuator is the action surface the Framework exposes to controllers.
+// Scale actions return false when refused (tier at capacity, or last
+// VM); pool setters clamp to the configured range and ignore no-op
+// changes.
 type Actuator interface {
 	// ScaleOut launches one VM on the tier. The cause string lands in
 	// the decision log and audit trail.
@@ -131,14 +140,15 @@ type TierEstimate struct {
 	OK bool
 }
 
-// Observation is the per-tick view the Runtime hands to Tick.
+// Observation is the per-tick view the Framework hands to Tick.
 type Observation struct {
 	// Now is the simulation time of the tick.
 	Now des.Time
 	// App and DB describe the scalable tiers.
 	App, DB TierState
 	// Tail is the windowed web-tier tail response time in seconds (the
-	// client-visible SLO proxy); NaN while the window is empty.
+	// client-visible SLO proxy; Config.SLAPercentile over
+	// Config.SLAWindow); NaN while the window is empty.
 	Tail float64
 	// AppSCT / DBSCT carry the tier-aggregated SCT concurrency signal
 	// (zero-valued with OK=false when the signal is dark).
@@ -155,27 +165,8 @@ type Options struct {
 	// stream from it.
 	Seed uint64
 	// Base carries the shared scaling knobs (thresholds, cooldowns,
-	// clamps, SCT config). Legacy adapters consume it wholesale.
-	Base scaling.Config
-	// SLAPercentile is the tail percentile Observation.Tail reports
-	// (default 95).
-	SLAPercentile float64
-	// SLAWindow is the sliding window Tail is measured over (default 10 s).
-	SLAWindow des.Time
-}
-
-// withDefaults fills the zero-valued Options fields.
-func (o Options) withDefaults() Options {
-	if o.SLAPercentile <= 0 {
-		o.SLAPercentile = 95
-	}
-	if o.SLAWindow <= 0 {
-		o.SLAWindow = 10 * des.Second
-	}
-	if o.Base.CheckEvery <= 0 {
-		o.Base = scaling.DefaultConfig(o.Base.Mode)
-	}
-	return o
+	// clamps, SCT config); zero-valued fields take DefaultConfig's.
+	Base Config
 }
 
 // Factory builds one controller instance from options.
@@ -194,36 +185,51 @@ func Register(name string, f Factory) {
 	defer regMu.Unlock()
 	key := strings.ToLower(strings.TrimSpace(name))
 	if key == "" || f == nil {
-		panic("controller: Register with empty name or nil factory")
+		panic("scaling: Register with empty name or nil factory")
 	}
 	if _, dup := registry[key]; dup {
-		panic("controller: duplicate registration of " + key)
+		panic("scaling: duplicate registration of " + key)
 	}
 	registry[key] = f
 }
 
 // aliases maps accepted spellings to registry names.
 var aliases = map[string]string{
-	"ec2-autoscaling": "ec2",
+	"ec2-autoscaling": "ec2", // Mode.String() of the EC2 baseline
 	"tabs":            "tabs-token",
 }
 
-// New builds a registered controller by name (case-insensitive;
-// "ec2-autoscaling" and "tabs" are accepted aliases). The error names
-// every registered controller.
-func New(name string, opts Options) (Controller, error) {
+// Canonical resolves a controller name the way the registry does —
+// case-insensitive, trimmed, "ec2-autoscaling" and "tabs" accepted as
+// aliases — and returns the registry name. The error names every
+// registered controller.
+func Canonical(name string) (string, error) {
 	key := strings.ToLower(strings.TrimSpace(name))
 	if canon, ok := aliases[key]; ok {
 		key = canon
 	}
 	regMu.RLock()
-	f, ok := registry[key]
+	_, ok := registry[key]
 	regMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("controller: unknown controller %q; registered: %s",
+		return "", fmt.Errorf("scaling: unknown controller %q; registered: %s",
 			name, strings.Join(Names(), ", "))
 	}
-	return f(opts.withDefaults()), nil
+	return key, nil
+}
+
+// NewController builds a registered controller by name (resolved as by
+// Canonical).
+func NewController(name string, opts Options) (Controller, error) {
+	key, err := Canonical(name)
+	if err != nil {
+		return nil, err
+	}
+	regMu.RLock()
+	f := registry[key]
+	regMu.RUnlock()
+	opts.Base = opts.Base.withDefaults()
+	return f(opts), nil
 }
 
 // Names returns every registered controller name, sorted.
@@ -251,11 +257,3 @@ func clamp(v, lo, hi int) int {
 
 // ceilDiv returns ceil(a/b) for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// nanSafe replaces NaN with the fallback.
-func nanSafe(v, fallback float64) float64 {
-	if math.IsNaN(v) {
-		return fallback
-	}
-	return v
-}

@@ -23,6 +23,10 @@ func twoAppCluster(t *testing.T) *cluster.Cluster {
 	return c
 }
 
+// paperPolicy returns the threshold engine a paper-policy Framework
+// drives.
+func paperPolicy(f *Framework) *threshold { return f.ctrl.(*threshold) }
+
 func countKind(events []Event, kind EventKind, tier cluster.Tier) int {
 	n := 0
 	for _, e := range events {
@@ -35,8 +39,8 @@ func countKind(events []Event, kind EventKind, tier cluster.Tier) int {
 
 // TestQuietCounterResetsWhenLaunchLands pins the flap fix: quiet ticks
 // accumulated while a scale-out launch (or a dark-tier repair) was
-// pending measured a configuration that no longer exists, so the ready
-// callback must restart the below-counter — otherwise a counter
+// pending measured a configuration that no longer exists, so the policy's
+// HardwareChanged hook must restart the below-counter — otherwise a counter
 // saturated during the preparation period drains the new VM on the
 // first post-ready decision tick.
 func TestQuietCounterResetsWhenLaunchLands(t *testing.T) {
@@ -45,7 +49,7 @@ func TestQuietCounterResetsWhenLaunchLands(t *testing.T) {
 		arm  func(t *testing.T, c *cluster.Cluster, f *Framework)
 	}{
 		{"threshold scale-out path", func(t *testing.T, c *cluster.Cluster, f *Framework) {
-			f.scaleOut(cluster.App, "test launch")
+			paperPolicy(f).scaleOut(cluster.App, "test launch")
 		}},
 		{"repair path", func(t *testing.T, c *cluster.Cluster, f *Framework) {
 			for c.KillVM(cluster.App) != "" {
@@ -60,14 +64,15 @@ func TestQuietCounterResetsWhenLaunchLands(t *testing.T) {
 			f := New(c, cfg)
 			// A quiet counter saturated before the launch (e.g. while the
 			// tier idled or sat dark awaiting repair).
-			f.below[cluster.App] = cfg.SustainIn
+			p := paperPolicy(f)
+			p.below[cluster.App] = cfg.SustainIn
 			tc.arm(t, c, f)
 			c.Eng.RunUntil(c.Eng.Now() + 10*des.Second) // past the 5 s test PrepDelay
-			if got := f.below[cluster.App]; got != 0 {
+			if got := p.below[cluster.App]; got != 0 {
 				t.Fatalf("below counter survived the launch landing: %d (want 0)", got)
 			}
 			// The very next decision tick must not drain the new VM.
-			f.decideTier(cluster.App)
+			p.decideTier(cluster.App, c.TierCPU(cluster.App))
 			if got := countKind(f.Events(), ScaleIn, cluster.App); got != 0 {
 				t.Fatalf("scale-in fired on the first post-ready tick (flap): %v", f.Events())
 			}
@@ -138,17 +143,14 @@ func TestSLATriggerFiresOncePerCooldown(t *testing.T) {
 	cfg.SLATarget = 0.2
 	cfg.SLAPercentile = 95
 	f := New(c, cfg)
+	p := paperPolicy(f)
 
-	// Saturate the sustain counter and feed a breaching tail, then run
-	// decideSLA on back-to-back ticks. Start past the out-cooldown so the
-	// first breach is genuinely eligible to fire.
+	// Saturate the sustain counter and hand decideSLA a breaching tail
+	// (1000 ms >> the 200 ms target) on back-to-back ticks. Start past
+	// the out-cooldown so the first breach is genuinely eligible to fire.
 	c.Eng.RunUntil(30 * des.Second)
-	now := c.Eng.Now()
-	for i := 0; i < 40; i++ {
-		f.slaTail.Add(now, 1.0) // 1000 ms >> 200 ms target
-	}
-	f.slaAbove = cfg.SustainOut
-	f.decideSLA()
+	p.slaAbove = cfg.SustainOut
+	p.decideSLA(1.0)
 	if got := f.triggers; got != 1 {
 		t.Fatalf("first breaching tick: want 1 trigger, got %d", got)
 	}
@@ -161,8 +163,7 @@ func TestSLATriggerFiresOncePerCooldown(t *testing.T) {
 	// rebuilds, but the pending guard must hold the fire.
 	for i := 0; i < 10; i++ {
 		c.Eng.RunUntil(c.Eng.Now() + des.Second)
-		f.slaTail.Add(c.Eng.Now(), 1.0)
-		f.decideSLA()
+		p.decideSLA(1.0)
 	}
 	if got := f.triggers; got != 1 {
 		t.Fatalf("pending window: trigger double-fired (%d triggers)", got)

@@ -1,4 +1,4 @@
-package controller
+package scaling
 
 import (
 	"math"
@@ -7,7 +7,6 @@ import (
 
 	"conscale/internal/cluster"
 	"conscale/internal/des"
-	"conscale/internal/scaling"
 )
 
 // fakeAct records every action a policy emits, optionally refusing
@@ -41,7 +40,7 @@ func (a *fakeAct) SetDBConns(n int, cause string)    { a.conns = append(a.conns,
 // policyEnv wires a policy to the fake actuator with no cluster and no
 // signal — the minimum environment a hardware-only policy needs.
 func policyEnv(act Actuator) Env {
-	return Env{Act: act, Opts: Options{Base: scaling.DefaultConfig(scaling.EC2)}.withDefaults()}
+	return Env{Act: act, Opts: Options{Base: DefaultConfig(EC2)}}
 }
 
 func obsAt(now des.Time, appCPU, dbCPU float64, appReady, dbReady int) *Observation {
@@ -68,13 +67,13 @@ func TestRegistryKnowsAllFamilies(t *testing.T) {
 }
 
 func TestNewUnknownAndAliases(t *testing.T) {
-	if _, err := New("no-such-policy", Options{}); err == nil {
+	if _, err := NewController("no-such-policy", Options{}); err == nil {
 		t.Fatal("unknown controller did not error")
 	} else if !strings.Contains(err.Error(), "target-tracking") {
 		t.Fatalf("error should name the registered controllers: %v", err)
 	}
-	for alias, canon := range map[string]string{"ec2-autoscaling": "ec2", "tabs": "tabs-token", "EC2": "ec2"} {
-		c, err := New(alias, Options{})
+	for alias, canon := range map[string]string{"ec2-autoscaling": "ec2", "tabs": "tabs-token", "EC2": "ec2", " dcm ": "dcm"} {
+		c, err := NewController(alias, Options{})
 		if err != nil {
 			t.Fatalf("alias %q: %v", alias, err)
 		}
@@ -115,7 +114,7 @@ func TestHoltForecastTracksTrend(t *testing.T) {
 
 func TestTargetTrackingScalesOutOverTarget(t *testing.T) {
 	act := &fakeAct{}
-	tt := newTargetTracking(Options{Base: scaling.DefaultConfig(scaling.EC2)}.withDefaults(), false)
+	tt := newTargetTracking(Options{Base: DefaultConfig(EC2)}, false)
 	tt.Init(policyEnv(act))
 
 	// CPU over the setpoint: desired = ceil(2×0.9/0.65) = 3 > 2 ready.
@@ -132,7 +131,7 @@ func TestTargetTrackingScalesOutOverTarget(t *testing.T) {
 
 func TestTargetTrackingScaleInNeedsSustain(t *testing.T) {
 	act := &fakeAct{}
-	opts := Options{Base: scaling.DefaultConfig(scaling.EC2)}.withDefaults()
+	opts := Options{Base: DefaultConfig(EC2)}
 	tt := newTargetTracking(opts, false)
 	tt.Init(policyEnv(act))
 
@@ -152,7 +151,7 @@ func TestTargetTrackingScaleInNeedsSustain(t *testing.T) {
 
 func TestStepScalingSurgeBurstsTwo(t *testing.T) {
 	act := &fakeAct{}
-	c, err := New("step-scaling", Options{})
+	c, err := NewController("step-scaling", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestStepScalingSurgeBurstsTwo(t *testing.T) {
 
 func TestStepScalingRefusedActionKeepsCounting(t *testing.T) {
 	act := &fakeAct{refuse: true}
-	c, err := New("step-scaling", Options{})
+	c, err := NewController("step-scaling", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestStepScalingRefusedActionKeepsCounting(t *testing.T) {
 }
 
 func TestTABSDepletionDetection(t *testing.T) {
-	if c, err := New("tabs", Options{}); err != nil || c.Name() != "tabs-token" {
+	if c, err := NewController("tabs", Options{}); err != nil || c.Name() != "tabs-token" {
 		t.Fatalf("tabs alias: %v, %v", c, err)
 	}
 	cases := []struct {

@@ -1,36 +1,59 @@
-// Package scaling implements the three scaling frameworks the paper
-// evaluates (Section IV-V):
+// Package scaling is the control plane: one runtime (Framework) that
+// drives one policy (Controller) against one cluster, and every policy the
+// repo evaluates.
 //
-//   - EC2: hardware-only threshold auto-scaling (the EC2-AutoScaling
+// The runtime is the paper's ConScale pipeline (Fig. 8) expressed once —
+// Metric Warehouse collection, the Optimal Concurrency Estimator (Signal),
+// the decision tick, and the actuators with their launch/repair
+// bookkeeping, decision log, audit trail and telemetry. A policy is
+// nothing but a Tick function over Observations.
+//
+// The three frameworks the paper evaluates (Section IV-V) share one
+// threshold engine ("quick start but slow turn off": scale-out fires
+// after a short sustained breach, scale-in only after a long quiet
+// period) so the comparison isolates soft-resource handling:
+//
+//   - "ec2": hardware-only threshold auto-scaling (the EC2-AutoScaling
 //     baseline) — adds/removes VMs on CPU thresholds, never touches soft
 //     resources.
-//   - DCM: the concurrency-aware baseline [Wang et al., TPDS 2018] — the
+//   - "dcm": the concurrency-aware baseline [Wang et al., TPDS 2018] — the
 //     same hardware scaling plus soft-resource reallocation from an
 //     offline-trained profile, which goes stale when the runtime
 //     environment drifts from the training conditions.
-//   - ConScale: the paper's framework — the same hardware scaling plus
+//   - "conscale": the paper's framework — the same hardware scaling plus
 //     fast online soft-resource adaption driven by the SCT model over the
-//     Metric Warehouse (Fig. 8).
+//     Metric Warehouse.
 //
-// All three share the threshold engine ("quick start but slow turn off":
-// scale-out fires after a short sustained breach, scale-in only after a
-// long quiet period) so the comparison isolates soft-resource handling.
+// Five more families are grounded in the related work:
+//
+//   - "target-tracking" / "target-tracking-sct": AWS-style
+//     target-tracking on tier CPU with out/in cooldowns (the policy
+//     shape of ECS/EC2 application auto-scaling); the -sct variant also
+//     consumes the SCT signal for soft-resource adaptation.
+//   - "step-scaling": AWS step policies — breach-magnitude bands map to
+//     step adjustments (+1 VM above High, +2 above the surge band).
+//   - "hybrid-mpc": an OptScaler-style hybrid — a seed-deterministic
+//     Holt linear forecaster over per-tier demand feeds a proactive
+//     capacity plan, corrected each tick by an MPC-like one-step search
+//     over candidate actions.
+//   - "tabs-token": TABS-style token-based elasticity (Mukherjee &
+//     Borst) — scale-out on idle-token depletion, scale-in after a
+//     sustained idle timeout.
+//
+// Every policy is seeded and deterministic: the same seed and trace
+// produce an identical decision log on every run.
 package scaling
 
 import (
 	"fmt"
-	"math"
 
 	"conscale/internal/cluster"
 	"conscale/internal/des"
-	"conscale/internal/metrics"
 	"conscale/internal/sct"
-	"conscale/internal/server"
-	"conscale/internal/sla"
-	"conscale/internal/trace"
 )
 
-// Mode selects the framework behaviour.
+// Mode names one of the three paper policies; Mode.String() is a name
+// the policy registry resolves.
 type Mode int
 
 // The three frameworks.
@@ -63,9 +86,11 @@ type DCMProfile struct {
 	DBTotal    int // total DB concurrency budget across the DB tier
 }
 
-// Config tunes a framework.
+// Config carries the knobs every policy shares: thresholds, cooldowns,
+// loop cadences, SCT settings and soft-resource clamps.
 type Config struct {
-	// Mode selects which of the three frameworks this config drives.
+	// Mode selects the paper policy New attaches; a policy built by
+	// registry name ignores it.
 	Mode Mode
 
 	// Threshold engine (the EC2-AutoScaling rule: scale when tier CPU
@@ -86,7 +111,7 @@ type Config struct {
 	// InCooldown blocks repeated scale-in actions on the same tier.
 	InCooldown des.Time
 
-	// SCT estimator settings (ConScale only).
+	// SCT estimator settings.
 	SCT sct.Config
 	// EstimateEvery is how often the Optimal Concurrency Estimator
 	// refreshes its cached per-server estimates (asynchronous workflow of
@@ -95,7 +120,7 @@ type Config struct {
 	// AdaptEvery is how often ConScale re-applies its soft-resource
 	// recommendation outside scaling events, so an improved estimate
 	// (e.g. after a system-state change) takes effect without waiting
-	// for the next VM action.
+	// for the next VM action. Negative disables the adapter loop.
 	AdaptEvery des.Time
 
 	// DCM profile (DCM only).
@@ -107,15 +132,18 @@ type Config struct {
 	UseQupper bool
 
 	// SLATarget (seconds), with SLAPercentile and SLAWindow, arms an
-	// additional QoS trigger: when the web tier's windowed tail latency
-	// exceeds the target for SustainOut consecutive checks, the busiest
-	// tier scales out even if no CPU crossed the threshold — catching the
-	// under-allocation regime where response times burn while hardware
-	// idles (the failure mode of stale soft-resource settings).
+	// additional QoS trigger on the paper policies: when the web tier's
+	// windowed tail latency exceeds the target for SustainOut consecutive
+	// checks, the busiest tier scales out even if no CPU crossed the
+	// threshold — catching the under-allocation regime where response
+	// times burn while hardware idles (the failure mode of stale
+	// soft-resource settings).
 	SLATarget float64
-	// SLAPercentile is the tail percentile the QoS trigger watches.
+	// SLAPercentile is the tail percentile Observation.Tail reports and
+	// the QoS trigger watches (default 95).
 	SLAPercentile float64
-	// SLAWindow is the sliding window the tail latency is measured over.
+	// SLAWindow is the sliding window the tail latency is measured over
+	// (default 10 s).
 	SLAWindow des.Time
 
 	// VerticalDBMaxCores enables vertical scaling of the DB tier (the
@@ -134,7 +162,7 @@ type Config struct {
 	WarehouseRetention des.Time
 }
 
-// DefaultConfig returns the evaluation settings shared by all frameworks.
+// DefaultConfig returns the evaluation settings shared by all policies.
 func DefaultConfig(mode Mode) Config {
 	return Config{
 		Mode:               mode,
@@ -156,6 +184,41 @@ func DefaultConfig(mode Mode) Config {
 	}
 }
 
+// withDefaults fills each zero-valued knob from DefaultConfig, one field
+// at a time, so a caller that sets only some fields (a Profile, an SCT
+// override, a clamp) keeps them and the zero Config means DefaultConfig.
+// It is the only defaulting every constructor applies; SCT is left to
+// sct.New, which defaults its own fields the same way.
+func (c Config) withDefaults() Config {
+	d := DefaultConfig(c.Mode)
+	orDefault(&c.High, d.High)
+	orDefault(&c.Low, d.Low)
+	orDefault(&c.CheckEvery, d.CheckEvery)
+	orDefault(&c.SustainOut, d.SustainOut)
+	orDefault(&c.SustainIn, d.SustainIn)
+	orDefault(&c.OutCooldown, d.OutCooldown)
+	orDefault(&c.InCooldown, d.InCooldown)
+	orDefault(&c.EstimateEvery, d.EstimateEvery)
+	if c.AdaptEvery == 0 { // negative means "no adapter loop"
+		c.AdaptEvery = d.AdaptEvery
+	}
+	orDefault(&c.SLAPercentile, 95)
+	orDefault(&c.SLAWindow, 10*des.Second)
+	orDefault(&c.MinThreads, d.MinThreads)
+	orDefault(&c.MaxThreads, d.MaxThreads)
+	orDefault(&c.MinConns, d.MinConns)
+	orDefault(&c.MaxConns, d.MaxConns)
+	orDefault(&c.WarehouseRetention, d.WarehouseRetention)
+	return c
+}
+
+// orDefault replaces a non-positive knob with its default.
+func orDefault[T ~int | ~float64](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
 // EventKind labels a scaling-log entry.
 type EventKind int
 
@@ -164,7 +227,7 @@ const (
 	ScaleOut EventKind = iota
 	ScaleIn
 	SoftAdapt
-	// Repair is emitted when the framework re-provisions a tier whose last
+	// Repair is emitted when the runtime re-provisions a tier whose last
 	// VM vanished outside its own actions (a cloud-side crash): the CPU
 	// signal of an empty tier reads zero, so the threshold rule alone would
 	// leave the tier dark forever.
@@ -198,560 +261,3 @@ type Event struct {
 	// Detail is a human-readable summary for audit trails.
 	Detail string
 }
-
-// Framework drives one cluster with one scaling strategy.
-type Framework struct {
-	cfg Config
-	c   *cluster.Cluster
-	w   *metrics.Warehouse
-	est *sct.Estimator
-
-	above, below   map[cluster.Tier]int
-	lastOut        map[cluster.Tier]des.Time
-	lastIn         map[cluster.Tier]des.Time
-	pendingScale   map[cluster.Tier]bool
-	cachedEstimate map[string]timedEstimate
-	lastEscape     map[cluster.Tier]des.Time
-
-	slaTail  *sla.WindowTail
-	slaAbove int
-	slaFed   des.Time
-
-	events []Event
-	// triggers / cooldownSkips mirror the audit trail's trigger accounting
-	// for the telemetry registry (cheap ints, maintained unconditionally).
-	triggers      int
-	cooldownSkips int
-	// audit receives every decision with its cause annotation (nil = no
-	// audit trail; Record on nil is a no-op).
-	audit *trace.Audit
-
-	collector *des.Ticker
-	decider   *des.Ticker
-	estimator *des.Ticker
-	adapter   *des.Ticker
-}
-
-// New attaches a framework to a cluster. Call Start to begin control.
-func New(c *cluster.Cluster, cfg Config) *Framework {
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = des.Second
-	}
-	if cfg.High <= 0 {
-		cfg.High = 0.8
-	}
-	if cfg.WarehouseRetention <= 0 {
-		cfg.WarehouseRetention = 400 * des.Second
-	}
-	if cfg.EstimateEvery <= 0 {
-		cfg.EstimateEvery = 5 * des.Second
-	}
-	var tail *sla.WindowTail
-	if cfg.SLATarget > 0 {
-		if cfg.SLAPercentile <= 0 {
-			cfg.SLAPercentile = 95
-		}
-		if cfg.SLAWindow <= 0 {
-			cfg.SLAWindow = 10 * des.Second
-		}
-		tail = sla.NewWindowTail(cfg.SLAWindow)
-	}
-	return &Framework{
-		cfg:            cfg,
-		slaTail:        tail,
-		c:              c,
-		w:              metrics.NewWarehouse(cfg.WarehouseRetention),
-		est:            sct.New(cfg.SCT),
-		above:          make(map[cluster.Tier]int),
-		below:          make(map[cluster.Tier]int),
-		lastOut:        make(map[cluster.Tier]des.Time),
-		lastIn:         make(map[cluster.Tier]des.Time),
-		pendingScale:   make(map[cluster.Tier]bool),
-		cachedEstimate: make(map[string]timedEstimate),
-		lastEscape:     make(map[cluster.Tier]des.Time),
-	}
-}
-
-// timedEstimate stamps an SCT estimate with its creation time so stale
-// views of a past regime are not re-applied after the data that produced
-// them has aged out of the collection window.
-type timedEstimate struct {
-	est sct.Estimate
-	at  des.Time
-}
-
-// Warehouse exposes the metric warehouse (figures, tests).
-func (f *Framework) Warehouse() *metrics.Warehouse { return f.w }
-
-// Events returns the scaling log.
-func (f *Framework) Events() []Event { return f.events }
-
-// SetAudit attaches a controller decision audit trail: every threshold
-// trigger, cooldown suppression, VM action, SCT estimate, and pool resize
-// is recorded there with its cause (nil detaches).
-func (f *Framework) SetAudit(a *trace.Audit) { f.audit = a }
-
-// Mode returns the framework's mode.
-func (f *Framework) Mode() Mode { return f.cfg.Mode }
-
-// Estimates returns the estimator's current per-server view (ConScale).
-func (f *Framework) Estimates() map[string]sct.Estimate {
-	out := make(map[string]sct.Estimate, len(f.cachedEstimate))
-	for k, v := range f.cachedEstimate {
-		out[k] = v.est
-	}
-	return out
-}
-
-// Start arms the monitoring, estimation, and decision loops.
-func (f *Framework) Start() {
-	eng := f.c.Eng
-	f.collector = eng.Every(des.Second, func() { f.c.CollectInto(f.w) })
-	f.decider = eng.Every(f.cfg.CheckEvery, f.decide)
-	if f.cfg.Mode == ConScale {
-		f.estimator = eng.Every(f.cfg.EstimateEvery, f.refreshEstimates)
-		if f.cfg.AdaptEvery > 0 {
-			f.adapter = eng.Every(f.cfg.AdaptEvery, f.applyConScale)
-		}
-	}
-}
-
-// Stop disarms the loops (end of experiment).
-func (f *Framework) Stop() {
-	for _, t := range []*des.Ticker{f.collector, f.decider, f.estimator, f.adapter} {
-		if t != nil {
-			t.Stop()
-		}
-	}
-}
-
-// decide applies the threshold rule to the app and DB tiers, plus the
-// SLA trigger when configured.
-func (f *Framework) decide() {
-	for _, tier := range []cluster.Tier{cluster.Web, cluster.App, cluster.DB} {
-		f.repairTier(tier)
-	}
-	for _, tier := range []cluster.Tier{cluster.App, cluster.DB} {
-		f.decideTier(tier)
-	}
-	f.decideSLA()
-}
-
-// repairTier re-provisions a tier with zero ready VMs. Scale-in never
-// empties a tier, so this only fires when external faults (crash
-// injection) killed the last VM; without it the tier's CPU signal reads
-// zero and the threshold rule never recovers the system.
-func (f *Framework) repairTier(tier cluster.Tier) {
-	if f.c.ReadyCount(tier) > 0 || f.pendingScale[tier] {
-		return
-	}
-	f.pendingScale[tier] = true
-	now := f.c.Eng.Now()
-	f.log(Event{Time: now, Kind: Repair, Tier: tier, Detail: "tier dark: provisioning replacement"})
-	f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditRepair, Tier: tier.String(),
-		Cause: "tier dark: zero ready VMs", Detail: "launch replacement"})
-	launched := f.c.AddVM(tier, func(srv *server.Server) {
-		ready := f.c.Eng.Now()
-		f.pendingScale[tier] = false
-		f.lastOut[tier] = ready
-		// Quiet ticks counted while the tier was dark measured a
-		// configuration that no longer exists; restart the counter so
-		// scale-in needs a full sustained window on the repaired tier.
-		f.below[tier] = 0
-		f.log(Event{Time: ready, Kind: Repair, Tier: tier, Detail: srv.Name() + " ready"})
-		f.audit.Record(trace.AuditEvent{Time: ready, Kind: trace.AuditRepair, Tier: tier.String(),
-			Cause: "tier dark: zero ready VMs", Detail: srv.Name() + " ready"})
-		f.afterHardwareScaling(tier)
-	})
-	if !launched {
-		f.pendingScale[tier] = false
-		f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditScaleOutDenied, Tier: tier.String(),
-			Cause: "repair launch refused: tier at capacity"})
-	}
-}
-
-// decideSLA feeds the web tier's measured response times into the sliding
-// tail tracker and scales the busiest tier when the tail breaches the
-// target. The web tier's server-side RT covers the whole downstream path,
-// so it approximates the client-visible latency without client telemetry.
-func (f *Framework) decideSLA() {
-	if f.slaTail == nil {
-		return
-	}
-	now := f.c.Eng.Now()
-	for _, srv := range f.c.Servers(cluster.Web) {
-		for _, w := range f.w.FineSince(srv.Name(), f.slaFed) {
-			if w.Completions > 0 && !math.IsNaN(w.RT) {
-				f.slaTail.Add(w.Start, w.RT)
-			}
-		}
-	}
-	f.slaFed = now
-	tail := f.slaTail.Percentile(now, f.cfg.SLAPercentile)
-	if math.IsNaN(tail) {
-		return
-	}
-	if tail > f.cfg.SLATarget {
-		f.slaAbove++
-	} else {
-		f.slaAbove = 0
-		return
-	}
-	if f.slaAbove < f.cfg.SustainOut {
-		return
-	}
-	// Scale the busiest tier (CPU or disk), unless it is already scaling
-	// or cooling down.
-	tier := cluster.App
-	if f.c.TierCPU(cluster.DB) > f.c.TierCPU(cluster.App) {
-		tier = cluster.DB
-	}
-	cause := fmt.Sprintf("sla trigger: p%.0f=%.0fms > %.0fms", f.cfg.SLAPercentile, tail*1000, f.cfg.SLATarget*1000)
-	if f.pendingScale[tier] || now-f.lastOut[tier] < f.cfg.OutCooldown {
-		if f.slaAbove == f.cfg.SustainOut {
-			f.cooldownSkips++
-			f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditCooldownSkip, Tier: tier.String(),
-				Cause: cause, Detail: suppression(f.pendingScale[tier]), Value: tail})
-		}
-		return
-	}
-	f.slaAbove = 0
-	f.triggers++
-	f.log(Event{Time: now, Kind: ScaleOut, Tier: tier,
-		Detail: fmt.Sprintf("sla trigger: p%.0f=%.0fms > %.0fms", f.cfg.SLAPercentile, tail*1000, f.cfg.SLATarget*1000)})
-	f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditThresholdTrigger, Tier: tier.String(),
-		Cause: cause, Value: tail})
-	f.scaleOut(tier, cause)
-}
-
-// suppression names why a trigger could not act, for audit annotations.
-func suppression(pending bool) string {
-	if pending {
-		return "suppressed: scale already pending"
-	}
-	return "suppressed: cooldown active"
-}
-
-func (f *Framework) decideTier(tier cluster.Tier) {
-	now := f.c.Eng.Now()
-	cpu := f.c.TierCPU(tier)
-	if cpu > f.cfg.High {
-		f.above[tier]++
-		f.below[tier] = 0
-	} else if cpu < f.cfg.Low {
-		f.below[tier]++
-		f.above[tier] = 0
-	} else {
-		f.above[tier] = 0
-		f.below[tier] = 0
-	}
-
-	if f.above[tier] >= f.cfg.SustainOut {
-		cause := fmt.Sprintf("cpu=%.2f > %.2f for %d checks", cpu, f.cfg.High, f.above[tier])
-		if !f.pendingScale[tier] && now-f.lastOut[tier] >= f.cfg.OutCooldown {
-			f.triggers++
-			f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditThresholdTrigger, Tier: tier.String(),
-				Cause: cause, Value: cpu})
-			f.scaleOut(tier, cause)
-			return
-		}
-		// Audit the suppressed trigger once per episode (the first check
-		// on which it would have fired).
-		if f.above[tier] == f.cfg.SustainOut {
-			f.cooldownSkips++
-			f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditCooldownSkip, Tier: tier.String(),
-				Cause: cause, Detail: suppression(f.pendingScale[tier]), Value: cpu})
-		}
-	}
-	if f.below[tier] >= f.cfg.SustainIn &&
-		!f.pendingScale[tier] &&
-		now-f.lastIn[tier] >= f.cfg.InCooldown &&
-		f.c.ReadyCount(tier) > 1 {
-		f.scaleIn(tier)
-	}
-}
-
-func (f *Framework) scaleOut(tier cluster.Tier, cause string) {
-	now := f.c.Eng.Now()
-	// Vertical scaling first, when enabled for the DB tier: adding a
-	// vCPU to a live VM needs no data replication or preparation period.
-	if tier == cluster.DB && f.cfg.VerticalDBMaxCores > 0 {
-		for _, srv := range f.c.Servers(cluster.DB) {
-			if srv.Draining() || srv.Cores() >= f.cfg.VerticalDBMaxCores {
-				continue
-			}
-			srv.SetCores(srv.Cores() + 1)
-			f.lastOut[tier] = now
-			f.above[tier] = 0
-			f.log(Event{Time: now, Kind: ScaleOut, Tier: tier,
-				Detail: fmt.Sprintf("scale-up %s to %d cores", srv.Name(), srv.Cores())})
-			f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditScaleUp, Tier: tier.String(),
-				Cause: cause, Detail: srv.Name(), Value: float64(srv.Cores())})
-			f.afterHardwareScaling(tier)
-			return
-		}
-	}
-	f.pendingScale[tier] = true
-	launched := f.c.AddVM(tier, func(srv *server.Server) {
-		ready := f.c.Eng.Now()
-		f.pendingScale[tier] = false
-		f.lastOut[tier] = ready
-		// Quiet ticks counted while the launch was pending measured the
-		// pre-scale-out configuration; restart the counter so scale-in
-		// needs a full sustained window on the grown tier — otherwise a
-		// counter saturated during the preparation period drains the new
-		// VM on the first post-ready tick (a launch→drain flap).
-		f.below[tier] = 0
-		f.log(Event{Time: ready, Kind: ScaleOut, Tier: tier, Detail: srv.Name() + " ready"})
-		f.audit.Record(trace.AuditEvent{Time: ready, Kind: trace.AuditScaleOutReady, Tier: tier.String(),
-			Cause: cause, Detail: srv.Name() + " ready"})
-		f.afterHardwareScaling(tier)
-	})
-	if !launched { // tier at capacity
-		f.pendingScale[tier] = false
-		f.lastOut[tier] = now // back off instead of retrying every tick
-		f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditScaleOutDenied, Tier: tier.String(),
-			Cause: cause, Detail: "tier at capacity"})
-		return
-	}
-	f.above[tier] = 0
-	f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditScaleOutLaunch, Tier: tier.String(),
-		Cause: cause, Detail: "VM launched: preparation period started"})
-}
-
-func (f *Framework) scaleIn(tier cluster.Tier) {
-	now := f.c.Eng.Now()
-	name := f.c.RemoveVM(tier)
-	if name == "" {
-		return
-	}
-	f.lastIn[tier] = now
-	f.above[tier], f.below[tier] = 0, 0
-	f.w.Forget(name)
-	f.log(Event{Time: now, Kind: ScaleIn, Tier: tier, Detail: name})
-	f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditScaleIn, Tier: tier.String(),
-		Cause: fmt.Sprintf("cpu < %.2f for %d checks", f.cfg.Low, f.cfg.SustainIn), Detail: name})
-	f.afterHardwareScaling(tier)
-}
-
-func (f *Framework) log(e Event) { f.events = append(f.events, e) }
-
-// afterHardwareScaling is the second step of a scaling activity: DCM and
-// ConScale adapt soft resources; EC2 does nothing.
-func (f *Framework) afterHardwareScaling(tier cluster.Tier) {
-	switch f.cfg.Mode {
-	case EC2:
-		return
-	case DCM:
-		f.applyDCM()
-	case ConScale:
-		f.applyConScale()
-	}
-}
-
-// applyDCM installs the offline-trained profile: fixed per-server app
-// threads, DB budget split across app servers.
-func (f *Framework) applyDCM() {
-	now := f.c.Eng.Now()
-	p := f.cfg.Profile
-	if p.AppThreads <= 0 || p.DBTotal <= 0 {
-		return
-	}
-	apps := f.c.ReadyCount(cluster.App)
-	if apps == 0 {
-		return
-	}
-	perApp := clamp(ceilDiv(p.DBTotal, apps), f.cfg.MinConns, f.cfg.MaxConns)
-	threads := clamp(p.AppThreads, f.cfg.MinThreads, f.cfg.MaxThreads)
-	f.c.SetAppThreads(threads)
-	f.c.SetDBConns(perApp)
-	f.log(Event{Time: now, Kind: SoftAdapt, Tier: cluster.App,
-		Detail: fmt.Sprintf("dcm profile: threads=%d dbconns=%d", threads, perApp)})
-	f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditPoolResize, Tier: cluster.App.String(),
-		Cause: "dcm offline profile", Detail: "app threads", Value: float64(threads)})
-	f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditPoolResize, Tier: cluster.DB.String(),
-		Cause: "dcm offline profile", Detail: "db conns per app", Value: float64(perApp)})
-}
-
-// refreshEstimates re-runs the SCT model over each server's recent window
-// (the asynchronous Optimal Concurrency Estimator of Fig. 8) and applies
-// the under-allocation escape.
-func (f *Framework) refreshEstimates() {
-	now := f.c.Eng.Now()
-	since := now - f.est.Config().CollectionWindow
-	for _, tier := range []cluster.Tier{cluster.App, cluster.DB} {
-		for _, srv := range f.c.Servers(tier) {
-			if srv.Draining() {
-				continue
-			}
-			est, ok := f.est.Estimate(f.w.FineSince(srv.Name(), since))
-			if !ok {
-				continue
-			}
-			f.cachedEstimate[srv.Name()] = timedEstimate{est: est, at: now}
-			f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditSCTEstimate, Tier: tier.String(),
-				Cause: "estimator refresh", Detail: srv.Name(),
-				Qlower: est.Qlower, Qupper: est.Qupper, Value: est.PlateauTP})
-		}
-	}
-	f.escapeUnderAllocation(now)
-}
-
-// escapeUnderAllocation detects the under-allocation effect ([12] in the
-// paper): requests queue at a tier while its critical hardware resource
-// idles below the scale-out threshold, which means the current soft
-// resource — not hardware — is the binding constraint and the SCT curve
-// cannot reveal a higher optimum because concurrency is pinned. The
-// controller widens the allocation multiplicatively until the curve's
-// descending stage becomes observable again.
-func (f *Framework) escapeUnderAllocation(now des.Time) {
-	// App tier: accept queues grow while NO app server's CPU is near the
-	// threshold — if any server is hardware-saturated the queues are the
-	// hardware's fault and hardware scaling (not wider pools) is the fix.
-	queued, maxAppCPU := 0, 0.0
-	for _, srv := range f.c.Servers(cluster.App) {
-		if srv.Draining() {
-			continue
-		}
-		queued += srv.QueueLen()
-		if u := srv.CPUUtilization(); u > maxAppCPU {
-			maxAppCPU = u
-		}
-	}
-	_, threads, conns := f.c.SoftResources()
-	if maxAppCPU < f.cfg.High && queued > 2*threads {
-		grown := clamp(threads*3/2, f.cfg.MinThreads, f.cfg.MaxThreads)
-		if grown > threads {
-			f.c.SetAppThreads(grown)
-			f.lastEscape[cluster.App] = now
-			f.log(Event{Time: now, Kind: SoftAdapt, Tier: cluster.App,
-				Detail: fmt.Sprintf("under-allocation escape: app threads %d->%d", threads, grown)})
-			f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditPoolResize, Tier: cluster.App.String(),
-				Cause:  fmt.Sprintf("under-allocation escape: %d queued while max cpu=%.2f", queued, maxAppCPU),
-				Detail: "app threads", Value: float64(grown)})
-		}
-	}
-	// DB connections: app threads pile up waiting for the pool while the
-	// DB tier's critical resources (CPU and disk) idle.
-	maxDBBusy := 0.0
-	for _, srv := range f.c.Servers(cluster.DB) {
-		if srv.Draining() {
-			continue
-		}
-		busy := srv.CPUUtilization()
-		if d := srv.DiskUtilization(); d > busy {
-			busy = d
-		}
-		if busy > maxDBBusy {
-			maxDBBusy = busy
-		}
-	}
-	waiting := 0
-	for _, srv := range f.c.Servers(cluster.App) {
-		if p := srv.CallPool(); p != nil {
-			waiting += p.Waiting()
-		}
-	}
-	if maxDBBusy < f.cfg.High && waiting > 2*conns {
-		grown := clamp(conns*3/2, f.cfg.MinConns, f.cfg.MaxConns)
-		if grown > conns {
-			f.c.SetDBConns(grown)
-			f.lastEscape[cluster.DB] = now
-			f.log(Event{Time: now, Kind: SoftAdapt, Tier: cluster.DB,
-				Detail: fmt.Sprintf("under-allocation escape: db conns %d->%d", conns, grown)})
-			f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditPoolResize, Tier: cluster.DB.String(),
-				Cause:  fmt.Sprintf("under-allocation escape: %d waiting while max db busy=%.2f", waiting, maxDBBusy),
-				Detail: "db conns per app", Value: float64(grown)})
-		}
-	}
-}
-
-// applyConScale turns the cached SCT estimates into soft-resource
-// settings: the app tier gets the estimated per-server optimal thread
-// pool; the DB tier's total optimal concurrency (per-server Qlower × ready
-// servers) is split across the app servers' connection pools. Only
-// saturated estimates (descending stage witnessed) may *tighten* an
-// allocation — an ascending-only curve proves nothing about the optimum
-// being lower than the current setting.
-func (f *Framework) applyConScale() {
-	f.refreshEstimates()
-	now := f.c.Eng.Now()
-	_, curThreads, curConns := f.c.SoftResources()
-
-	// A recent escape means the current estimates under-represent the
-	// tier's true optimum (the pool was pinning concurrency); hold off
-	// tightening until fresh post-escape data arrives.
-	escapeHold := 30 * des.Second
-	if appOpt, saturated, ok := f.tierOptimal(cluster.App); ok {
-		threads := clamp(appOpt, f.cfg.MinThreads, f.cfg.MaxThreads)
-		recentEscape := now-f.lastEscape[cluster.App] < escapeHold && f.lastEscape[cluster.App] > 0
-		if threads >= curThreads || (saturated && !recentEscape) {
-			f.c.SetAppThreads(threads)
-			f.log(Event{Time: now, Kind: SoftAdapt, Tier: cluster.App,
-				Detail: fmt.Sprintf("sct: app threads=%d", threads)})
-			f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditPoolResize, Tier: cluster.App.String(),
-				Cause:  fmt.Sprintf("sct optimal=%d saturated=%v", appOpt, saturated),
-				Detail: "app threads", Value: float64(threads)})
-		}
-	}
-	if dbOpt, saturated, ok := f.tierOptimal(cluster.DB); ok {
-		apps := f.c.ReadyCount(cluster.App)
-		dbs := f.c.ReadyCount(cluster.DB)
-		if apps > 0 && dbs > 0 {
-			perApp := clamp(ceilDiv(dbOpt*dbs, apps), f.cfg.MinConns, f.cfg.MaxConns)
-			recentEscape := now-f.lastEscape[cluster.DB] < escapeHold && f.lastEscape[cluster.DB] > 0
-			if perApp >= curConns || (saturated && !recentEscape) {
-				f.c.SetDBConns(perApp)
-				f.log(Event{Time: now, Kind: SoftAdapt, Tier: cluster.DB,
-					Detail: fmt.Sprintf("sct: db optimal=%d/server -> conns=%d/app", dbOpt, perApp)})
-				f.audit.Record(trace.AuditEvent{Time: now, Kind: trace.AuditPoolResize, Tier: cluster.DB.String(),
-					Cause:  fmt.Sprintf("sct optimal=%d/server saturated=%v", dbOpt, saturated),
-					Detail: "db conns per app", Value: float64(perApp)})
-			}
-		}
-	}
-}
-
-// tierOptimal aggregates the cached per-server estimates of a tier into a
-// single optimal concurrency (mean of valid estimates, rounded). saturated
-// reports whether a majority of contributing estimates witnessed the
-// descending stage.
-func (f *Framework) tierOptimal(tier cluster.Tier) (opt int, saturated, ok bool) {
-	now := f.c.Eng.Now()
-	maxAge := f.est.Config().CollectionWindow
-	sum, n, sat := 0.0, 0, 0
-	for _, srv := range f.c.Servers(tier) {
-		if srv.Draining() {
-			continue
-		}
-		te, found := f.cachedEstimate[srv.Name()]
-		if !found || now-te.at > maxAge {
-			continue // stale: describes a regime the window no longer covers
-		}
-		v := te.est.Optimal()
-		if f.cfg.UseQupper && te.est.Qupper > v {
-			v = te.est.Qupper
-		}
-		sum += float64(v)
-		n++
-		if te.est.Saturated {
-			sat++
-		}
-	}
-	if n == 0 {
-		return 0, false, false
-	}
-	return int(math.Round(sum / float64(n))), sat*2 > n, true
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }

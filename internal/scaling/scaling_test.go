@@ -8,6 +8,7 @@ import (
 	"conscale/internal/des"
 	"conscale/internal/rng"
 	"conscale/internal/sct"
+	"conscale/internal/telemetry"
 	"conscale/internal/workload"
 )
 
@@ -351,6 +352,166 @@ func TestSLATriggerQuietWhenHealthy(t *testing.T) {
 	for _, e := range f.Events() {
 		if strings.Contains(e.Detail, "sla trigger") {
 			t.Fatalf("SLA trigger fired on a healthy system: %+v", e)
+		}
+	}
+}
+
+// TestConfigWithDefaults pins the one defaulting function every
+// constructor applies: zero-valued knobs take DefaultConfig's one field
+// at a time, so whatever the caller did set survives.
+func TestConfigWithDefaults(t *testing.T) {
+	profile := DCMProfile{AppThreads: 20, DBTotal: 40}
+	cases := []struct {
+		name  string
+		in    Config
+		check func(t *testing.T, got Config)
+	}{
+		{"zero config is DefaultConfig plus the SLA defaults", Config{Mode: ConScale}, func(t *testing.T, got Config) {
+			want := DefaultConfig(ConScale)
+			want.SLAPercentile, want.SLAWindow = 95, 10*des.Second
+			want.SCT = sct.Config{} // left to sct.New
+			if got != want {
+				t.Fatalf("got %+v\nwant %+v", got, want)
+			}
+		}},
+		{"only Profile set keeps it", Config{Mode: DCM, Profile: profile}, func(t *testing.T, got Config) {
+			if got.Profile != profile || got.CheckEvery != des.Second || got.MaxThreads != 400 {
+				t.Fatalf("profile-only config lost a field: %+v", got)
+			}
+		}},
+		{"SCT override and clamps survive", Config{SCT: fastSCT(), MaxThreads: 32, MinConns: 8}, func(t *testing.T, got Config) {
+			if got.SCT != fastSCT() || got.MaxThreads != 32 || got.MinConns != 8 || got.MinThreads != 4 {
+				t.Fatalf("override lost: %+v", got)
+			}
+		}},
+		{"negative AdaptEvery stays off", Config{AdaptEvery: -1}, func(t *testing.T, got Config) {
+			if got.AdaptEvery != -1 {
+				t.Fatalf("AdaptEvery = %v, want -1 (disabled)", got.AdaptEvery)
+			}
+		}},
+		{"a full config is untouched", func() Config {
+			c := DefaultConfig(EC2)
+			c.SustainIn, c.SLAPercentile, c.SLAWindow = 5, 99, 20*des.Second
+			return c
+		}(), func(t *testing.T, got Config) {
+			want := DefaultConfig(EC2)
+			want.SustainIn, want.SLAPercentile, want.SLAWindow = 5, 99, 20*des.Second
+			if got != want {
+				t.Fatalf("got %+v\nwant %+v", got, want)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { tc.check(t, tc.in.withDefaults()) })
+	}
+	// Every constructor goes through it: a zoo policy built from a
+	// Profile-only Base sees the profile and the default thresholds.
+	c, err := NewController("step-scaling", Options{Base: Config{Profile: profile}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss := c.(*StepScaling); ss.High != 0.80 || ss.SustainIn != 45 {
+		t.Fatalf("zoo policy built from a sparse Base got High=%v SustainIn=%d", ss.High, ss.SustainIn)
+	}
+	if f := Attach(testCluster(1), c, Options{Base: Config{Profile: profile}}); f.cfg.Profile != profile || f.cfg.CheckEvery != des.Second {
+		t.Fatalf("Attach dropped the sparse Base: %+v", f.cfg)
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]Mode{"ec2": EC2, "EC2-AutoScaling": EC2, "dcm": DCM, " conscale ": ConScale} {
+		if got, err := ParseMode(name); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"turbo", "step-scaling"} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Errorf("ParseMode(%q) must be rejected", bad)
+		}
+	}
+	// Mode.String() round-trips through the registry.
+	for _, m := range []Mode{EC2, DCM, ConScale} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%v.String()) = %v, %v", m, got, err)
+		}
+	}
+}
+
+// TestLoopsArePolicyDeclared pins which tickers each policy gets: EC2
+// and DCM run no estimator (empty Estimates, no SCT audit records),
+// ConScale runs estimator and adapter, every other policy the estimator
+// alone.
+func TestLoopsArePolicyDeclared(t *testing.T) {
+	for _, name := range Names() {
+		f, err := NewNamed(testCluster(1), name, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Start()
+		wantEst := name != "ec2" && name != "dcm"
+		wantAdapt := name == "conscale"
+		if (f.estimator != nil) != wantEst || (f.adapter != nil) != wantAdapt {
+			t.Errorf("%s: estimator armed=%v adapter armed=%v, want %v/%v",
+				name, f.estimator != nil, f.adapter != nil, wantEst, wantAdapt)
+		}
+		f.Stop()
+	}
+}
+
+// hwWatcher is a do-nothing policy that records the HardwareChanged hook.
+type hwWatcher struct {
+	env     Env
+	changed []cluster.Tier
+}
+
+func (w *hwWatcher) Name() string                      { return "hw-watcher" }
+func (w *hwWatcher) Init(env Env)                      { w.env = env }
+func (w *hwWatcher) Tick(*Observation)                 {}
+func (w *hwWatcher) Stop()                             {}
+func (w *hwWatcher) HardwareChanged(tier cluster.Tier) { w.changed = append(w.changed, tier) }
+
+// TestHardwareChangedHook: the runtime tells an observing policy when a
+// launch lands — its own scale-out and a dark-tier repair alike.
+func TestHardwareChangedHook(t *testing.T) {
+	c := testCluster(1) // PrepDelay 5 s
+	w := &hwWatcher{}
+	f := Attach(c, w, Options{})
+	f.Start()
+	defer f.Stop()
+	c.Eng.At(2, func() { w.env.Act.ScaleOut(cluster.App, "test launch") })
+	c.Eng.At(10, func() {
+		for c.KillVM(cluster.DB) != "" {
+		}
+	})
+	c.Eng.RunUntil(20)
+	if len(w.changed) != 2 || w.changed[0] != cluster.App || w.changed[1] != cluster.DB {
+		t.Fatalf("HardwareChanged saw %v, want [app db]", w.changed)
+	}
+}
+
+// TestTelemetryFamilies: one RegisterTelemetry exposes every family for
+// every policy.
+func TestTelemetryFamilies(t *testing.T) {
+	for _, name := range []string{"ec2", "conscale", "step-scaling"} {
+		f, err := NewNamed(testCluster(1), name, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		f.RegisterTelemetry(reg)
+		var buf strings.Builder
+		if err := reg.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, fam := range []string{
+			"conscale_scaling_events_total", "conscale_scaling_triggers_total",
+			"conscale_scaling_cooldown_skips_total", "conscale_controller_actions_total",
+			"conscale_controller_denies_total", "conscale_sct_qlower", "conscale_sct_qupper",
+			"conscale_sct_plateau_tp",
+		} {
+			if !strings.Contains(buf.String(), "# TYPE "+fam+" ") {
+				t.Errorf("%s: family %s not exposed", name, fam)
+			}
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package controller
+package scaling
 
 import (
 	"fmt"
@@ -127,7 +127,7 @@ func (t *TargetTracking) Tick(obs *Observation) {
 // bands map to step adjustments — one VM above the High threshold, two
 // in the surge band — while scale-in releases one VM after a long
 // sustained quiet period. Both directions honor per-tier cooldowns; the
-// surge band may burst two launches in one tick (the Runtime tracks
+// surge band may burst two launches in one tick (the Framework tracks
 // multiple in-flight launches).
 type StepScaling struct {
 	// High / Surge / Low bound the bands: +1 VM in [High, Surge),

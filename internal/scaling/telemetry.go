@@ -6,9 +6,9 @@ import (
 	"conscale/internal/telemetry"
 )
 
-// RegisterTelemetry publishes the framework's decision state on a metrics
+// RegisterTelemetry publishes the runtime's decision state on a metrics
 // registry. Everything here is collector-based — counts and estimates the
-// framework already tracks are read at scrape time — so the decision loops
+// runtime already tracks are read at scrape time — so the control loops
 // pay nothing for it, and because collectors only read, arming telemetry
 // cannot change a run's trajectory.
 func (f *Framework) RegisterTelemetry(reg *telemetry.Registry) {
@@ -33,16 +33,22 @@ func (f *Framework) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("conscale_scaling_cooldown_skips_total",
 		"Triggers suppressed by a pending scale or active cooldown.",
 		func() float64 { return float64(f.cooldownSkips) })
+	reg.CounterFunc("conscale_controller_actions_total",
+		"Scale actions the actuator accepted.",
+		func() float64 { return float64(f.actions) })
+	reg.CounterFunc("conscale_controller_denies_total",
+		"Scale actions the actuator refused (capacity, last VM).",
+		func() float64 { return float64(f.denies) })
 
 	sctCollector := func(pick func(te timedEstimate) float64) telemetry.Collector {
 		return func(emit func(float64, ...string)) {
-			names := make([]string, 0, len(f.cachedEstimate))
-			for name := range f.cachedEstimate {
+			names := make([]string, 0, len(f.sig.cached))
+			for name := range f.sig.cached {
 				names = append(names, name)
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				emit(pick(f.cachedEstimate[name]), "server", name)
+				emit(pick(f.sig.cached[name]), "server", name)
 			}
 		}
 	}
