@@ -19,7 +19,7 @@ type ProcPool struct {
 	eng      *des.Engine
 	channels int
 	busy     int
-	queue    []burst
+	queue    ring[burst]
 	util     *metrics.TimeWeighted
 
 	totalBusy float64 // accumulated busy-channel-seconds (for tests)
@@ -64,14 +64,13 @@ func (p *ProcPool) Demand(d des.Time, done func()) {
 	if d < 0 {
 		panic("server: negative demand")
 	}
-	p.queue = append(p.queue, burst{duration: d, done: done})
+	p.queue.push(burst{duration: d, done: done})
 	p.dispatch()
 }
 
 func (p *ProcPool) dispatch() {
-	for p.busy < p.channels && len(p.queue) > 0 {
-		b := p.queue[0]
-		p.queue = p.queue[1:]
+	for p.busy < p.channels && p.queue.len() > 0 {
+		b := p.queue.pop()
 		p.busy++
 		p.meter()
 		p.totalBusy += float64(b.duration)
@@ -100,7 +99,7 @@ func (p *ProcPool) Utilization() float64 { return p.util.WindowMean(p.eng.Now())
 func (p *ProcPool) FlushUtil() []metrics.TWSample { return p.util.Flush(p.eng.Now()) }
 
 // QueueLen returns the number of waiting bursts (diagnostics).
-func (p *ProcPool) QueueLen() int { return len(p.queue) }
+func (p *ProcPool) QueueLen() int { return p.queue.len() }
 
 // Busy returns the number of busy channels.
 func (p *ProcPool) Busy() int { return p.busy }
@@ -114,7 +113,7 @@ func (p *ProcPool) TotalBusySeconds() float64 { return p.totalBusy }
 type ConnPool struct {
 	limit   int
 	inUse   int
-	waiters []func()
+	waiters ring[func()]
 }
 
 // NewConnPool returns a pool with the given size.
@@ -132,7 +131,7 @@ func (c *ConnPool) Limit() int { return c.limit }
 func (c *ConnPool) InUse() int { return c.inUse }
 
 // Waiting returns the number of queued acquirers.
-func (c *ConnPool) Waiting() int { return len(c.waiters) }
+func (c *ConnPool) Waiting() int { return c.waiters.len() }
 
 // SetLimit resizes the pool at runtime. Growth admits waiters immediately;
 // shrinkage takes effect as connections are released.
@@ -147,7 +146,7 @@ func (c *ConnPool) SetLimit(n int) {
 // Acquire grants a connection to fn, immediately if one is free, otherwise
 // when a holder releases. fn must eventually lead to a Release call.
 func (c *ConnPool) Acquire(fn func()) {
-	c.waiters = append(c.waiters, fn)
+	c.waiters.push(fn)
 	c.admit()
 }
 
@@ -161,9 +160,8 @@ func (c *ConnPool) Release() {
 }
 
 func (c *ConnPool) admit() {
-	for c.inUse < c.limit && len(c.waiters) > 0 {
-		fn := c.waiters[0]
-		c.waiters = c.waiters[1:]
+	for c.inUse < c.limit && c.waiters.len() > 0 {
+		fn := c.waiters.pop()
 		c.inUse++
 		fn()
 	}

@@ -108,7 +108,7 @@ type Server struct {
 
 	threadLimit int
 	active      int
-	accept      []*Request
+	accept      ring[*Request]
 	acceptCap   int
 
 	overhead Overhead
@@ -218,7 +218,7 @@ func (s *Server) SetThreadLimit(n int) {
 func (s *Server) Active() int { return s.active }
 
 // QueueLen returns the accept-queue length.
-func (s *Server) QueueLen() int { return len(s.accept) }
+func (s *Server) QueueLen() int { return s.accept.len() }
 
 // CPUUtilization returns the running 1-second CPU utilization (0..1).
 func (s *Server) CPUUtilization() float64 { return s.cpu.Utilization() }
@@ -261,10 +261,9 @@ func (s *Server) Draining() bool { return s.draining }
 func (s *Server) Kill() {
 	s.draining = true
 	s.killed = true
-	queued := s.accept
-	s.accept = nil
 	now := s.eng.Now()
-	for _, req := range queued {
+	for s.accept.len() > 0 {
+		req := s.accept.pop()
 		s.rec.Reject(now)
 		s.tel.Rejects.Inc()
 		req.Span.Finish(now, trace.OutcomeFailed)
@@ -308,7 +307,7 @@ func (s *Server) ShedTotal() uint64 {
 
 // Submit implements Service.
 func (s *Server) Submit(req *Request) {
-	if s.draining || len(s.accept) >= s.acceptCap {
+	if s.draining || s.accept.len() >= s.acceptCap {
 		// Reject before entering the request log's in-flight accounting;
 		// the error still counts in this window.
 		s.rec.Reject(s.eng.Now())
@@ -326,7 +325,7 @@ func (s *Server) Submit(req *Request) {
 		// admit. A shed fails the request immediately without consuming
 		// any server resource; the meter sees every decision.
 		now := s.eng.Now()
-		ok := s.adm.Admit(now, req.Class, len(s.accept))
+		ok := s.adm.Admit(now, req.Class, s.accept.len())
 		s.admMeter.Observe(now, req.Class, !ok)
 		if !ok {
 			s.sheds[req.Class]++
@@ -346,14 +345,13 @@ func (s *Server) Submit(req *Request) {
 	}
 	req.arrival = s.eng.Now()
 	req.Span.EnterServer(s.name, req.arrival)
-	s.accept = append(s.accept, req)
+	s.accept.push(req)
 	s.admit()
 }
 
 func (s *Server) admit() {
-	for s.active < s.threadLimit && len(s.accept) > 0 {
-		req := s.accept[0]
-		s.accept = s.accept[1:]
+	for s.active < s.threadLimit && s.accept.len() > 0 {
+		req := s.accept.pop()
 		s.active++
 		// The request log counts *processing* concurrency (requests
 		// holding threads), matching the paper's SCT tuples; accept-queue
