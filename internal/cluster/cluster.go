@@ -31,6 +31,8 @@ const (
 	App
 	DB
 	Cache
+
+	numTiers = iota
 )
 
 // String implements fmt.Stringer.
@@ -168,6 +170,16 @@ type Cluster struct {
 	rnd *rng.Source
 	wl  *rubbos.Workload
 
+	// progs holds wl's compiled visit programs, index-aligned with
+	// wl.Servlets (see program); cacheCall is the Memcached lookup they
+	// share. reqs recycles client requests, and toWeb is the bound event
+	// handler that delivers one to the web balancer after a delayed
+	// client -> web edge.
+	progs     []*program
+	cacheCall *server.OutCall
+	reqs      server.RequestPool
+	toWeb     func(arg any)
+
 	webLB, appLB, dbLB, cacheLB *lb.Balancer
 
 	vms     map[Tier][]*vm
@@ -180,7 +192,7 @@ type Cluster struct {
 
 	// netDelay[t] is extra latency injected on the RPC edge into tier t
 	// (network jitter between tiers; zero = healthy network).
-	netDelay map[Tier]des.Time
+	netDelay [numTiers]des.Time
 
 	// bootFactor multiplies the VM preparation period (slow-booting
 	// stragglers; 1 = nominal). Read when a boot starts.
@@ -230,7 +242,6 @@ func New(cfg Config) *Cluster {
 		appThreads:   cfg.AppThreads,
 		dbConns:      cfg.DBConns,
 		pendingBoots: make(map[Tier]int),
-		netDelay:     make(map[Tier]des.Time),
 		bootFactor:   1,
 		admission:    make(map[Tier]admission.Config),
 	}
@@ -257,6 +268,9 @@ func New(cfg Config) *Cluster {
 			c.boot(Cache)
 		}
 	}
+	c.toWeb = func(arg any) { c.webLB.Submit(arg.(*server.Request)) }
+	c.cacheCall = c.compileCacheCall()
+	c.progs = c.compile(c.wl)
 	return c
 }
 
@@ -270,13 +284,21 @@ func (c *Cluster) Workload() *rubbos.Workload { return c.wl }
 // "continuous dataset updates"): subsequent requests use demands for the
 // new dataset size.
 func (c *Cluster) SetDatasetScale(scale float64) {
-	c.wl = rubbos.NewWorkload(c.cfg.Mix, scale)
+	c.setWorkload(rubbos.NewWorkload(c.cfg.Mix, scale))
 }
 
 // SetMix switches the workload mode mid-run (paper Section III-C.3).
 func (c *Cluster) SetMix(mix rubbos.Mix) {
 	c.cfg.Mix = mix
-	c.wl = rubbos.NewWorkload(mix, c.wl.DatasetScale)
+	c.setWorkload(rubbos.NewWorkload(mix, c.wl.DatasetScale))
+}
+
+// setWorkload installs a workload and its program table. Requests in
+// flight keep the programs — and through them the servlet demands — they
+// were submitted with.
+func (c *Cluster) setWorkload(wl *rubbos.Workload) {
+	c.wl = wl
+	c.progs = c.compile(wl)
 }
 
 // boot creates a VM immediately (initial topology, before the run starts).
@@ -623,124 +645,34 @@ func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 
 // Submit issues one end-to-end client request (a workload.Submitter).
 func (c *Cluster) Submit(done func(ok bool)) {
-	sv := c.wl.Pick(c.rnd)
-	root := c.tracer.StartRequest(sv.Name, c.Eng.Now())
-	if root != nil {
-		inner := done
-		done = func(ok bool) {
-			c.tracer.EndRequest(root, c.Eng.Now(), ok)
-			inner(ok)
-		}
-	}
-	class := admission.ClassBrowse
-	if sv.Write {
-		class = admission.ClassReadWrite
-	}
-	req := &server.Request{
-		Phases: c.webPhases(sv),
-		Done:   done,
-		Span:   root,
-		Class:  class,
-	}
+	p := c.progs[c.wl.PickIndex(c.rnd)]
+	p.sync()
+	now := c.Eng.Now()
+	req := c.reqs.Get()
+	req.Phases = p.web
+	req.Done = done
+	req.Span = c.tracer.StartRequest(p.sv.Name, now)
+	req.Class = p.class
+	req.PushDone(clientDone, c)
 	if d := c.netDelay[Web]; d > 0 {
 		// Jitter on the client->web edge: the request transits the slow
 		// network before reaching the web balancer.
-		now := c.Eng.Now()
-		root.AddSeg(trace.SegNet, now, now+d)
-		c.Eng.After(d, func() { c.webLB.Submit(req) })
+		req.Span.AddSeg(trace.SegNet, now, now+d)
+		c.Eng.AfterArg(d, c.toWeb, req)
 		return
 	}
 	c.webLB.Submit(req)
 }
 
-// webPhases builds the web tier visit: static processing then the
-// synchronous call into the app tier. Injected edge delay dwells on the
-// calling thread, like every network wait in the thread-based RPC model.
-func (c *Cluster) webPhases(sv *rubbos.Servlet) []server.Phase {
-	phases := []server.Phase{
-		{Kind: server.PhaseCPU, Duration: des.Time(sv.WebCPU)},
+// clientDone is the completion handler under every client request: it
+// closes a sampled request's trace and recycles the request, after which
+// the caller's done runs.
+func clientDone(arg any, req *server.Request, ok bool) {
+	c := arg.(*Cluster)
+	if req.Span != nil {
+		c.tracer.EndRequest(req.Span, c.Eng.Now(), ok)
 	}
-	if d := c.netDelay[App]; d > 0 {
-		phases = append(phases, server.Phase{Kind: server.PhaseNet, Duration: d})
-	}
-	return append(phases, server.Phase{Kind: server.PhaseCall, Call: &server.OutCall{
-		Target: c.appLB,
-		Build:  func() []server.Phase { return c.appPhases(sv) },
-	}})
-}
-
-// appPhases builds the app tier visit: business-logic CPU slices
-// interleaved with synchronous DB queries gated by the server's own
-// connection pool.
-func (c *Cluster) appPhases(sv *rubbos.Servlet) []server.Phase {
-	q := sv.Queries
-	slice := des.Time(sv.AppCPU / float64(q+1))
-	halfWait := des.Time(sv.AppWait / 2)
-	phases := make([]server.Phase, 0, 2*q+4)
-	phases = append(phases,
-		server.Phase{Kind: server.PhaseSleep, Duration: halfWait},
-		server.Phase{Kind: server.PhaseCPU, Duration: slice},
-	)
-	for i := 0; i < q; i++ {
-		phases = append(phases, c.queryPhases(sv)...)
-		phases = append(phases, server.Phase{Kind: server.PhaseCPU, Duration: slice})
-	}
-	return append(phases, server.Phase{Kind: server.PhaseSleep, Duration: halfWait})
-}
-
-// queryPhases builds one logical DB query from the app tier's point of
-// view. Without a cache tier it is a single synchronous DB call gated by
-// the server's connection pool. With a cache tier, the query first looks
-// up Memcached; only misses (and all writes, which must reach the DB)
-// continue to the DB call.
-func (c *Cluster) queryPhases(sv *rubbos.Servlet) []server.Phase {
-	var dbEdge []server.Phase
-	if d := c.netDelay[DB]; d > 0 {
-		dbEdge = []server.Phase{{Kind: server.PhaseNet, Duration: d}}
-	}
-	dbCall := server.Phase{Kind: server.PhaseCall, Call: &server.OutCall{
-		Target:        c.dbLB,
-		UseServerPool: true,
-		Build:         func() []server.Phase { return c.dbPhases(sv) },
-	}}
-	if c.cacheLB.Len() == 0 {
-		return append(dbEdge, dbCall)
-	}
-	var cacheEdge []server.Phase
-	if d := c.netDelay[Cache]; d > 0 {
-		cacheEdge = []server.Phase{{Kind: server.PhaseNet, Duration: d}}
-	}
-	lookup := server.Phase{Kind: server.PhaseCall, Call: &server.OutCall{
-		Target: c.cacheLB,
-		Build:  func() []server.Phase { return cachePhases() },
-	}}
-	if !sv.Write && c.rnd.Float64() < c.cfg.CacheHitRatio {
-		return append(cacheEdge, lookup) // cache hit serves the query
-	}
-	return append(append(append(cacheEdge, lookup), dbEdge...), dbCall)
-}
-
-// cachePhases is one Memcached lookup: sub-millisecond CPU plus network
-// dwell.
-func cachePhases() []server.Phase {
-	return []server.Phase{
-		{Kind: server.PhaseSleep, Duration: 0.0002},
-		{Kind: server.PhaseCPU, Duration: 0.00006},
-	}
-}
-
-// dbPhases builds one DB query visit: protocol dwell around the CPU work,
-// plus disk I/O for write/scan queries.
-func (c *Cluster) dbPhases(sv *rubbos.Servlet) []server.Phase {
-	halfWait := des.Time(sv.QueryWait / 2)
-	phases := []server.Phase{
-		{Kind: server.PhaseSleep, Duration: halfWait},
-		{Kind: server.PhaseCPU, Duration: des.Time(sv.QueryCPU)},
-	}
-	if sv.QueryDisk > 0 {
-		phases = append(phases, server.Phase{Kind: server.PhaseDisk, Duration: des.Time(sv.QueryDisk)})
-	}
-	return append(phases, server.Phase{Kind: server.PhaseSleep, Duration: halfWait})
+	c.reqs.Put(req)
 }
 
 // KillVM abruptly terminates a tier's most recently added ready VM

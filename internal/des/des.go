@@ -2,17 +2,20 @@
 // other simulator package runs on.
 //
 // The engine maintains a virtual clock and an event heap. Components
-// schedule closures at absolute or relative virtual times; Run drains the
+// schedule events at absolute or relative virtual times; Run drains the
 // heap in time order, breaking ties by scheduling order so simulations are
-// deterministic. The engine is single-goroutine by design: the paper's
+// deterministic. An event is a (handler, argument) pair — AtArg/AfterArg —
+// so a hot path can schedule a package-level function over a pointer it
+// already holds and allocate nothing; At/After take a plain closure and
+// are the same event with the closure as the argument. The engine is single-goroutine by design: the paper's
 // testbed behaviour is reproduced by explicit queueing in the server model,
 // not by goroutine interleaving, which keeps every experiment replayable.
 // (Separate Engines are fully independent, so whole runs can execute in
 // parallel — see internal/experiment's harness.)
 //
 // The schedule is an inline value-typed 4-ary min-heap over compact
-// (time, seq, slot) entries; the closures live in a slot table recycled
-// through a free list. A schedule→fire cycle therefore allocates nothing
+// (time, seq, slot) entries; the (handler, argument) pairs live in a slot
+// table recycled through a free list. A schedule→fire cycle therefore allocates nothing
 // in steady state — entries and slots are reused — which matters because a
 // 12-minute cluster run fires tens of millions of events. Handles are
 // generation-counted so Cancel and Pending stay safe across slot reuse.
@@ -45,19 +48,19 @@ type Handle struct {
 // or already-cancelled event is a no-op. It reports whether the event was
 // still pending.
 //
-// Cancel is O(1): the closure is released immediately (so Ticker-captured
-// state does not linger) and the heap entry is abandoned in place, to be
-// skipped on pop or swept by compaction.
+// Cancel is O(1): the handler and its argument are released immediately
+// (so Ticker-captured state does not linger) and the heap entry is
+// abandoned in place, to be skipped on pop or swept by compaction.
 func (h Handle) Cancel() bool {
 	e := h.e
 	if e == nil || h.slot < 0 || int(h.slot) >= len(e.slots) {
 		return false
 	}
 	s := &e.slots[h.slot]
-	if s.gen != h.gen || s.fn == nil {
+	if s.gen != h.gen || s.h == nil {
 		return false
 	}
-	s.fn = nil
+	s.h, s.arg = nil, nil
 	e.live--
 	e.abandoned++
 	e.maybeCompact()
@@ -71,7 +74,7 @@ func (h Handle) Pending() bool {
 		return false
 	}
 	s := &e.slots[h.slot]
-	return s.gen == h.gen && s.fn != nil
+	return s.gen == h.gen && s.h != nil
 }
 
 // entry is one heap element: 24 bytes, no pointers into the heap itself.
@@ -81,9 +84,12 @@ type entry struct {
 	slot int32
 }
 
-// slot holds a scheduled closure plus the generation guard for its handles.
+// slot holds a scheduled event — the handler and the argument it is
+// called with — plus the generation guard for its handles. A nil handler
+// marks a cancelled or free slot.
 type slot struct {
-	fn  func()
+	h   func(arg any)
+	arg any
 	gen uint64
 }
 
@@ -124,7 +130,21 @@ func (e *Engine) Pending() int { return e.live }
 // At schedules fn at absolute virtual time t. Scheduling in the past panics:
 // it is always a simulation bug and silently reordering would corrupt the
 // causality of the run.
-func (e *Engine) At(t Time, fn func()) Handle {
+func (e *Engine) At(t Time, fn func()) Handle { return e.AtArg(t, callFunc, fn) }
+
+// callFunc is the handler behind At: the event's argument is the closure.
+// A func value is pointer-shaped, so boxing it allocates nothing.
+func callFunc(arg any) { arg.(func())() }
+
+// AtArg schedules h(arg) at absolute virtual time t: the allocation-free
+// form of At for callers whose handler is a package-level function (or a
+// func value made once) and whose argument is a pointer they already
+// hold. Events scheduled through At and AtArg share one sequence, so ties
+// break in scheduling order across both. h must not be nil.
+func (e *Engine) AtArg(t Time, h func(arg any), arg any) Handle {
+	if h == nil {
+		panic("des: nil event handler")
+	}
 	if t < e.now {
 		panic("des: event scheduled in the past")
 	}
@@ -137,7 +157,7 @@ func (e *Engine) At(t Time, fn func()) Handle {
 		e.slots = append(e.slots, slot{})
 	}
 	s := &e.slots[idx]
-	s.fn = fn
+	s.h, s.arg = h, arg
 	e.live++
 	e.heap = append(e.heap, entry{at: t, seq: e.seq, slot: idx})
 	e.seq++
@@ -195,7 +215,16 @@ func (e *Engine) After(d Time, fn func()) Handle {
 	if d < 0 {
 		panic("des: negative delay")
 	}
-	return e.At(e.now+d, fn)
+	return e.AtArg(e.now+d, callFunc, fn)
+}
+
+// AfterArg schedules h(arg) d seconds of virtual time from now (see
+// AtArg). Negative d panics.
+func (e *Engine) AfterArg(d Time, h func(arg any), arg any) Handle {
+	if d < 0 {
+		panic("des: negative delay")
+	}
+	return e.AtArg(e.now+d, h, arg)
 }
 
 // Every schedules fn at now+d, then every d thereafter, until the returned
@@ -218,16 +247,17 @@ type Ticker struct {
 	stopped bool
 }
 
-func (t *Ticker) arm() {
-	t.handle = t.engine.After(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.handle = t.engine.AfterArg(t.period, fireTicker, t) }
+
+func fireTicker(arg any) {
+	t := arg.(*Ticker)
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels future ticks. Safe to call multiple times. The pending
@@ -245,17 +275,19 @@ func (e *Engine) Step() bool {
 		en := e.heap[0]
 		e.popTop()
 		s := &e.slots[en.slot]
-		if s.fn == nil { // cancelled: abandoned entry surfacing
+		if s.h == nil { // cancelled: abandoned entry surfacing
 			e.abandoned--
 			e.freeSlot(en.slot)
 			continue
 		}
-		fn := s.fn
+		// Copy the event out and free the slot before firing: the handler
+		// may schedule into it.
+		h, arg := s.h, s.arg
 		e.freeSlot(en.slot)
 		e.live--
 		e.now = en.at
 		e.fired++
-		fn()
+		h(arg)
 		return true
 	}
 	return false
@@ -292,7 +324,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) peek() (Time, bool) {
 	for len(e.heap) > 0 {
 		en := e.heap[0]
-		if e.slots[en.slot].fn == nil {
+		if e.slots[en.slot].h == nil {
 			e.popTop()
 			e.abandoned--
 			e.freeSlot(en.slot)
@@ -306,7 +338,7 @@ func (e *Engine) peek() (Time, bool) {
 // freeSlot recycles a slot, bumping its generation so stale handles die.
 func (e *Engine) freeSlot(idx int32) {
 	s := &e.slots[idx]
-	s.fn = nil
+	s.h, s.arg = nil, nil
 	s.gen++
 	e.free = append(e.free, idx)
 }
@@ -321,7 +353,7 @@ func (e *Engine) maybeCompact() {
 	}
 	kept := e.heap[:0]
 	for _, en := range e.heap {
-		if e.slots[en.slot].fn == nil {
+		if e.slots[en.slot].h == nil {
 			e.freeSlot(en.slot)
 		} else {
 			kept = append(kept, en)

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -415,42 +416,96 @@ func TestCancelDuringRun(t *testing.T) {
 	}
 }
 
-// The schedule→fire cycle must not allocate in steady state: entries,
-// slots, and free-list storage are all reused (the allocation budget the
-// perf work targets; see DESIGN.md "Performance engineering").
-func TestScheduleFireAllocBudget(t *testing.T) {
+// eventForms are the two ways to schedule the same event: a closure, and
+// a typed (handler, argument) pair whose argument is a pointer the caller
+// already holds.
+var eventForms = []struct {
+	name     string
+	schedule func(e *Engine) Handle
+}{
+	{"closure", func(e *Engine) Handle { return e.After(1, func() {}) }},
+	{"typed", func(e *Engine) Handle { return e.AfterArg(1, func(any) {}, e) }},
+}
+
+// warmEngine returns an engine whose slices have reached steady-state
+// capacity.
+func warmEngine(schedule func(e *Engine) Handle) *Engine {
 	e := New()
-	fn := func() {}
-	// Warm the engine so slices reach steady-state capacity.
 	for i := 0; i < 64; i++ {
-		e.After(1, fn)
+		schedule(e)
 	}
 	e.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.After(1, fn)
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("schedule→fire cycle allocates %.1f objects/op, want 0", allocs)
+	return e
+}
+
+// The schedule→fire cycle must not allocate in steady state, in either
+// form: entries, slots, and free-list storage are all reused, and boxing
+// a func or a pointer as the event's argument is free (the allocation
+// budget the perf work targets; see DESIGN.md "Performance engineering").
+func TestScheduleFireAllocBudget(t *testing.T) {
+	for _, form := range eventForms {
+		e := warmEngine(form.schedule)
+		allocs := testing.AllocsPerRun(1000, func() {
+			form.schedule(e)
+			e.Step()
+		})
+		if allocs != 0 {
+			t.Errorf("%s schedule→fire cycle allocates %.1f objects/op, want 0", form.name, allocs)
+		}
 	}
 }
 
 // Cancel must not allocate either.
 func TestCancelAllocBudget(t *testing.T) {
+	for _, form := range eventForms {
+		e := warmEngine(form.schedule)
+		allocs := testing.AllocsPerRun(1000, func() {
+			h := form.schedule(e)
+			h.Cancel()
+			e.Step()
+		})
+		if allocs != 0 {
+			t.Errorf("%s schedule→cancel cycle allocates %.1f objects/op, want 0", form.name, allocs)
+		}
+	}
+}
+
+// Typed events and closures are one kind of event: they share the
+// sequence that breaks ties, a handle cancels either, and the slot is
+// free again by the time the handler runs.
+func TestTypedEvents(t *testing.T) {
 	e := New()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		e.After(1, fn)
+	var order []string
+	note := func(arg any) { order = append(order, arg.(string)) }
+	e.AtArg(1, note, "a")
+	e.At(1, func() { order = append(order, "b") })
+	cancelled := e.AfterArg(1, note, "cancelled")
+	e.AtArg(1, note, "c")
+	e.AtArg(0.5, func(arg any) {
+		// The firing event's slot is the only one free: a handler must be
+		// able to schedule into it.
+		before := len(e.slots)
+		e.AtArg(1, note, arg)
+		if len(e.slots) != before {
+			t.Errorf("slot table grew from %d to %d: the firing slot was not freed first", before, len(e.slots))
+		}
+	}, "d")
+	if !cancelled.Pending() || !cancelled.Cancel() || cancelled.Pending() {
+		t.Fatal("typed event did not cancel")
+	}
+	if e.slots[cancelled.slot].arg != nil {
+		t.Fatal("cancel kept the event's argument alive")
 	}
 	e.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
-		h := e.After(1, fn)
-		h.Cancel()
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("schedule→cancel cycle allocates %.1f objects/op, want 0", allocs)
+	if got := fmt.Sprint(order); got != "[a b c d]" {
+		t.Fatalf("fired %s, want [a b c d]", got)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil handler did not panic")
+		}
+	}()
+	e.AtArg(2, nil, nil)
 }
 
 // Property: a deep interleaving of schedules, cancels, and ticks fires in

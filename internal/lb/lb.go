@@ -136,14 +136,13 @@ func (b *Balancer) Submit(req *server.Request) {
 	}
 	req.Span.NotePick(b.name, be.inFlight)
 	be.inFlight++
-	inner := req.Done
-	req.Done = nil
-	req.Done = func(ok bool) {
-		be.inFlight--
-		inner(ok)
-	}
+	req.PushDone(release, be)
 	be.svc.Submit(req)
 }
+
+// release is the completion handler Submit pushes on every dispatched
+// request: the backend has one request fewer in flight.
+func release(arg any, _ *server.Request, _ bool) { arg.(*backend).inFlight-- }
 
 func (b *Balancer) pick() *backend {
 	if len(b.backends) == 0 {

@@ -212,3 +212,44 @@ func TestStatsTotal(t *testing.T) {
 		t.Fatalf("Stats = %d/%d", total, rejected)
 	}
 }
+
+// instant completes every request at once by calling its Done directly —
+// a foreign Service that knows nothing of the completion stack.
+type instant struct{}
+
+func (instant) Submit(req *server.Request) { req.Done(true) }
+
+// TestSubmitAllocBudget pins the per-hop cost: a warm leastconn dispatch
+// pushes a completion handler instead of wrapping Done in a closure, so
+// it allocates nothing — and a backend that calls Done directly still
+// unwinds the balancer's in-flight count, also through a second balancer.
+func TestSubmitAllocBudget(t *testing.T) {
+	inner := New("inner-lb", LeastConn)
+	for _, n := range []string{"a", "b", "c", "d"} {
+		inner.Add(n, instant{})
+	}
+	outer := New("outer-lb", RoundRobin)
+	outer.Add("inner", inner)
+	completed := 0
+	done := func(bool) { completed++ }
+	req := &server.Request{}
+	submit := func() {
+		req.Done = done
+		outer.Submit(req)
+	}
+	submit() // the request's completion stack and unwinder are made once
+	if allocs := testing.AllocsPerRun(1000, submit); allocs != 0 {
+		t.Fatalf("a warm two-balancer dispatch allocates %.1f objects, want 0", allocs)
+	}
+	if completed != 1002 {
+		t.Fatalf("%d completions, want 1002", completed)
+	}
+	if outer.InFlight("inner") != 0 {
+		t.Fatalf("outer balancer still counts %d in flight", outer.InFlight("inner"))
+	}
+	for _, n := range inner.Backends() {
+		if inner.InFlight(n) != 0 {
+			t.Fatalf("backend %s still counts %d in flight", n, inner.InFlight(n))
+		}
+	}
+}

@@ -303,3 +303,37 @@ func BenchmarkExp(b *testing.B) {
 		_ = s.Exp(10)
 	}
 }
+
+// TestLogNormalLnBitIdentical draws 10^5 values from twin streams, one
+// through LogNormal and one through LogNormalLn with the logarithm taken
+// by the caller, across means spanning the simulator's service demands
+// and several sigmas: every pair is the same float64, bit for bit. A
+// non-positive mean still returns 0 without drawing, so the streams stay
+// in step across it.
+func TestLogNormalLnBitIdentical(t *testing.T) {
+	a, b := New(99), New(99)
+	sigmas := []float64{0, 0.1, 0.3, 0.5, 1.2}
+	for i := 0; i < 100000; i++ {
+		mean := math.Exp(20*a.Float64() - 14) // ~1e-6 .. 4e2, log-uniform
+		b.Float64()
+		if i%1000 == 0 {
+			mean = 1 // ln = 0: the compiled-phase cache's "absent" value
+		}
+		sigma := sigmas[i%len(sigmas)]
+		if i%97 == 0 {
+			for _, m := range []float64{0, -mean} {
+				if v := a.LogNormal(m, sigma); v != 0 {
+					t.Fatalf("LogNormal(%v) = %v, want 0", m, v)
+				}
+			}
+		}
+		want := a.LogNormal(mean, sigma)
+		got := b.LogNormalLn(math.Log(mean), sigma)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d (mean %v, sigma %v): LogNormalLn = %x, LogNormal = %x", i, mean, sigma, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("the twin streams ended at different positions")
+	}
+}

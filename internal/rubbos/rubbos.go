@@ -220,8 +220,12 @@ func applyDatasetScale(servlets []Servlet, scale float64) {
 
 // Pick samples a servlet according to the mix weights.
 func (w *Workload) Pick(rnd *rng.Source) *Servlet {
-	return &w.Servlets[rnd.Pick(w.weights)]
+	return &w.Servlets[w.PickIndex(rnd)]
 }
+
+// PickIndex is Pick returning the servlet's position in Servlets, for
+// callers that keep per-servlet tables beside the workload.
+func (w *Workload) PickIndex(rnd *rng.Source) int { return rnd.Pick(w.weights) }
 
 // MeanDemand summarises the mix-level expected demands; tests use it to
 // verify calibration and analytic predictions of optimal concurrency.

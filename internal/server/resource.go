@@ -8,6 +8,8 @@
 package server
 
 import (
+	"math"
+
 	"conscale/internal/des"
 	"conscale/internal/metrics"
 )
@@ -22,13 +24,31 @@ type ProcPool struct {
 	queue    ring[burst]
 	util     *metrics.TimeWeighted
 
+	// idle recycles the records of bursts in service: at most one per
+	// channel is ever out.
+	idle []*running
+
 	totalBusy float64 // accumulated busy-channel-seconds (for tests)
 }
 
+// burst is a queued demand: its duration and the callback, as a
+// (handler, argument) pair, to run when it completes.
 type burst struct {
 	duration des.Time
-	done     func()
+	h        func(arg any)
+	arg      any
 }
+
+// running is a burst in service — the argument of its completion event.
+type running struct {
+	pool *ProcPool
+	h    func(arg any)
+	arg  any
+}
+
+// runFunc is the handler behind the closure-taking entry points
+// (ProcPool.Demand, ConnPool.Acquire): the argument is the closure.
+func runFunc(arg any) { arg.(func())() }
 
 // NewProcPool returns a pool with the given number of channels, reporting
 // utilization into a window of utilWindow (1 s for the controllers).
@@ -60,11 +80,15 @@ func (p *ProcPool) SetChannels(n int) {
 
 // Demand requests a burst of d seconds of service; done fires when the
 // burst completes. Zero-duration bursts complete on the next event.
-func (p *ProcPool) Demand(d des.Time, done func()) {
+func (p *ProcPool) Demand(d des.Time, done func()) { p.demand(d, runFunc, done) }
+
+// demand is Demand with the completion callback as a (handler, argument)
+// pair, so the server's request path queues no closure.
+func (p *ProcPool) demand(d des.Time, h func(arg any), arg any) {
 	if d < 0 {
 		panic("server: negative demand")
 	}
-	p.queue.push(burst{duration: d, done: done})
+	p.queue.push(burst{duration: d, h: h, arg: arg})
 	p.dispatch()
 }
 
@@ -74,13 +98,28 @@ func (p *ProcPool) dispatch() {
 		p.busy++
 		p.meter()
 		p.totalBusy += float64(b.duration)
-		p.eng.After(b.duration, func() {
-			p.busy--
-			p.meter()
-			b.done()
-			p.dispatch()
-		})
+		var r *running
+		if n := len(p.idle); n > 0 {
+			r = p.idle[n-1]
+			p.idle = p.idle[:n-1]
+		} else {
+			r = &running{pool: p}
+		}
+		r.h, r.arg = b.h, b.arg
+		p.eng.AfterArg(b.duration, burstEnd, r)
 	}
+}
+
+// burstEnd is the event that completes a burst in service.
+func burstEnd(arg any) {
+	r := arg.(*running)
+	p, h, a := r.pool, r.h, r.arg
+	r.h, r.arg = nil, nil
+	p.idle = append(p.idle, r)
+	p.busy--
+	p.meter()
+	h(a)
+	p.dispatch()
 }
 
 func (p *ProcPool) meter() {
@@ -113,7 +152,14 @@ func (p *ProcPool) TotalBusySeconds() float64 { return p.totalBusy }
 type ConnPool struct {
 	limit   int
 	inUse   int
-	waiters ring[func()]
+	waiters ring[waiter]
+}
+
+// waiter is a queued acquirer: the (handler, argument) pair to call with
+// the connection granted.
+type waiter struct {
+	h   func(arg any)
+	arg any
 }
 
 // NewConnPool returns a pool with the given size.
@@ -145,8 +191,12 @@ func (c *ConnPool) SetLimit(n int) {
 
 // Acquire grants a connection to fn, immediately if one is free, otherwise
 // when a holder releases. fn must eventually lead to a Release call.
-func (c *ConnPool) Acquire(fn func()) {
-	c.waiters.push(fn)
+func (c *ConnPool) Acquire(fn func()) { c.acquire(runFunc, fn) }
+
+// acquire is Acquire with the grant callback as a (handler, argument)
+// pair.
+func (c *ConnPool) acquire(h func(arg any), arg any) {
+	c.waiters.push(waiter{h: h, arg: arg})
 	c.admit()
 }
 
@@ -161,9 +211,9 @@ func (c *ConnPool) Release() {
 
 func (c *ConnPool) admit() {
 	for c.inUse < c.limit && c.waiters.len() > 0 {
-		fn := c.waiters.pop()
+		w := c.waiters.pop()
 		c.inUse++
-		fn()
+		w.h(w.arg)
 	}
 }
 
@@ -207,5 +257,5 @@ func pow(base, exp float64) float64 {
 	if exp == 1 {
 		return base
 	}
-	return mathPow(base, exp)
+	return math.Pow(base, exp)
 }

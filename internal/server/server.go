@@ -11,8 +11,6 @@ import (
 	"conscale/internal/trace"
 )
 
-func mathPow(a, b float64) float64 { return math.Pow(a, b) }
-
 // Service accepts requests. Both *Server and the load balancer satisfy it,
 // so any tier can sit behind a balancer transparently.
 type Service interface {
@@ -24,6 +22,12 @@ type Service interface {
 // Request is one unit of work travelling through a tier. Done is invoked
 // exactly once with the outcome; OK is false when the request was rejected
 // (accept-queue overflow) or failed downstream.
+//
+// A Request is also the state of its own visit: the server executing it,
+// the phase it is on, the burst or downstream call in progress and the
+// stack of completion handlers pushed with PushDone all live here, so
+// advancing a request schedules (handler, request) events and allocates
+// nothing. The zero value plus the exported fields is a valid request.
 type Request struct {
 	// Phases is the visit program executed while holding a server thread.
 	Phases []Phase
@@ -43,6 +47,108 @@ type Request struct {
 	arrival des.Time
 	phase   int
 	failed  bool
+
+	// srv is the server executing the visit (set at thread admission);
+	// parent is the upstream request whose thread this downstream call
+	// holds (nil for a request its caller built).
+	srv    *Server
+	parent *Request
+
+	// The step in progress. A downstream call records its descriptor and
+	// the connection pool it draws from; a CPU or disk burst records its
+	// jittered duration. start is when either was issued — what a sampled
+	// request's span needs to book the wait.
+	out   *OutCall
+	pool  *ConnPool
+	start des.Time
+	burst des.Time
+
+	// done is the completion stack behind PushDone; unwind is the bound
+	// popDone, made once per Request, that Done points at while the stack
+	// is not empty.
+	done   []doneFrame
+	unwind func(ok bool)
+
+	// scratch is the storage an OutCall.BuildInto assembles this
+	// request's visit program into; it survives recycling.
+	scratch []Phase
+
+	// pooled marks a request that came from a RequestPool; recycled marks
+	// one that has been handed back and must not be touched until the
+	// pool hands it out again.
+	pooled, recycled bool
+}
+
+// doneFrame is one pushed completion handler and the Done it displaced.
+type doneFrame struct {
+	h    func(arg any, req *Request, ok bool)
+	arg  any
+	prev func(ok bool)
+}
+
+// PushDone registers h(arg, r, ok) to run when the request completes,
+// before the handlers pushed earlier and before Done as it stands now —
+// the allocation-free equivalent of wrapping Done in a closure, for
+// callers whose h is a package-level function and whose arg is a pointer
+// they already hold. It points Done at the request's own unwinder, so a
+// service that completes the request by calling Done directly still runs
+// every pushed handler. h may hand the request back to its pool.
+func (r *Request) PushDone(h func(arg any, req *Request, ok bool), arg any) {
+	if r.unwind == nil {
+		r.unwind = r.popDone
+	}
+	r.done = append(r.done, doneFrame{h: h, arg: arg, prev: r.Done})
+	r.Done = r.unwind
+}
+
+// popDone runs the newest completion handler, then the Done it displaced
+// (which is popDone again while handlers remain beneath it).
+func (r *Request) popDone(ok bool) {
+	n := len(r.done) - 1
+	if n < 0 {
+		panic("server: request completed twice")
+	}
+	f := r.done[n]
+	r.done[n] = doneFrame{}
+	r.done = r.done[:n]
+	f.h(f.arg, r, ok)
+	// h may have recycled r; only the frame's copy is used from here on.
+	if f.prev != nil {
+		f.prev(ok)
+	}
+}
+
+// RequestPool is a free list of Requests. Each owner of a hot submit path
+// — a Server for its downstream calls, the cluster for client requests —
+// keeps one, so a pool is only ever touched from its owner's engine
+// goroutine and becomes garbage with the run. Requests built by callers
+// (&Request{...}) never enter a pool. The zero value is an empty pool.
+type RequestPool struct {
+	free []*Request
+}
+
+// Get returns a zeroed request, recycled when one is available.
+func (p *RequestPool) Get() *Request {
+	n := len(p.free)
+	if n == 0 {
+		return &Request{pooled: true}
+	}
+	r := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	r.recycled = false
+	return r
+}
+
+// Put hands back a request obtained from Get once it has completed. The
+// request is zeroed (keeping only its reusable storage) and flagged:
+// submitting or stepping it before Get returns it again panics.
+func (p *RequestPool) Put(r *Request) {
+	if !r.pooled || r.recycled || len(r.done) != 0 {
+		panic("server: Put of a request that is foreign, already recycled, or still has completion handlers")
+	}
+	*r = Request{pooled: true, recycled: true, done: r.done, unwind: r.unwind, scratch: r.scratch[:0]}
+	p.free = append(p.free, r)
 }
 
 // PhaseKind enumerates the step types of a visit program.
@@ -66,6 +172,24 @@ type Phase struct {
 	Kind     PhaseKind
 	Duration des.Time // CPU/Disk/Sleep service demand (seconds)
 	Call     *OutCall // for PhaseCall
+
+	// lnDuration caches ln(Duration) for the jitter draw (see Compile);
+	// zero means not cached.
+	lnDuration float64
+}
+
+// Compile prepares a visit program that is built once and executed many
+// times: it caches, in place, the logarithm of every positive Duration,
+// which the lognormal jitter draw otherwise recomputes on each execution.
+// It returns phases. A program that was not compiled runs identically,
+// bit for bit — only slower.
+func Compile(phases []Phase) []Phase {
+	for i := range phases {
+		if d := phases[i].Duration; d > 0 {
+			phases[i].lnDuration = math.Log(float64(d))
+		}
+	}
+	return phases
 }
 
 // OutCall describes a synchronous downstream call: the calling thread is
@@ -82,6 +206,12 @@ type OutCall struct {
 	// Build produces the downstream request's phases at call time, so
 	// per-request randomness stays with the originating request.
 	Build func() []Phase
+	// BuildInto, when set, is used instead of Build. It is handed the
+	// downstream request's reusable scratch slice: a program that differs
+	// from request to request is assembled into (*scratch)[:0] and stored
+	// back, and stays valid until that request completes; a program that
+	// does not can ignore scratch and return a shared immutable slice.
+	BuildInto func(scratch *[]Phase) []Phase
 }
 
 // Config holds a server's static and soft-resource configuration.
@@ -132,6 +262,9 @@ type Server struct {
 	sheds    [admission.NumClasses]uint64
 
 	callPool *ConnPool // outbound pool for UseServerPool calls (may be nil)
+
+	// reqs recycles the downstream requests this server issues.
+	reqs RequestPool
 
 	draining bool // true once the VM is being retired; rejects new work
 	killed   bool // true after a crash; in-flight work fails at phase edges
@@ -267,9 +400,7 @@ func (s *Server) Kill() {
 		s.rec.Reject(now)
 		s.tel.Rejects.Inc()
 		req.Span.Finish(now, trace.OutcomeFailed)
-		done := req.Done
-		req.Done = nil
-		s.eng.After(0, func() { done(false) })
+		s.refuse(req)
 	}
 }
 
@@ -305,19 +436,30 @@ func (s *Server) ShedTotal() uint64 {
 	return t
 }
 
+// refuse fails a request that never got a thread. The failure is
+// delivered on the next event so callers never observe reentrant
+// completion.
+func (s *Server) refuse(req *Request) { s.eng.AfterArg(0, deliverRefusal, req) }
+
+func deliverRefusal(arg any) {
+	req := arg.(*Request)
+	done := req.Done
+	req.Done = nil
+	done(false)
+}
+
 // Submit implements Service.
 func (s *Server) Submit(req *Request) {
+	if req.recycled {
+		panic("server: Submit of a recycled request")
+	}
 	if s.draining || s.accept.len() >= s.acceptCap {
 		// Reject before entering the request log's in-flight accounting;
 		// the error still counts in this window.
 		s.rec.Reject(s.eng.Now())
 		s.tel.Rejects.Inc()
 		req.Span.Finish(s.eng.Now(), trace.OutcomeRejected)
-		done := req.Done
-		req.Done = nil
-		// Deliver the failure asynchronously so callers never observe
-		// reentrant completion.
-		s.eng.After(0, func() { done(false) })
+		s.refuse(req)
 		return
 	}
 	if s.adm != nil {
@@ -337,9 +479,7 @@ func (s *Server) Submit(req *Request) {
 			if s.onShed != nil {
 				s.onShed(now, req.Class)
 			}
-			done := req.Done
-			req.Done = nil
-			s.eng.After(0, func() { done(false) })
+			s.refuse(req)
 			return
 		}
 	}
@@ -352,6 +492,7 @@ func (s *Server) Submit(req *Request) {
 func (s *Server) admit() {
 	for s.active < s.threadLimit && s.accept.len() > 0 {
 		req := s.accept.pop()
+		req.srv = s
 		s.active++
 		// The request log counts *processing* concurrency (requests
 		// holding threads), matching the paper's SCT tuples; accept-queue
@@ -370,8 +511,13 @@ func (s *Server) admit() {
 }
 
 // step advances a request to its next phase; when phases are exhausted the
-// request completes and its thread is released.
+// request completes and its thread is released. Every wait — a burst on a
+// processor pool, a dwell, a connection grant, a downstream visit — ends
+// in an event or callback that carries the request back here.
 func (s *Server) step(req *Request) {
+	if req.recycled {
+		panic("server: step on a recycled request")
+	}
 	if s.killed {
 		req.failed = true
 	}
@@ -379,36 +525,22 @@ func (s *Server) step(req *Request) {
 		s.finish(req)
 		return
 	}
-	ph := req.Phases[req.phase]
+	ph := &req.Phases[req.phase]
 	req.phase++
 	switch ph.Kind {
 	case PhaseCPU:
-		d := s.jitter(ph.Duration) * des.Time(s.overhead.Factor(s.active, s.cpu.Channels())*s.cpuSlowdown)
-		if sp := req.Span; sp != nil {
-			t0 := s.eng.Now()
-			s.cpu.Demand(d, func() {
-				sp.AddProc(trace.SegCPUWait, trace.SegCPU, t0, d, s.eng.Now())
-				s.step(req)
-			})
-			return
-		}
-		s.cpu.Demand(d, func() { s.step(req) })
+		d := s.jitter(ph) * des.Time(s.overhead.Factor(s.active, s.cpu.Channels())*s.cpuSlowdown)
+		req.start, req.burst = s.eng.Now(), d
+		s.cpu.demand(d, burstDone, req)
 	case PhaseDisk:
 		if s.disk == nil {
 			panic(fmt.Sprintf("server %s: disk phase without a disk", s.name))
 		}
-		d := s.jitter(ph.Duration)
-		if sp := req.Span; sp != nil {
-			t0 := s.eng.Now()
-			s.disk.Demand(d, func() {
-				sp.AddProc(trace.SegDiskWait, trace.SegDisk, t0, d, s.eng.Now())
-				s.step(req)
-			})
-			return
-		}
-		s.disk.Demand(d, func() { s.step(req) })
+		d := s.jitter(ph)
+		req.start, req.burst = s.eng.Now(), d
+		s.disk.demand(d, burstDone, req)
 	case PhaseSleep, PhaseNet:
-		d := s.jitter(ph.Duration)
+		d := s.jitter(ph)
 		if sp := req.Span; sp != nil {
 			kind := trace.SegDwell
 			if ph.Kind == PhaseNet {
@@ -416,7 +548,7 @@ func (s *Server) step(req *Request) {
 			}
 			sp.AddSeg(kind, s.eng.Now(), s.eng.Now()+d)
 		}
-		s.eng.After(d, func() { s.step(req) })
+		s.eng.AfterArg(d, resume, req)
 	case PhaseCall:
 		s.call(req, ph.Call)
 	default:
@@ -424,46 +556,86 @@ func (s *Server) step(req *Request) {
 	}
 }
 
+// resume is the event that ends a dwell.
+func resume(arg any) {
+	req := arg.(*Request)
+	req.srv.step(req)
+}
+
+// burstDone is the processor pools' completion callback: it books the
+// burst on a sampled request's span and moves on.
+func burstDone(arg any) {
+	req := arg.(*Request)
+	s := req.srv
+	if sp := req.Span; sp != nil {
+		wait, svc := trace.SegCPUWait, trace.SegCPU
+		if req.Phases[req.phase-1].Kind == PhaseDisk {
+			wait, svc = trace.SegDiskWait, trace.SegDisk
+		}
+		sp.AddProc(wait, svc, req.start, req.burst, s.eng.Now())
+	}
+	s.step(req)
+}
+
+// call starts a synchronous downstream call, first waiting for a
+// connection when the call is pooled.
 func (s *Server) call(req *Request, out *OutCall) {
 	pool := out.Pool
 	if out.UseServerPool {
 		pool = s.callPool
 	}
-	sp := req.Span
-	t0 := s.eng.Now()
-	issue := func() {
-		var child *trace.Span
-		if sp != nil {
-			now := s.eng.Now()
-			if pool != nil {
-				sp.AddSeg(trace.SegPoolWait, t0, now)
-			}
-			child = sp.StartChild(now)
-		}
-		down := &Request{
-			Phases: out.Build(),
-			Span:   child,
-			Class:  req.Class,
-		}
-		down.Done = func(ok bool) {
-			if pool != nil {
-				pool.Release()
-			}
-			if !ok {
-				req.failed = true
-				if down.Shed {
-					req.Shed = true
-				}
-			}
-			s.step(req)
-		}
-		out.Target.Submit(down)
-	}
+	req.out, req.pool, req.start = out, pool, s.eng.Now()
 	if pool != nil {
-		pool.Acquire(issue)
+		pool.acquire(issueCall, req)
 	} else {
-		issue()
+		issueCall(req)
 	}
+}
+
+// issueCall submits the downstream request of the call req is on, built
+// from the caller's free list and bound to return through callReturn.
+func issueCall(arg any) {
+	req := arg.(*Request)
+	s, out := req.srv, req.out
+	var child *trace.Span
+	if sp := req.Span; sp != nil {
+		now := s.eng.Now()
+		if req.pool != nil {
+			sp.AddSeg(trace.SegPoolWait, req.start, now)
+		}
+		child = sp.StartChild(now)
+	}
+	down := s.reqs.Get()
+	down.parent = req
+	down.Span = child
+	down.Class = req.Class
+	if out.BuildInto != nil {
+		down.Phases = out.BuildInto(&down.scratch)
+	} else {
+		down.Phases = out.Build()
+	}
+	down.PushDone(callReturn, nil)
+	out.Target.Submit(down)
+}
+
+// callReturn is the completion handler of a downstream request: it gives
+// the connection back, propagates a failure (and whether it was a shed)
+// to the caller, recycles the downstream request and resumes the caller.
+func callReturn(_ any, down *Request, ok bool) {
+	req := down.parent
+	s := req.srv
+	shed := down.Shed
+	s.reqs.Put(down)
+	if req.pool != nil {
+		req.pool.Release()
+	}
+	if !ok {
+		req.failed = true
+		if shed {
+			req.Shed = true
+		}
+	}
+	s.step(req)
 }
 
 func (s *Server) finish(req *Request) {
@@ -484,10 +656,17 @@ func (s *Server) finish(req *Request) {
 	s.admit()
 }
 
-// jitter applies lognormal demand variation with the configured CV.
-func (s *Server) jitter(d des.Time) des.Time {
+// jitter applies lognormal demand variation with the configured CV to a
+// phase's duration.
+func (s *Server) jitter(ph *Phase) des.Time {
+	d := ph.Duration
 	if s.demandCV <= 0 || d <= 0 {
 		return d
 	}
-	return des.Time(s.rnd.LogNormal(float64(d), s.demandCV))
+	ln := ph.lnDuration
+	if ln == 0 {
+		// Not compiled — or exactly one second, whose logarithm is 0.
+		ln = math.Log(float64(d))
+	}
+	return des.Time(s.rnd.LogNormalLn(ln, s.demandCV))
 }

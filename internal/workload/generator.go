@@ -85,6 +85,8 @@ type Generator struct {
 	rnd    *rng.Source
 	cfg    GeneratorConfig
 	submit Submitter
+	// issue is the bound userIssue, made once: every think schedules it.
+	issue func()
 
 	active   int
 	retiring int
@@ -113,13 +115,15 @@ func NewGenerator(eng *des.Engine, rnd *rng.Source, cfg GeneratorConfig, submit 
 	if cfg.StatsInterval <= 0 {
 		cfg.StatsInterval = des.Second
 	}
-	return &Generator{
+	g := &Generator{
 		eng:        eng,
 		rnd:        rnd,
 		cfg:        cfg,
 		submit:     submit,
 		statsEvery: cfg.StatsInterval,
 	}
+	g.issue = g.userIssue
+	return g
 }
 
 // Start launches the population at the trace's initial level and begins
@@ -225,7 +229,7 @@ func (g *Generator) spawnUser() {
 		}
 		delay += des.Time(g.rnd.Float64()) * ramp
 	}
-	g.eng.After(delay, g.userIssue)
+	g.eng.After(delay, g.issue)
 }
 
 func (g *Generator) userIssue() {
@@ -242,7 +246,7 @@ func (g *Generator) userIssue() {
 		}
 		g.record(Sample{Finish: now, RT: rt, OK: ok})
 		// Think, then issue again (or retire).
-		g.eng.After(des.Time(g.rnd.Exp(g.cfg.ThinkTime)), g.userIssue)
+		g.eng.After(des.Time(g.rnd.Exp(g.cfg.ThinkTime)), g.issue)
 	})
 }
 

@@ -405,3 +405,40 @@ func TestAbandonGenerousLimitHarmless(t *testing.T) {
 		t.Fatalf("fast responses abandoned: %v", g.ErrorRate())
 	}
 }
+
+// closedLoopFixture starts users closed-loop users over a system that
+// answers at once and runs past the initial ramp, so that every event but
+// the once-a-second population check is one user's arrival: issue, sample
+// append, think draw, reschedule.
+func closedLoopFixture(users int) (*des.Engine, *Generator) {
+	eng := des.New()
+	gen := NewGenerator(eng, rng.New(1), GeneratorConfig{
+		Trace:     NewConstantTrace(users, des.Time(1e9)),
+		ThinkTime: 3,
+	}, func(done func(ok bool)) { done(true) })
+	gen.Start()
+	eng.RunUntil(30)
+	return eng, gen
+}
+
+// TestClosedLoopArrivalAllocBudget pins the generator's share of the
+// request path: an arrival allocates only the completion closure the
+// Submitter shape requires.
+func TestClosedLoopArrivalAllocBudget(t *testing.T) {
+	eng, gen := closedLoopFixture(500)
+	gen.samples = make([]Sample, 0, 1<<16) // keep sample growth out of the count
+	if allocs := testing.AllocsPerRun(5000, func() { eng.Step() }); allocs > 1 {
+		t.Fatalf("a closed-loop arrival allocates %.2f objects, want <= 1", allocs)
+	}
+}
+
+// BenchmarkClosedLoopArrival times one arrival of the paper cell's 7 500
+// users (sample storage growth included).
+func BenchmarkClosedLoopArrival(b *testing.B) {
+	eng, _ := closedLoopFixture(7500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
