@@ -131,9 +131,9 @@ func flatten(phases []server.Phase) []string {
 
 // TestCompiledProgramsMatchBuilders checks, for every servlet of both
 // mixes, with and without a cache tier, on a healthy network, with a
-// delay on each edge and after losing the cache tier, that the compiled program expands to the phase
-// sequence the per-request builders produced and draws the same number
-// of hit/miss coins from the cluster stream.
+// delay on each edge and after losing the cache tier, that the compiled
+// program expands to the phase sequence the per-request builders produced
+// and draws the same number of hit/miss coins from the cluster stream.
 func TestCompiledProgramsMatchBuilders(t *testing.T) {
 	delays := []struct {
 		name string

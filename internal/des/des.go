@@ -7,22 +7,24 @@
 // deterministic. An event is a (handler, argument) pair — AtArg/AfterArg —
 // so a hot path can schedule a package-level function over a pointer it
 // already holds and allocate nothing; At/After take a plain closure and
-// are the same event with the closure as the argument. The engine is single-goroutine by design: the paper's
-// testbed behaviour is reproduced by explicit queueing in the server model,
-// not by goroutine interleaving, which keeps every experiment replayable.
-// (Separate Engines are fully independent, so whole runs can execute in
-// parallel — see internal/experiment's harness.)
+// are the same event with the closure as the argument. The engine is
+// single-goroutine by design: the paper's testbed behaviour is reproduced
+// by explicit queueing in the server model, not by goroutine interleaving,
+// which keeps every experiment replayable. (Separate Engines are fully
+// independent, so whole runs can execute in parallel — see
+// internal/experiment's harness.)
 //
 // The schedule is an inline value-typed 4-ary min-heap over compact
 // (time, seq, slot) entries; the (handler, argument) pairs live in a slot
-// table recycled through a free list. A schedule→fire cycle therefore allocates nothing
-// in steady state — entries and slots are reused — which matters because a
-// 12-minute cluster run fires tens of millions of events. Handles are
-// generation-counted so Cancel and Pending stay safe across slot reuse.
-// Cancellation is lazy (the heap entry is abandoned and skipped when it
-// surfaces), with an opportunistic compaction pass when abandoned entries
-// outnumber live ones — the Ticker-heavy cancel pattern cannot grow the
-// heap unboundedly. See DESIGN.md "Performance engineering".
+// table recycled through a free list. A schedule→fire cycle therefore
+// allocates nothing in steady state — entries and slots are reused —
+// which matters because a 12-minute cluster run fires tens of millions of
+// events. Handles are generation-counted so Cancel and Pending stay safe
+// across slot reuse. Cancellation is lazy (the heap entry is abandoned and
+// skipped when it surfaces), with an opportunistic compaction pass when
+// abandoned entries outnumber live ones — the Ticker-heavy cancel pattern
+// cannot grow the heap unboundedly. See DESIGN.md "Performance
+// engineering".
 package des
 
 // Time is virtual simulation time in seconds.

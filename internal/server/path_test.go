@@ -176,7 +176,7 @@ func TestRecycledRequestPanics(t *testing.T) {
 	pending.PushDone(func(any, *Request, bool) {}, nil)
 	for name, fn := range map[string]func(){
 		"Submit":        func() { s.Submit(recycled) },
-		"step":          func() { s.step(recycled) },
+		"step":          func() { resume(recycled) },
 		"second Put":    func() { pool.Put(recycled) },
 		"foreign Put":   func() { pool.Put(&Request{}) },
 		"unfinished":    func() { pool.Put(pending) },
