@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"conscale/internal/admission"
 	"conscale/internal/des"
 	"conscale/internal/rubbos"
@@ -118,34 +120,26 @@ func edge(d des.Time) []server.Phase {
 	return server.Compile([]server.Phase{{Kind: server.PhaseNet, Duration: d}})
 }
 
-// join concatenates fragments into a new slice.
-func join(frags ...[]server.Phase) []server.Phase {
-	var out []server.Phase
-	for _, f := range frags {
-		out = append(out, f...)
-	}
-	return out
-}
-
 func callPhase(out *server.OutCall) []server.Phase {
 	return []server.Phase{{Kind: server.PhaseCall, Call: out}}
 }
 
-// bind rebuilds the topology-dependent programs. Every slice is new.
+// bind rebuilds the topology-dependent programs. Every slice is new
+// (slices.Concat never aliases its arguments).
 func (p *program) bind(t topology) {
 	p.bound = t
 
 	// Web: static processing, then the synchronous call into the app tier.
-	p.web = join(p.webHead, edge(t.app), callPhase(p.appCall))
+	p.web = slices.Concat(p.webHead, edge(t.app), callPhase(p.appCall))
 
 	// One logical DB query from the app tier's point of view. Without a
 	// cache tier it is a single synchronous DB call gated by the app
 	// server's connection pool. With one, the query first looks up
 	// Memcached; only misses (and all writes) continue to the DB call.
-	p.miss, p.hit = join(edge(t.db), callPhase(p.dbCall)), nil
+	p.miss, p.hit = slices.Concat(edge(t.db), callPhase(p.dbCall)), nil
 	if t.cached {
-		lookup := join(edge(t.cache), callPhase(p.c.cacheCall))
-		p.miss = join(lookup, p.miss)
+		lookup := slices.Concat(edge(t.cache), callPhase(p.c.cacheCall))
+		p.miss = slices.Concat(lookup, p.miss)
 		if !p.sv.Write {
 			p.hit = lookup
 		}
@@ -154,9 +148,9 @@ func (p *program) bind(t topology) {
 	// App: business-logic CPU slices interleaved with the queries.
 	p.app = p.appHead
 	for i := 0; i < p.sv.Queries; i++ {
-		p.app = join(p.app, p.miss, p.appSlice)
+		p.app = slices.Concat(p.app, p.miss, p.appSlice)
 	}
-	p.app = join(p.app, p.appTail)
+	p.app = slices.Concat(p.app, p.appTail)
 }
 
 // sync rebinds the program if the cluster's topology moved since it was
