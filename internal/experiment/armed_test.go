@@ -1,0 +1,146 @@
+package experiment
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+
+	"conscale/internal/des"
+	"conscale/internal/forensics"
+	"conscale/internal/scaling"
+	"conscale/internal/trace"
+	"conscale/internal/twin"
+	"conscale/internal/workload"
+)
+
+// The armed goldens pin what the observer layers write, not only the
+// trajectory they watch: the OpenMetrics scrape timeline, the forensics
+// report, the detector's per-tick series, the twin's sample CSV, the
+// audit trail and the client timeline of one cell with all four
+// observers armed. They were written by the commit before the client
+// tap, the selecting window tail and the append-only exposition
+// replaced the submit wrappers, the per-tick sort and the per-sample
+// strings, so they compare each later commit with that one, not the
+// build with itself. Regenerate (only if an observer's output
+// legitimately changes) with:
+//
+//	GEN_ARMED_GOLDEN=1 go test ./internal/experiment -run TestArmedGolden
+
+// armedCell is a 180-sim-s EC2 cell on the spiking trace with tracing
+// 1/64, telemetry (1 s scrapes), forensics and the twin armed — the
+// observer set of the paper_armed benchmark workload, sized so that the
+// spike opens a fluctuation episode and burns SLO budget.
+func armedCell() RunConfig {
+	return RunConfig{
+		Mode:      scaling.EC2,
+		TraceName: workload.BigSpike,
+		MaxUsers:  5000,
+		Duration:  180 * des.Second,
+		Seed:      5,
+		ThinkTime: 3,
+		Tracing:   &trace.Config{SampleRate: 1.0 / 64},
+		Telemetry: &TelemetryOptions{ScrapeInterval: des.Second},
+		Forensics: &forensics.Config{},
+		Twin:      &twin.Config{},
+	}
+}
+
+// exactFloat renders a float so that two values print alike only when
+// their bits are equal (NaN aside, which every producer here writes as
+// the one canonical NaN).
+func exactFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// detectorSeries renders the detector's per-tick evaluation series at
+// full float precision: the windowed p99 is an interpolation of two
+// order statistics, and the golden must notice a one-ulp move.
+func detectorSeries(points []forensics.TickPoint) string {
+	var b strings.Builder
+	b.WriteString("time_s,p99_s,baseline_s,in_episode\n")
+	for _, p := range points {
+		fmt.Fprintf(&b, "%s,%s,%s,%t\n", exactFloat(float64(p.Time)), exactFloat(p.P99), exactFloat(p.Baseline), p.InEpisode)
+	}
+	return b.String()
+}
+
+// armedArtifacts renders every observer artifact of an armed run, keyed
+// by golden file name.
+func armedArtifacts(t *testing.T, r *RunResult) map[string][]byte {
+	t.Helper()
+	var om, fj, tw, au, tl bytes.Buffer
+	for _, err := range []error{
+		r.Scraper.WriteOpenMetrics(&om),
+		forensics.WriteJSON(&fj, r.Forensics.Report("armed", r.Tracer.BlameTable())),
+		WriteTwinCSV(&tw, r),
+		trace.WriteAuditCSV(&au, r.Audit),
+		WriteTimelineCSV(&tl, r),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return map[string][]byte{
+		"armed_openmetrics.txt":     om.Bytes(),
+		"armed_forensics.json":      fj.Bytes(),
+		"armed_detector_series.csv": []byte(detectorSeries(r.Forensics.Det.Series())),
+		"armed_twin.csv":            tw.Bytes(),
+		"armed_audit.csv":           au.Bytes(),
+		"armed_timeline.csv":        tl.Bytes(),
+	}
+}
+
+// armedHashedOnly names the artifacts too large to commit as bytes; the
+// golden holds their length and SHA-256 instead.
+var armedHashedOnly = map[string]bool{"armed_openmetrics.txt": true}
+
+// TestArmedGolden pins the armed cell's observer artifacts and checks
+// that none of them is vacuous: the detector confirmed an episode, the
+// audit trail holds decisions, the SLO monitor raised an alert, the
+// scraper ran and the twin found an applicable window.
+func TestArmedGolden(t *testing.T) {
+	t.Parallel()
+	r := Run(armedCell())
+
+	if n := len(r.Forensics.Det.Episodes()); n < 1 {
+		t.Fatalf("%d confirmed episodes: the cell no longer fluctuates", n)
+	}
+	if len(r.Audit) < 1 {
+		t.Fatal("empty audit trail")
+	}
+	if len(r.SLO.Alerts()) < 1 {
+		t.Fatal("no SLO alert transition")
+	}
+	if r.Scraper.Scrapes() < 2 {
+		t.Fatalf("%d scrapes", r.Scraper.Scrapes())
+	}
+	if r.Twin.Applicable() < 1 {
+		t.Fatal("no applicable twin sample")
+	}
+	if _, sampled, _, _ := r.Tracer.Stats(); sampled == 0 {
+		t.Fatal("the tracer sampled no request")
+	}
+
+	gen := os.Getenv("GEN_ARMED_GOLDEN") != ""
+	for name, got := range armedArtifacts(t, r) {
+		file := "testdata/" + name
+		if armedHashedOnly[name] {
+			file += ".sha256"
+			got = []byte(fmt.Sprintf("%d %x\n", len(got), sha256.Sum256(got)))
+		}
+		if gen {
+			if err := os.WriteFile(file, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("armed cell diverged from the committed %s (got %d bytes, want %d)", file, len(got), len(want))
+		}
+	}
+}
