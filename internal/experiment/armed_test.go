@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -142,5 +143,32 @@ func TestArmedGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("armed cell diverged from the committed %s (got %d bytes, want %d)", file, len(got), len(want))
 		}
+	}
+}
+
+// TestArmedCostsWhatBareCosts pins the point of the client tap: arming
+// all four observers adds under half an allocation per request to the
+// bare cell (it added four when each layer wrapped the Submitter). The
+// counts are MemStats.Mallocs around Run, the way bench/measure.go takes
+// allocs_per_req; the test is not parallel, so nothing else in the
+// package allocates meanwhile.
+func TestArmedCostsWhatBareCosts(t *testing.T) {
+	mallocs := func(cfg RunConfig) (perReq float64, goodput int) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		r := Run(cfg)
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs-m0.Mallocs) / float64(r.Goodput), r.Goodput
+	}
+	bareCfg := armedCell()
+	bareCfg.Tracing, bareCfg.Telemetry, bareCfg.Forensics, bareCfg.Twin = nil, nil, nil, nil
+	bare, n := mallocs(bareCfg)
+	armed, m := mallocs(armedCell())
+	if n != m || n < 50000 {
+		t.Fatalf("bare served %d requests, armed %d: want the same count, at least 50 000", n, m)
+	}
+	t.Logf("%d requests: bare %.3f allocs/request, armed %.3f", n, bare, armed)
+	if armed-bare > 0.5 {
+		t.Fatalf("arming the observers costs %.3f allocations per request (bare %.3f, armed %.3f); budget 0.5", armed-bare, bare, armed)
 	}
 }

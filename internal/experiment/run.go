@@ -307,7 +307,8 @@ func Run(cfg RunConfig) *RunResult {
 		scr *telemetry.Scraper
 		slo *telemetry.SLOMonitor
 	)
-	submit := c.Submit
+	// probe gathers the client-stream observers as the layers below arm.
+	var probe clientProbe
 	if cfg.Telemetry != nil {
 		reg = telemetry.NewRegistry()
 		c.SetTelemetry(reg)
@@ -319,23 +320,9 @@ func Run(cfg RunConfig) *RunResult {
 		slo = telemetry.NewSLOMonitor(slocfg)
 		slo.SetAudit(tracer.Audit())
 		slo.Register(reg)
-		clientRT := reg.Histogram("conscale_client_rt_seconds",
+		probe.clientRT = reg.Histogram("conscale_client_rt_seconds",
 			"Client-observed end-to-end response time of successful requests.")
-		// Wrap the submit path to observe every client outcome. The wrapper
-		// draws no randomness and schedules nothing, so the simulated
-		// trajectory is untouched.
-		submit = func(done func(ok bool)) {
-			start := c.Eng.Now()
-			c.Submit(func(ok bool) {
-				now := c.Eng.Now()
-				rt := float64(now - start)
-				if ok {
-					clientRT.Observe(rt)
-				}
-				slo.Observe(now, rt, ok)
-				done(ok)
-			})
-		}
+		probe.slo = slo
 		scr = telemetry.NewScraper(c.Eng, reg, cfg.Telemetry.ScrapeInterval)
 		scr.Start()
 	}
@@ -348,18 +335,7 @@ func Run(cfg RunConfig) *RunResult {
 			tracer.Audit().SetObserver(fx.Rec.ObserveAudit)
 			tracer.SetOnEnd(fx.Rec.ObserveSpan)
 		}
-		// Feed the detector every client outcome. Like the telemetry
-		// wrapper above, this only reads the clock — the trajectory is
-		// untouched.
-		inner := submit
-		submit = func(done func(ok bool)) {
-			start := c.Eng.Now()
-			inner(func(ok bool) {
-				now := c.Eng.Now()
-				fx.Det.Observe(now, float64(now-start), ok)
-				done(ok)
-			})
-		}
+		probe.det = fx.Det
 	}
 
 	// Route admission drops into the observability tails: each shed lands
@@ -396,27 +372,19 @@ func Run(cfg RunConfig) *RunResult {
 			tw.SetEpisodeSource(fx.Det)
 		}
 		tw.Register(reg)
-		// Feed the twin's flow/RT window from the client stream — another
-		// clock-only read, same determinism argument as the taps above.
-		inner := submit
-		submit = func(done func(ok bool)) {
-			tw.ObserveArrival()
-			start := c.Eng.Now()
-			inner(func(ok bool) {
-				now := c.Eng.Now()
-				tw.Observe(now, float64(now-start), ok)
-				done(ok)
-			})
-		}
+		probe.tw = tw
 	}
 
 	f.Start()
 
 	tr := workload.NewTrace(cfg.TraceName, cfg.MaxUsers, cfg.Duration)
-	gen := workload.NewGenerator(c.Eng, rng.New(cfg.Seed^0x9e3779b9), workload.GeneratorConfig{
-		Trace:     tr,
-		ThinkTime: think,
-	}, submit)
+	gcfg := workload.GeneratorConfig{Trace: tr, ThinkTime: think}
+	if probe != (clientProbe{}) {
+		// The observers read the client stream through the generator's
+		// tap; a bare run hands it none.
+		gcfg.Tap = &probe
+	}
+	gen := workload.NewGenerator(c.Eng, rng.New(cfg.Seed^0x9e3779b9), gcfg, c.Submit)
 
 	res := &RunResult{
 		Mode:       cfg.Mode,
@@ -533,9 +501,8 @@ func Run(cfg RunConfig) *RunResult {
 	res.Twin = tw
 
 	warm := cfg.WarmupSkip
-	res.P50 = gen.TailLatency(50, warm)
-	res.P95 = gen.TailLatency(95, warm)
-	res.P99 = gen.TailLatency(99, warm)
+	tails := gen.TailLatencies(warm, 50, 95, 99)
+	res.P50, res.P95, res.P99 = tails[0], tails[1], tails[2]
 	res.ErrorRate = gen.ErrorRate()
 	res.Goodput = gen.GoodputTotal()
 	res.Sheds = c.Sheds()

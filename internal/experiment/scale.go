@@ -251,20 +251,24 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 	// Frontdoor: the streaming population submits over the network edge
 	// to a round-robin cell; the response crosses the edge back. Both
 	// hops carry exactly the lookahead horizon, the minimum legal delay.
-	var (
-		reg      *telemetry.Registry
-		arrivals *telemetry.Counter
-		inflight *telemetry.Gauge
-		clientRT *telemetry.Histogram
-	)
+	gcfg := workload.GeneratorConfig{
+		Trace:     workload.NewTrace(cfg.TraceName, cfg.Clients, cfg.Duration),
+		ThinkTime: cfg.ThinkTime,
+		Streaming: true,
+		Classes:   cfg.Classes,
+		TailFrom:  cfg.WarmupSkip,
+	}
+	var reg *telemetry.Registry
 	if cfg.Telemetry {
 		reg = telemetry.NewRegistry()
-		arrivals = reg.Counter("conscale_scale_arrivals_total",
-			"Requests issued by the streaming scale-mode population.")
-		inflight = reg.Gauge("conscale_scale_inflight",
-			"Scale-mode requests currently between frontdoor and cells.")
-		clientRT = reg.Histogram("conscale_client_rt_seconds",
-			"Client-observed end-to-end response time of successful requests.")
+		gcfg.Tap = &frontDoorProbe{
+			arrivals: reg.Counter("conscale_scale_arrivals_total",
+				"Requests issued by the streaming scale-mode population."),
+			inflight: reg.Gauge("conscale_scale_inflight",
+				"Scale-mode requests currently between frontdoor and cells."),
+			clientRT: reg.Histogram("conscale_client_rt_seconds",
+				"Client-observed end-to-end response time of successful requests."),
+		}
 	}
 	nextCell := 0
 	submit := func(done func(ok bool)) {
@@ -273,32 +277,15 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 		if nextCell == cfg.Cells {
 			nextCell = 0
 		}
-		arrivals.Inc()
-		inflight.Add(1)
-		start := front.Eng.Now()
 		c := cells[cell]
 		sh := str.Shard(cell + 1)
 		front.Send(cell+1, cfg.EdgeDelay, func() {
 			c.Submit(func(ok bool) {
-				sh.Send(0, cfg.EdgeDelay, func() {
-					inflight.Add(-1)
-					if ok {
-						clientRT.Observe(float64(front.Eng.Now() - start))
-					}
-					done(ok)
-				})
+				sh.Send(0, cfg.EdgeDelay, func() { done(ok) })
 			})
 		})
 	}
-
-	tr := workload.NewTrace(cfg.TraceName, cfg.Clients, cfg.Duration)
-	gen := workload.NewGenerator(front.Eng, rng.New(cfg.Seed^0x9e3779b9), workload.GeneratorConfig{
-		Trace:     tr,
-		ThinkTime: cfg.ThinkTime,
-		Streaming: true,
-		Classes:   cfg.Classes,
-		TailFrom:  cfg.WarmupSkip,
-	}, submit)
+	gen := workload.NewGenerator(front.Eng, rng.New(cfg.Seed^0x9e3779b9), gcfg, submit)
 
 	// Heap high-water sampling in simulated time: cheap (a few dozen
 	// reads per run), deterministic placement, and it reads — never

@@ -117,6 +117,20 @@ func TestScaleTelemetryHooks(t *testing.T) {
 			t.Fatalf("exposition lacks %s:\n%s", want, text.String())
 		}
 	}
+	// The front-door tap saw the whole streaming population: every issue,
+	// every outcome, and a histogram sample per success. Registration is
+	// idempotent, so asking again returns the run's instruments.
+	arrivals := res.Registry.Counter("conscale_scale_arrivals_total", "").Value()
+	if arrivals == 0 || int64(arrivals) != res.Requests {
+		t.Fatalf("arrivals counter = %d, the population issued %d", arrivals, res.Requests)
+	}
+	resolved := res.Stream.OK + res.Stream.Errors
+	if got := res.Registry.Gauge("conscale_scale_inflight", "").Value(); got != float64(res.Requests-resolved) {
+		t.Fatalf("in-flight gauge = %v at the end, want issued − resolved = %d", got, res.Requests-resolved)
+	}
+	if got := res.Registry.Histogram("conscale_client_rt_seconds", "").Count(); got == 0 || int64(got) != res.Goodput {
+		t.Fatalf("client RT histogram holds %d samples, the run had %d successes", got, res.Goodput)
+	}
 }
 
 func TestScaleRowAndReport(t *testing.T) {

@@ -14,6 +14,20 @@ import (
 // generator stays ignorant of tier wiring.
 type Submitter func(done func(ok bool))
 
+// Tap observes the client request stream from inside the generator: every
+// issue path (closed loop, open loop, streaming) calls OnArrival as a
+// request leaves and OnComplete as its response lands. OnComplete gets
+// the raw outcome the system under test reported — before the Abandon
+// patience limit rewrites late successes as failures — and the issue
+// instant the generator already holds, so an observer neither wraps the
+// Submitter nor reads the clock. A tap must only read: it draws no
+// randomness and schedules nothing, which is what keeps an observed run's
+// trajectory identical to a bare one.
+type Tap interface {
+	OnArrival(now des.Time)
+	OnComplete(start, now des.Time, ok bool)
+}
+
 // GeneratorConfig configures the closed-loop user population.
 type GeneratorConfig struct {
 	// Trace is the workload-variation curve driving the population size.
@@ -53,6 +67,10 @@ type GeneratorConfig struct {
 	// before it are excluded from the tail estimators and MeanRT
 	// (ignored unless Streaming).
 	TailFrom des.Time
+	// Tap, when non-nil, observes every request the population issues and
+	// every raw outcome it receives. A nil Tap costs one comparison per
+	// call site.
+	Tap Tap
 }
 
 // Sample is one completed end-to-end request.
@@ -183,15 +201,33 @@ func (g *Generator) startOpenLoop() {
 
 // issueOpen fires one open-loop request (no user waits on it).
 func (g *Generator) issueOpen() {
+	start := g.depart()
+	g.submit(func(ok bool) { g.land(start, ok) })
+}
+
+// depart marks one request leaving the population and returns its issue
+// instant.
+func (g *Generator) depart() des.Time {
 	start := g.eng.Now()
-	g.submit(func(ok bool) {
-		now := g.eng.Now()
-		rt := float64(now - start)
-		if ok && g.cfg.Abandon > 0 && rt > g.cfg.Abandon {
-			ok = false // the user stopped waiting long ago
-		}
-		g.record(Sample{Finish: now, RT: rt, OK: ok})
-	})
+	if g.cfg.Tap != nil {
+		g.cfg.Tap.OnArrival(start)
+	}
+	return start
+}
+
+// land records the response to the request issued at start. The tap sees
+// the outcome as reported; the sample counts a success slower than the
+// Abandon limit as a failure (the user stopped waiting long ago).
+func (g *Generator) land(start des.Time, ok bool) {
+	now := g.eng.Now()
+	if g.cfg.Tap != nil {
+		g.cfg.Tap.OnComplete(start, now, ok)
+	}
+	rt := float64(now - start)
+	if ok && g.cfg.Abandon > 0 && rt > g.cfg.Abandon {
+		ok = false
+	}
+	g.record(Sample{Finish: now, RT: rt, OK: ok})
 }
 
 func (g *Generator) adjust() {
@@ -237,14 +273,9 @@ func (g *Generator) userIssue() {
 		g.retiring--
 		return
 	}
-	start := g.eng.Now()
+	start := g.depart()
 	g.submit(func(ok bool) {
-		now := g.eng.Now()
-		rt := float64(now - start)
-		if ok && g.cfg.Abandon > 0 && rt > g.cfg.Abandon {
-			ok = false // served too late: the user already gave up
-		}
-		g.record(Sample{Finish: now, RT: rt, OK: ok})
+		g.land(start, ok)
 		// Think, then issue again (or retire).
 		g.eng.After(des.Time(g.rnd.Exp(g.cfg.ThinkTime)), g.issue)
 	})
@@ -303,17 +334,33 @@ func (g *Generator) Active() int { return g.active }
 // 99} (from is fixed at config time by TailFrom and ignored here); other
 // percentiles panic.
 func (g *Generator) TailLatency(p float64, from des.Time) float64 {
+	return g.TailLatencies(from, p)[0]
+}
+
+// TailLatencies returns several percentiles of the same sample set in one
+// pass — one filter and one sort however many are asked for. The sorted
+// copy lives only for the call: a generator stays reachable for as long as
+// its engine does, and a cached copy would sit in the live heap beside the
+// samples it duplicates.
+func (g *Generator) TailLatencies(from des.Time, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	if g.stream != nil {
-		return g.stream.Quantile(p)
+		for i, p := range ps {
+			out[i] = g.stream.Quantile(p)
+		}
+		return out
 	}
-	var rts []float64
+	rts := make([]float64, 0, len(g.samples))
 	for _, s := range g.samples {
 		if s.OK && s.Finish >= from {
 			rts = append(rts, s.RT)
 		}
 	}
 	sort.Float64s(rts)
-	return stats.PercentileSorted(rts, p)
+	for i, p := range ps {
+		out[i] = stats.PercentileSorted(rts, p)
+	}
+	return out
 }
 
 // ErrorRate returns the fraction of failed requests over the whole run.

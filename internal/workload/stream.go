@@ -189,13 +189,6 @@ func (g *Generator) startStreaming() {
 func (g *Generator) issueStream(class int) {
 	g.stream.Issued++
 	g.stream.Classes[class].Issued++
-	start := g.eng.Now()
-	g.submit(func(ok bool) {
-		now := g.eng.Now()
-		rt := float64(now - start)
-		if ok && g.cfg.Abandon > 0 && rt > g.cfg.Abandon {
-			ok = false // the user stopped waiting long ago
-		}
-		g.record(Sample{Finish: now, RT: rt, OK: ok})
-	})
+	start := g.depart()
+	g.submit(func(ok bool) { g.land(start, ok) })
 }
