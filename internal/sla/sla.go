@@ -10,6 +10,7 @@ package sla
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"conscale/internal/des"
@@ -153,6 +154,10 @@ type WindowTail struct {
 	times  []des.Time
 	values []float64
 	head   int // index of the oldest retained sample
+	// scratch is Percentile's working copy of the live values, kept
+	// between calls: selection reorders it, and the samples themselves
+	// must stay in arrival order for prune.
+	scratch []float64
 }
 
 // NewWindowTail returns a tracker over the given span.
@@ -163,7 +168,8 @@ func NewWindowTail(window des.Time) *WindowTail {
 	return &WindowTail{window: window}
 }
 
-// Add records a sample at time t. Times must be non-decreasing.
+// Add records a sample at time t. Times must be non-decreasing, and rt
+// must not be NaN (an unordered value has no rank).
 func (w *WindowTail) Add(t des.Time, rt float64) {
 	w.times = append(w.times, t)
 	w.values = append(w.values, rt)
@@ -175,10 +181,12 @@ func (w *WindowTail) prune(now des.Time) {
 	for w.head < len(w.times) && w.times[w.head] < cut {
 		w.head++
 	}
-	// Compact occasionally so memory stays proportional to the window.
+	// Compact occasionally so memory stays proportional to the window:
+	// slide the live samples to the front of the same arrays, whose
+	// capacity then serves every later Add.
 	if w.head > 1024 && w.head*2 > len(w.times) {
-		w.times = append(w.times[:0:0], w.times[w.head:]...)
-		w.values = append(w.values[:0:0], w.values[w.head:]...)
+		w.times = w.times[:copy(w.times, w.times[w.head:])]
+		w.values = w.values[:copy(w.values, w.values[w.head:])]
 		w.head = 0
 	}
 }
@@ -188,21 +196,105 @@ func (w *WindowTail) prune(now des.Time) {
 func (w *WindowTail) Count() int { return len(w.times) - w.head }
 
 // Percentile returns the p-th percentile (0..100) of samples in the
-// window ending at now; NaN when the window is empty.
+// window ending at now; NaN when the window is empty. It is the linear
+// interpolation between the two order statistics around rank
+// p/100·(n−1), which it finds by selection rather than by sorting the
+// window: the same two floats a full sort would index, at O(n) per call
+// and no allocation once the scratch copy has grown to the window's size.
 func (w *WindowTail) Percentile(now des.Time, p float64) float64 {
 	w.prune(now)
 	live := w.values[w.head:]
-	if len(live) == 0 {
+	n := len(live)
+	if n == 0 {
 		return math.NaN()
 	}
-	sorted := append([]float64(nil), live...)
-	sort.Float64s(sorted)
-	rank := p / 100 * float64(len(sorted)-1)
+	w.scratch = append(w.scratch[:0], live...)
+	v := w.scratch
+	rank := p / 100 * float64(n-1)
 	lo := int(rank)
-	hi := lo + 1
-	if hi >= len(sorted) {
-		return sorted[len(sorted)-1]
+	if lo+1 >= n {
+		return maxOf(v)
 	}
+	selectKth(v, lo)
+	// Everything right of lo is ≥ v[lo], so the next order statistic is
+	// the smallest value there.
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return v[lo]*(1-frac) + minOf(v[lo+1:])*frac
+}
+
+func maxOf(v []float64) float64 {
+	m := v[0]
+	for _, x := range v[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+func minOf(v []float64) float64 {
+	m := v[0]
+	for _, x := range v[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// selectKth reorders v so that v[k] holds the value a full sort would put
+// there, nothing left of k is larger and nothing right of k is smaller.
+// It is quickselect with a median-of-three pivot and a two-pointer
+// partition that stops on values equal to the pivot (sorted, reversed and
+// constant inputs all split in the middle); should the splits still go
+// badly for 2·log2(n) rounds it sorts what is left, which bounds the
+// worst case at O(n log n).
+func selectKth(v []float64, k int) {
+	selectWithin(v, k, 2*bits.Len(uint(len(v))))
+}
+
+// selectWithin is selectKth with the partition-round budget given.
+func selectWithin(v []float64, k, budget int) {
+	lo, hi := 0, len(v)-1
+	for ; hi > lo; budget-- {
+		if budget == 0 || hi-lo < 8 {
+			sort.Float64s(v[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if v[mid] < v[lo] {
+			v[mid], v[lo] = v[lo], v[mid]
+		}
+		if v[hi] < v[lo] {
+			v[hi], v[lo] = v[lo], v[hi]
+		}
+		if v[hi] < v[mid] {
+			v[hi], v[mid] = v[mid], v[hi]
+		}
+		pivot := v[mid]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < pivot {
+				i++
+			}
+			for v[j] > pivot {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// v[lo..j] ≤ pivot ≤ v[i..hi]; anything strictly between j and i
+		// equals the pivot and is already in place.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
