@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -13,19 +14,30 @@ import (
 // families in registration order, static series in registration order, then
 // collector emissions. A disabled registry renders nothing.
 func (r *Registry) WriteProm(w io.Writer) error {
-	return r.writeText(w, 0, false, true)
+	bw := bufio.NewWriter(w)
+	r.writeText(bw, 0, false, true)
+	return bw.Flush()
 }
 
 // writeText is the shared renderer. withTS appends the given millisecond
 // timestamp to every sample line (the scrape-timeline form); withMeta
-// controls the HELP/TYPE header lines.
-func (r *Registry) writeText(w io.Writer, tsMillis int64, withTS, withMeta bool) error {
+// controls the HELP/TYPE header lines. Numbers are appended straight into
+// the writer's buffer, names and labels written piecewise, so rendering
+// builds no string per sample; the caller flushes.
+func (r *Registry) writeText(bw *bufio.Writer, tsMillis int64, withTS, withMeta bool) {
 	if r == nil || !r.enabled.Load() {
-		return nil
+		return
 	}
-	bw := bufio.NewWriter(w)
+	x := expositor{bw: bw, ts: tsMillis, withTS: withTS}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	// One emit closure serves every collector of every family: it reads
+	// the family being rendered from x.
+	emit := func(value float64, labels ...string) {
+		bw.WriteString(x.name)
+		bw.Write(appendLabels(bw.AvailableBuffer(), labels))
+		x.value(value)
+	}
 	for _, f := range r.fams {
 		if withMeta {
 			bw.WriteString("# HELP ")
@@ -39,37 +51,59 @@ func (r *Registry) writeText(w io.Writer, tsMillis int64, withTS, withMeta bool)
 			bw.WriteString(f.kind.String())
 			bw.WriteByte('\n')
 		}
+		x.name = f.name
 		for _, s := range f.series {
-			writeSeries(bw, f, s, tsMillis, withTS)
-		}
-		emit := func(value float64, labels ...string) {
-			writeSample(bw, f.name, labelKey(labels), value, tsMillis, withTS)
+			switch {
+			case s.fn != nil:
+				x.sample("", s.labels, s.fn())
+			case s.ctr != nil:
+				x.sample("", s.labels, float64(s.ctr.Value()))
+			case s.gauge != nil:
+				x.sample("", s.labels, s.gauge.Value())
+			case s.hist != nil:
+				x.histogram(s.labels, s.hist)
+			}
 		}
 		for _, coll := range f.collectors {
 			coll(emit)
 		}
 	}
-	return bw.Flush()
 }
 
-func writeSeries(bw *bufio.Writer, f *family, s *series, tsMillis int64, withTS bool) {
-	switch {
-	case s.fn != nil:
-		writeSample(bw, f.name, s.labels, s.fn(), tsMillis, withTS)
-	case s.ctr != nil:
-		writeSample(bw, f.name, s.labels, float64(s.ctr.Value()), tsMillis, withTS)
-	case s.gauge != nil:
-		writeSample(bw, f.name, s.labels, s.gauge.Value(), tsMillis, withTS)
-	case s.hist != nil:
-		writeHistogram(bw, f.name, s.labels, s.hist, tsMillis, withTS)
+// expositor renders sample lines of one exposition pass.
+type expositor struct {
+	bw     *bufio.Writer
+	name   string // family being rendered
+	ts     int64
+	withTS bool
+}
+
+// sample writes one `name+suffix labels value [ts]` line of the family.
+func (x *expositor) sample(suffix, labels string, value float64) {
+	x.bw.WriteString(x.name)
+	x.bw.WriteString(suffix)
+	x.bw.WriteString(labels)
+	x.value(value)
+}
+
+// value finishes a sample line: the separator, the value in the shortest
+// representation that round-trips (what Prometheus expects), the
+// timestamp, the newline.
+func (x *expositor) value(v float64) {
+	x.bw.WriteByte(' ')
+	x.bw.Write(strconv.AppendFloat(x.bw.AvailableBuffer(), v, 'g', -1, 64))
+	if x.withTS {
+		x.bw.WriteByte(' ')
+		x.bw.Write(strconv.AppendInt(x.bw.AvailableBuffer(), x.ts, 10))
 	}
+	x.bw.WriteByte('\n')
 }
 
-// writeHistogram renders the cumulative bucket form. Only non-empty buckets
+// histogram renders the cumulative bucket form. Only non-empty buckets
 // get a line (the full 450-bucket layout would drown the exposition), plus
 // the mandatory +Inf bucket; cumulative counts keep the output a valid
 // Prometheus histogram regardless of which buckets are elided.
-func writeHistogram(bw *bufio.Writer, name, labels string, h *Histogram, tsMillis int64, withTS bool) {
+func (x *expositor) histogram(labels string, h *Histogram) {
 	buckets, count, sum := h.snapshot()
 	var cum uint64
 	for i, n := range buckets {
@@ -77,36 +111,25 @@ func writeHistogram(bw *bufio.Writer, name, labels string, h *Histogram, tsMilli
 		if n == 0 || i == histBuckets-1 {
 			continue
 		}
-		writeSample(bw, name+"_bucket", mergeLabels(labels, "le", formatFloat(bucketUpper(i))), float64(cum), tsMillis, withTS)
+		x.bucket(labels, bucketUpper(i), float64(cum))
 	}
-	writeSample(bw, name+"_bucket", mergeLabels(labels, "le", "+Inf"), float64(count), tsMillis, withTS)
-	writeSample(bw, name+"_sum", labels, sum, tsMillis, withTS)
-	writeSample(bw, name+"_count", labels, float64(count), tsMillis, withTS)
+	x.bucket(labels, math.Inf(1), float64(count))
+	x.sample("_sum", labels, sum)
+	x.sample("_count", labels, float64(count))
 }
 
-// mergeLabels appends one extra label pair to a pre-rendered label string.
-func mergeLabels(labels, k, v string) string {
-	pair := k + `="` + escapeLabel(v) + `"`
-	if labels == "" {
-		return "{" + pair + "}"
+// bucket writes one `name_bucket{labels,le="upper"} value` line, the le
+// pair appended to the series' pre-rendered label set. A float's digits
+// need no label escaping.
+func (x *expositor) bucket(labels string, upper, value float64) {
+	x.bw.WriteString(x.name)
+	x.bw.WriteString("_bucket{")
+	if labels != "" {
+		x.bw.WriteString(labels[1 : len(labels)-1])
+		x.bw.WriteByte(',')
 	}
-	return labels[:len(labels)-1] + "," + pair + "}"
-}
-
-func writeSample(bw *bufio.Writer, name, labels string, value float64, tsMillis int64, withTS bool) {
-	bw.WriteString(name)
-	bw.WriteString(labels)
-	bw.WriteByte(' ')
-	bw.WriteString(formatFloat(value))
-	if withTS {
-		bw.WriteByte(' ')
-		bw.WriteString(strconv.FormatInt(tsMillis, 10))
-	}
-	bw.WriteByte('\n')
-}
-
-// formatFloat renders a sample value the way Prometheus expects (shortest
-// round-trippable representation).
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	x.bw.WriteString(`le="`)
+	x.bw.Write(strconv.AppendFloat(x.bw.AvailableBuffer(), upper, 'g', -1, 64))
+	x.bw.WriteString(`"}`)
+	x.value(value)
 }

@@ -18,7 +18,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,34 +107,44 @@ func (r *Registry) SetEnabled(on bool) {
 func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
 
 // labelKey renders variadic key/value pairs into a canonical (sorted)
-// Prometheus label string. Panics on odd pair counts: label sets are wired
-// at registration time, so a mismatch is a programming error.
+// Prometheus label string.
 func labelKey(labels []string) string {
+	return string(appendLabels(nil, labels))
+}
+
+// appendLabels appends the canonical label set of variadic key/value
+// pairs — `{k="v",...}` sorted by key, nothing for no pairs — to dst.
+// Panics on odd pair counts: label sets are wired at registration time,
+// so a mismatch is a programming error.
+func appendLabels(dst []byte, labels []string) []byte {
 	if len(labels) == 0 {
-		return ""
+		return dst
 	}
 	if len(labels)%2 != 0 {
 		panic("telemetry: odd label key/value count")
 	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
+	// Insertion-sort the pairs' offsets by key: label sets hold a few
+	// pairs, and the offsets of up to eight stay off the heap.
+	order := make([]int, 0, 8)
 	for i := 0; i < len(labels); i += 2 {
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && labels[order[j-1]] > labels[i]; j-- {
+			order[j] = order[j-1]
 		}
-		b.WriteString(p.k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(p.v))
-		b.WriteByte('"')
+		order[j] = i
 	}
-	b.WriteByte('}')
-	return b.String()
+	dst = append(dst, '{')
+	for n, i := range order {
+		if n > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, labels[i]...)
+		dst = append(dst, '=', '"')
+		dst = append(dst, escapeLabel(labels[i+1])...)
+		dst = append(dst, '"')
+	}
+	return append(dst, '}')
 }
 
 // escapeLabel escapes a label value per the Prometheus text format.

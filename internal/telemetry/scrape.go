@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"math"
@@ -27,10 +28,14 @@ type Scraper struct {
 	// effect when the next tick schedules its successor.
 	intervalBits atomic.Uint64
 	scrapes      atomic.Uint64
-	stopped      bool
 	started      bool
+	// chain numbers the armed tick chain. Stop moves it on, so a tick an
+	// earlier chain left pending finds another number when it fires and
+	// ends there, whether or not Start has armed a new chain meanwhile.
+	chain uint64
 
 	buf bytes.Buffer
+	bw  *bufio.Writer // over buf, kept across scrapes
 }
 
 // NewScraper couples a registry to an engine at the given interval
@@ -40,6 +45,7 @@ func NewScraper(eng *des.Engine, reg *Registry, every des.Time) *Scraper {
 		every = 5 * des.Second
 	}
 	s := &Scraper{reg: reg, eng: eng}
+	s.bw = bufio.NewWriter(&s.buf)
 	s.intervalBits.Store(math.Float64bits(float64(every)))
 	return s
 }
@@ -68,22 +74,23 @@ func (s *Scraper) Start() {
 		return
 	}
 	s.started = true
-	s.stopped = false
 	s.schedule()
 }
 
-// Stop disarms the chain; the pending tick becomes a no-op.
+// Stop disarms the chain; the pending tick becomes a no-op, also when
+// Start re-arms before it fires.
 func (s *Scraper) Stop() {
 	if s == nil {
 		return
 	}
-	s.stopped = true
 	s.started = false
+	s.chain++
 }
 
 func (s *Scraper) schedule() {
+	chain := s.chain
 	s.eng.After(s.Interval(), func() {
-		if s.stopped {
+		if s.chain != chain {
 			return
 		}
 		s.scrapeOnce()
@@ -98,7 +105,8 @@ func (s *Scraper) scrapeOnce() {
 	}
 	ts := int64(math.Round(float64(s.eng.Now()) * 1000))
 	first := s.scrapes.Load() == 0
-	s.reg.writeText(&s.buf, ts, true, first) //nolint:errcheck // bytes.Buffer cannot fail
+	s.reg.writeText(s.bw, ts, true, first)
+	s.bw.Flush() //nolint:errcheck // a bytes.Buffer write cannot fail
 	s.scrapes.Add(1)
 }
 

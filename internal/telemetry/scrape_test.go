@@ -126,3 +126,71 @@ func TestMgmtEnabledToggle(t *testing.T) {
 		t.Fatal("non-boolean enabled value accepted")
 	}
 }
+
+// TestScraperRestartLeavesOneChain is the regression test for Stop
+// followed by Start while the stopped chain's tick is still pending: the
+// old tick must not scrape or re-arm beside the new chain. 1 s cadence:
+// scrapes at 1 and 2, Stop+Start at 2.5, then 3.5 … 9.5 — nine in all
+// (a surviving first chain would add 3 … 10 for seventeen).
+func TestScraperRestartLeavesOneChain(t *testing.T) {
+	eng := des.New()
+	reg := NewRegistry()
+	reg.Counter("test_ticks_total", "h").Inc()
+	s := NewScraper(eng, reg, des.Second)
+	s.Start()
+	eng.RunUntil(2.5 * des.Second)
+	s.Stop()
+	s.Start()
+	eng.RunUntil(10.25 * des.Second)
+	if s.Scrapes() != 9 {
+		t.Fatalf("scrapes = %d, want 9", s.Scrapes())
+	}
+	// Stopped for good: the pending tick of the second chain dies too.
+	s.Stop()
+	eng.RunUntil(20 * des.Second)
+	if s.Scrapes() != 9 {
+		t.Fatalf("scrapes after the final Stop = %d, want 9", s.Scrapes())
+	}
+}
+
+// TestScraperSetIntervalMidChain retunes the cadence directly while a
+// tick is pending: the pending tick keeps its time, its successors use
+// the new interval, and a restart in between starts from the new one.
+func TestScraperSetIntervalMidChain(t *testing.T) {
+	eng := des.New()
+	reg := NewRegistry()
+	reg.Counter("test_ticks_total", "h").Inc()
+	s := NewScraper(eng, reg, des.Second)
+	s.Start()
+	eng.RunUntil(2.5 * des.Second) // scrapes at 1, 2; next pending at 3
+	s.SetInterval(2 * des.Second)
+	eng.RunUntil(8 * des.Second) // 3, then 5, 7
+	if s.Scrapes() != 5 {
+		t.Fatalf("scrapes = %d, want 5", s.Scrapes())
+	}
+	s.Stop()
+	s.SetInterval(des.Second / 2)
+	s.Start()
+	eng.RunUntil(10.25 * des.Second) // 8.5, 9, 9.5, 10; the tick left at 9 is dead
+	if s.Scrapes() != 9 {
+		t.Fatalf("scrapes after the restart = %d, want 9", s.Scrapes())
+	}
+}
+
+// TestWarmScrapeAllocs bounds what one scrape of a warm scraper
+// allocates: the pass's state, its emit closure, and the variadic label
+// slice of each labelled collector emission (goldenRegistry has two) —
+// four in all, and nothing per sample value, timestamp, bucket bound,
+// label set or suffixed name.
+func TestWarmScrapeAllocs(t *testing.T) {
+	reg, step := goldenRegistry()
+	step()
+	s := NewScraper(des.New(), reg, des.Second)
+	for i := 0; i < 64; i++ {
+		s.scrapeOnce() // grow the timeline buffer well past one scrape
+	}
+	s.buf.Reset()
+	if got := testing.AllocsPerRun(20, s.scrapeOnce); got > 4 {
+		t.Fatalf("a warm scrape allocates %v times, budget 4", got)
+	}
+}
