@@ -14,7 +14,7 @@ import (
 
 // TestTwinRunByteIdentical is the acceptance-criterion test: arming the
 // analytical twin must leave the simulated trajectory bit-identical to
-// a bare run. The twin's submit tap only reads the clock and its tick
+// a bare run. The twin reads the client stream through the generator's tap and its tick
 // only calls read-only cluster accessors.
 func TestTwinRunByteIdentical(t *testing.T) {
 	bare := Run(shortRun(scaling.ConScale, workload.BigSpike, 3))

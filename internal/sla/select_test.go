@@ -2,6 +2,7 @@ package sla
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -167,8 +168,8 @@ func TestSelectFallbackSorts(t *testing.T) {
 				if v[k] != sorted[k] {
 					t.Fatalf("%s budget=%d k=%d: got %v, want %v", shape.name, budget, k, v[k], sorted[k])
 				}
-				if k+1 < len(v) && minOf(v[k+1:]) != sorted[k+1] {
-					t.Fatalf("%s budget=%d k=%d: upper neighbour %v, want %v", shape.name, budget, k, minOf(v[k+1:]), sorted[k+1])
+				if k+1 < len(v) && slices.Min(v[k+1:]) != sorted[k+1] {
+					t.Fatalf("%s budget=%d k=%d: upper neighbour %v, want %v", shape.name, budget, k, slices.Min(v[k+1:]), sorted[k+1])
 				}
 			}
 		}
@@ -207,4 +208,27 @@ func TestWindowTailSteadyStateAllocs(t *testing.T) {
 	if w.Count() < 4000 || w.Count() > 4200 {
 		t.Fatalf("window holds %d samples, want ≈ 4096", w.Count())
 	}
+}
+
+// BenchmarkWindowTailPercentile reads p99 off a window the size the
+// paper cell's detector holds (≈ 13 k samples in 10 s), one new sample
+// between reads.
+func BenchmarkWindowTailPercentile(b *testing.B) {
+	w := NewWindowTail(10 * des.Second)
+	r := rng.New(1)
+	now := des.Time(0)
+	const step = 10 * des.Second / 13000
+	for i := 0; i < 26000; i++ {
+		now += step
+		w.Add(now, r.LogNormal(0.05, 0.8))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		now += step
+		w.Add(now, r.LogNormal(0.05, 0.8))
+		sink += w.Percentile(now, 99)
+	}
+	_ = sink
 }

@@ -11,6 +11,7 @@ package sla
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"conscale/internal/des"
@@ -213,33 +214,13 @@ func (w *WindowTail) Percentile(now des.Time, p float64) float64 {
 	rank := p / 100 * float64(n-1)
 	lo := int(rank)
 	if lo+1 >= n {
-		return maxOf(v)
+		return slices.Max(v)
 	}
 	selectKth(v, lo)
 	// Everything right of lo is ≥ v[lo], so the next order statistic is
 	// the smallest value there.
 	frac := rank - float64(lo)
-	return v[lo]*(1-frac) + minOf(v[lo+1:])*frac
-}
-
-func maxOf(v []float64) float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func minOf(v []float64) float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
+	return v[lo]*(1-frac) + slices.Min(v[lo+1:])*frac
 }
 
 // selectKth reorders v so that v[k] holds the value a full sort would put

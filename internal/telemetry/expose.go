@@ -86,12 +86,17 @@ func (x *expositor) sample(suffix, labels string, value float64) {
 	x.value(value)
 }
 
-// value finishes a sample line: the separator, the value in the shortest
-// representation that round-trips (what Prometheus expects), the
-// timestamp, the newline.
+// float appends v in the shortest representation that round-trips (what
+// Prometheus expects), straight into the writer's buffer.
+func (x *expositor) float(v float64) {
+	x.bw.Write(strconv.AppendFloat(x.bw.AvailableBuffer(), v, 'g', -1, 64))
+}
+
+// value finishes a sample line: the separator, the value, the timestamp,
+// the newline.
 func (x *expositor) value(v float64) {
 	x.bw.WriteByte(' ')
-	x.bw.Write(strconv.AppendFloat(x.bw.AvailableBuffer(), v, 'g', -1, 64))
+	x.float(v)
 	if x.withTS {
 		x.bw.WriteByte(' ')
 		x.bw.Write(strconv.AppendInt(x.bw.AvailableBuffer(), x.ts, 10))
@@ -129,7 +134,7 @@ func (x *expositor) bucket(labels string, upper, value float64) {
 		x.bw.WriteByte(',')
 	}
 	x.bw.WriteString(`le="`)
-	x.bw.Write(strconv.AppendFloat(x.bw.AvailableBuffer(), upper, 'g', -1, 64))
+	x.float(upper)
 	x.bw.WriteString(`"}`)
 	x.value(value)
 }

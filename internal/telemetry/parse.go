@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -151,8 +150,7 @@ func canonLabels(in string) (string, error) {
 	if strings.TrimSpace(in) == "" {
 		return "", nil
 	}
-	type kv struct{ k, v string }
-	var pairs []kv
+	var pairs []string // key, value, key, value, ...
 	rest := in
 	for rest != "" {
 		eq := strings.IndexByte(rest, '=')
@@ -192,24 +190,11 @@ func canonLabels(in string) (string, error) {
 		if !closed {
 			return "", fmt.Errorf("unterminated label value in %q", in)
 		}
-		pairs = append(pairs, kv{k, b.String()})
+		pairs = append(pairs, k, b.String())
 		rest = strings.TrimPrefix(strings.TrimSpace(rest), ",")
 		rest = strings.TrimSpace(rest)
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(p.k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(p.v))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String(), nil
+	return labelKey(pairs), nil
 }
 
 func validMetricName(s string) bool {

@@ -194,3 +194,20 @@ func TestWarmScrapeAllocs(t *testing.T) {
 		t.Fatalf("a warm scrape allocates %v times, budget 4", got)
 	}
 }
+
+// BenchmarkWarmScrape renders one timestamped exposition block of the
+// golden registry into a scraper whose buffers have grown.
+func BenchmarkWarmScrape(b *testing.B) {
+	reg, step := goldenRegistry()
+	step()
+	s := NewScraper(des.New(), reg, des.Second)
+	s.scrapeOnce()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			s.buf.Reset() // keep the timeline from growing with b.N
+		}
+		s.scrapeOnce()
+	}
+}
