@@ -2,10 +2,16 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
+	"conscale/internal/admission"
+	"conscale/internal/cluster"
 	"conscale/internal/des"
 	"conscale/internal/scaling"
+	"conscale/internal/workload"
 )
 
 // smallScaleConfig is a fast sweep point for tests: 4 cells, 3000
@@ -146,6 +152,95 @@ func TestScaleRowAndReport(t *testing.T) {
 	for _, want := range []string{`"schema": "conscale-bench/7"`, `"mode": "dcm"`, `"workers": 1`} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("report lacks %s:\n%s", want, buf.String())
+		}
+	}
+}
+
+// The scale-edge golden pins the client↔cell edge of scale mode, which
+// TestScaleStripedMatchesSequential only compares with itself: arrivals
+// picked between two think-time classes, each request crossing the
+// striper to a round-robin cell and its outcome — served or shed —
+// crossing back. It was written by the commit before the edge's closures
+// were replaced, so it compares each later commit with that one.
+// Regenerate (only if the simulator's trajectory legitimately changes)
+// with:
+//
+//	GEN_SCALE_GOLDEN=1 go test ./internal/experiment -run TestScaleEdgeGolden
+
+// scaleEdgeCell is an overloaded three-cell fleet: paper-sized cells
+// behind a priority shedder, under a spike of two client classes.
+func scaleEdgeCell(workers int) ScaleConfig {
+	acfg, err := admission.Parse("priority:cap=300,browse=75")
+	if err != nil {
+		panic(err) // a constant spec
+	}
+	cell := cluster.DefaultConfig()
+	return ScaleConfig{
+		Mode:       scaling.ConScale,
+		Admission:  map[cluster.Tier]admission.Config{cluster.Web: acfg, cluster.App: acfg},
+		CellConfig: &cell,
+		Clients:    16000,
+		Cells:      3,
+		Duration:   40 * des.Second,
+		Seed:       17,
+		TraceName:  workload.BigSpike,
+		Classes: []workload.Class{
+			{Name: "readers", Weight: 3, ThinkTime: 3},
+			{Name: "authors", Weight: 1, ThinkTime: 9},
+		},
+		WarmupSkip: 5 * des.Second,
+		Workers:    workers,
+	}
+}
+
+// scaleLedger renders what the timeline CSV rounds away.
+func scaleLedger(r *ScaleResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "issued=%d ok=%d errors=%d sheds=%d sheds_by_class=%v\n",
+		r.Stream.Issued, r.Stream.OK, r.Stream.Errors, r.Sheds, r.ShedsByClass)
+	for _, c := range r.Stream.Classes {
+		fmt.Fprintf(&b, "class %s issued=%d\n", c.Name, c.Issued)
+	}
+	fmt.Fprintf(&b, "p50=%.9f p95=%.9f p99=%.9f mean_rt=%.9f max_rt=%.9f tail_ok=%d\n",
+		r.P50, r.P95, r.P99, r.MeanRT, r.Stream.MaxRT, r.Stream.TailOK)
+	fmt.Fprintf(&b, "events=%d actions=%d vms=%d\n", r.Events, r.ScaleActions, r.VMs)
+	return b.String()
+}
+
+func TestScaleEdgeGolden(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		r := RunScale(scaleEdgeCell(workers))
+		if r.Workers != workers {
+			t.Fatalf("asked for %d workers, the run used %d", workers, r.Workers)
+		}
+		// Not vacuous: the shed path crossed the edge back, and arrivals
+		// were picked between the classes.
+		if r.Sheds == 0 || r.Stream.Errors == 0 {
+			t.Fatalf("workers=%d: %d sheds, %d failed requests: the cell no longer overloads", workers, r.Sheds, r.Stream.Errors)
+		}
+		for _, c := range r.Stream.Classes {
+			if c.Issued == 0 {
+				t.Fatalf("workers=%d: class %s issued nothing", workers, c.Name)
+			}
+		}
+		var tl bytes.Buffer
+		WriteScaleTimelineCSV(&tl, r)
+		for file, got := range map[string]string{
+			"testdata/scale_edge_timeline.csv": tl.String(),
+			"testdata/scale_edge_ledger.txt":   scaleLedger(r),
+		} {
+			if os.Getenv("GEN_SCALE_GOLDEN") != "" && workers == 1 {
+				if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("workers=%d: the scale-edge cell diverged from the committed %s", workers, file)
+			}
 		}
 	}
 }
