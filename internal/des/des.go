@@ -179,28 +179,29 @@ type BatchEvent struct {
 // AtBatch schedules every event in evs, in slice order, exactly as the
 // equivalent sequence of At calls would — same panics, same sequence
 // numbers, same tie-break order — but grows the heap and slot storage
-// once up front instead of once per append. The striper's window barrier
-// uses it to bulk-insert a merged cross-shard batch without reallocating
-// engine storage mid-batch. Handles are not returned: barrier deliveries
-// are never cancelled.
+// once up front instead of once per append. Handles are not returned.
 func (e *Engine) AtBatch(evs []BatchEvent) {
-	if len(evs) == 0 {
-		return
+	e.reserve(len(evs))
+	for _, ev := range evs {
+		e.At(ev.At, ev.Fn)
 	}
-	if need := len(e.heap) + len(evs); need > cap(e.heap) {
+}
+
+// reserve grows the heap and slot storage, once, to take n more events
+// without reallocating. The striper's window barrier calls it per
+// destination before inserting a merged cross-shard batch.
+func (e *Engine) reserve(n int) {
+	if need := len(e.heap) + n; need > cap(e.heap) {
 		grown := make([]entry, len(e.heap), need+need/2)
 		copy(grown, e.heap)
 		e.heap = grown
 	}
-	if deficit := len(evs) - len(e.free); deficit > 0 {
+	if deficit := n - len(e.free); deficit > 0 {
 		if need := len(e.slots) + deficit; need > cap(e.slots) {
 			grown := make([]slot, len(e.slots), need+need/2)
 			copy(grown, e.slots)
 			e.slots = grown
 		}
-	}
-	for _, ev := range evs {
-		e.At(ev.At, ev.Fn)
 	}
 }
 

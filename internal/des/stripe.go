@@ -37,17 +37,17 @@ import (
 //     once, synchronizing between them with the cheap spin barrier only,
 //     and an idle fast-forward that skips windows in which no shard has
 //     anything to execute;
-//   - allocation-free barriers: outboxes are sorted in place per shard
-//     (each worker sorts its own, in parallel), k-way merged into a
-//     striper-owned scratch buffer, and bulk-inserted into destination
-//     engines with Engine.AtBatch, which grows storage once per barrier.
+//   - allocation-free barriers: a send is a (handler, argument) pair
+//     (SendArg), outboxes are sorted in place per shard (each worker sorts
+//     its own, in parallel), k-way merged into a striper-owned scratch
+//     buffer, and inserted into destination engines whose storage grows
+//     once per barrier.
 //
 // The zero value is not usable; call NewStriper.
 type Striper struct {
 	lookahead Time
 	now       Time
 	shards    []*Shard
-	par       func(n int, fn func(i int))
 	pool      *stripePool
 
 	batchK   int
@@ -55,8 +55,9 @@ type Striper struct {
 
 	ends   []Time
 	merged []delivery
-	heads  []int
-	batch  []BatchEvent
+	// perShard is one int per shard: the merge's outbox cursors, then the
+	// barrier's per-destination delivery counts.
+	perShard []int
 
 	stats StripeStats
 }
@@ -93,19 +94,22 @@ type Shard struct {
 
 // outMsg is one buffered cross-shard delivery in a sender's outbox: the
 // delivery time, the send order within the window (the merge tie-break),
-// the destination shard, and the event body.
+// the destination shard, and the event: the (handler, argument) pair
+// Engine.AtArg takes.
 type outMsg struct {
 	at  Time
 	seq int32
 	to  int32
-	fn  func()
+	h   func(arg any)
+	arg any
 }
 
 // delivery is one merged, destination-tagged event in barrier order.
 type delivery struct {
-	at Time
-	to int32
-	fn func()
+	at  Time
+	to  int32
+	h   func(arg any)
+	arg any
 }
 
 // NewStriper returns a striper with n independent shards and the given
@@ -123,7 +127,7 @@ func NewStriper(n int, lookahead Time) *Striper {
 	for i := range s.shards {
 		s.shards[i] = &Shard{Eng: New(), idx: i, str: s}
 	}
-	s.heads = make([]int, n)
+	s.perShard = make([]int, n)
 	return s
 }
 
@@ -151,13 +155,6 @@ func (s *Striper) Fired() uint64 {
 	}
 	return n
 }
-
-// SetParallel installs a per-window fan-out driver (for example
-// internal/experiment.ParallelFor) used when no persistent worker pool is
-// armed. It predates SetWorkers and is kept for compatibility; the pool,
-// when set, takes precedence. Every execution mode produces byte-identical
-// trajectories; the driver only changes wall-clock time.
-func (s *Striper) SetParallel(par func(n int, fn func(i int))) { s.par = par }
 
 // SetWorkers arms (or, for n <= 1, releases) the persistent shard-pinned
 // worker pool: n long-lived goroutines, each owning a fixed contiguous
@@ -238,20 +235,33 @@ func (sh *Shard) Index() int { return sh.idx }
 // scheduled onto workers. Events local to the shard should use Eng
 // directly (no horizon constraint applies within a shard).
 func (sh *Shard) Send(to int, delay Time, fn func()) {
+	if fn == nil {
+		panic("des: nil cross-shard event")
+	}
+	sh.SendArg(to, delay, callFunc, fn)
+}
+
+// SendArg schedules h(arg) on shard `to` at the sender's current time plus
+// delay: the allocation-free form of Send, for a sender whose handler is a
+// package-level function and whose argument is a pointer it already holds
+// (see Engine.AtArg). The contract is Send's, and sends made through
+// either share one order.
+func (sh *Shard) SendArg(to int, delay Time, h func(arg any), arg any) {
 	if to < 0 || to >= len(sh.str.shards) {
 		panic(fmt.Sprintf("des: Send to shard %d of %d", to, len(sh.str.shards)))
 	}
 	if delay < sh.str.lookahead {
 		panic(fmt.Sprintf("des: cross-shard delay %v below lookahead horizon %v", delay, sh.str.lookahead))
 	}
-	if fn == nil {
+	if h == nil {
 		panic("des: nil cross-shard event")
 	}
 	sh.outbox = append(sh.outbox, outMsg{
 		at:  sh.Eng.Now() + delay,
 		seq: int32(len(sh.outbox)),
 		to:  int32(to),
-		fn:  fn,
+		h:   h,
+		arg: arg,
 	})
 }
 
@@ -372,20 +382,15 @@ func (s *Striper) planBatch(deadline Time, pending bool) int {
 // batch stops at the first window edge that produced cross-shard traffic
 // (that window still completes; the merge happens at its edge, exactly as
 // in unbatched execution). Dispatches to the pinned worker pool when one
-// is armed, else the legacy per-window driver, else the sequential loop.
-// All three orderings produce byte-identical trajectories.
+// is armed, else the sequential loop. Both orderings produce
+// byte-identical trajectories.
 func (s *Striper) runBatch(ends []Time) int {
 	if s.pool != nil {
 		return s.pool.run(ends)
 	}
 	for w, end := range ends {
-		if s.par != nil {
-			run := func(i int) { s.shards[i].Eng.RunUntil(end) }
-			s.par(len(s.shards), run)
-		} else {
-			for _, sh := range s.shards {
-				sh.Eng.RunUntil(end)
-			}
+		for _, sh := range s.shards {
+			sh.Eng.RunUntil(end)
 		}
 		if s.outboxTotal() > 0 {
 			for _, sh := range s.shards {
@@ -407,25 +412,21 @@ func (s *Striper) deliver() {
 		return
 	}
 	s.stats.Delivered += uint64(len(merged))
-	// Bulk-insert per destination. Grouping by destination preserves each
-	// engine's insertion subsequence (deliveries to different engines are
-	// independent), so the tie-break order matches interleaved insertion.
-	for d := range s.shards {
-		b := s.batch[:0]
-		for i := range merged {
-			if int(merged[i].to) == d {
-				b = append(b, BatchEvent{At: merged[i].at, Fn: merged[i].fn})
-			}
-		}
-		s.batch = b
-		if len(b) > 0 {
-			s.shards[d].Eng.AtBatch(b)
-		}
-	}
-	clear(s.batch[:cap(s.batch)]) // release closure references in the scratch
-	s.batch = s.batch[:0]
+	// Grow each destination's storage once, then insert in merged order:
+	// deliveries to different engines are independent, so each engine sees
+	// its own subsequence in the barrier's order.
+	counts := s.perShard
+	clear(counts)
 	for i := range merged {
-		merged[i].fn = nil // release closures promptly
+		counts[merged[i].to]++
+	}
+	for d, n := range counts {
+		s.shards[d].Eng.reserve(n)
+	}
+	for i := range merged {
+		m := &merged[i]
+		s.shards[m.to].Eng.AtArg(m.at, m.h, m.arg)
+		m.h, m.arg = nil, nil // release the event promptly
 	}
 }
 
@@ -446,10 +447,8 @@ func (s *Striper) mergeOutboxes() []delivery {
 		s.merged = make([]delivery, 0, total+total/2)
 	}
 	merged := s.merged[:0]
-	heads := s.heads
-	for i := range heads {
-		heads[i] = 0
-	}
+	heads := s.perShard
+	clear(heads)
 	for len(merged) < total {
 		best := -1
 		var bestAt Time
@@ -463,14 +462,12 @@ func (s *Striper) mergeOutboxes() []delivery {
 			}
 		}
 		m := &s.shards[best].outbox[heads[best]]
-		merged = append(merged, delivery{at: m.at, to: m.to, fn: m.fn})
+		merged = append(merged, delivery{at: m.at, to: m.to, h: m.h, arg: m.arg})
 		heads[best]++
 	}
 	s.merged = merged
 	for _, sh := range s.shards {
-		for i := range sh.outbox {
-			sh.outbox[i].fn = nil
-		}
+		clear(sh.outbox) // release the events
 		sh.outbox = sh.outbox[:0]
 	}
 	return merged

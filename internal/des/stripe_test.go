@@ -5,34 +5,20 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 )
 
-// goroutinePar is a stand-in for the experiment harness's worker pool:
-// it runs every index on its own goroutine and waits for all of them, the
-// most adversarial scheduling the striper has to stay deterministic under.
-func goroutinePar(n int, fn func(i int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// stripeScenario wires a ring of chattering shards and returns the
+// stripeScenario wires a ring of chattering shards, runs it on the given
+// number of pinned workers (1 = the sequential loop) and returns the
 // per-shard execution log. Each shard ticks locally every 3 ms and, on
 // each tick, sends a message one step around the ring with a delay that
 // varies deterministically with the tick; receivers log (now, from, k).
-func stripeScenario(par func(int, func(int))) []string {
+func stripeScenario(workers int) []string {
 	const shards = 5
 	const horizon = 10 * Millisecond
 	s := NewStriper(shards, horizon)
-	s.SetParallel(par)
+	s.SetWorkers(workers)
+	defer s.Close()
 
 	logs := make([][]string, shards)
 	for i := 0; i < shards; i++ {
@@ -65,13 +51,16 @@ func stripeScenario(par func(int, func(int))) []string {
 	return flat
 }
 
+// TestStriperParallelMatchesSequential runs every shard on a worker of its
+// own — the most adversarial scheduling the striper has to stay
+// deterministic under — against the sequential loop.
 func TestStriperParallelMatchesSequential(t *testing.T) {
-	seq := stripeScenario(nil)
+	seq := stripeScenario(1)
 	if len(seq) < 100 {
 		t.Fatalf("scenario too small to be meaningful: %d log lines", len(seq))
 	}
 	for trial := 0; trial < 3; trial++ {
-		par := stripeScenario(goroutinePar)
+		par := stripeScenario(5)
 		if len(par) != len(seq) {
 			t.Fatalf("trial %d: parallel log has %d lines, sequential %d", trial, len(par), len(seq))
 		}
@@ -83,57 +72,19 @@ func TestStriperParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// stripeScenarioWorkers runs the chatter scenario on the persistent
-// pinned worker pool instead of a per-window driver.
-func stripeScenarioWorkers(workers int) []string {
-	const shards = 5
-	const horizon = 10 * Millisecond
-	s := NewStriper(shards, horizon)
-	s.SetWorkers(workers)
-	defer s.Close()
-
-	logs := make([][]string, shards)
-	for i := 0; i < shards; i++ {
-		i := i
-		sh := s.Shard(i)
-		tick := 0
-		sh.Eng.Every(3*Millisecond, func() {
-			tick++
-			k := tick
-			to := (i + 1) % shards
-			delay := horizon + Time(k%7)*Millisecond
-			sh.Send(to, delay, func() {
-				logs[to] = append(logs[to], fmt.Sprintf("t=%.6f from=%d k=%d", float64(s.Shard(to).Eng.Now()), i, k))
-			})
-			if k%4 == 0 {
-				sh.Send(to, delay, func() {
-					logs[to] = append(logs[to], fmt.Sprintf("t=%.6f from=%d k=%d dup", float64(s.Shard(to).Eng.Now()), i, k))
-				})
-			}
-		})
-	}
-	s.RunUntil(500 * Millisecond)
-	var flat []string
-	for i, l := range logs {
-		flat = append(flat, fmt.Sprintf("-- shard %d --", i))
-		flat = append(flat, l...)
-	}
-	return flat
-}
-
 // TestStriperWorkerPoolMatchesSequential is the contention half of the
 // determinism contract: the pinned worker pool must reproduce the
 // sequential trajectory exactly at worker counts below, at, and above
 // both GOMAXPROCS and the shard count (run under -race in CI).
 func TestStriperWorkerPoolMatchesSequential(t *testing.T) {
-	seq := stripeScenarioWorkers(1)
+	seq := stripeScenario(1)
 	if len(seq) < 100 {
 		t.Fatalf("scenario too small to be meaningful: %d log lines", len(seq))
 	}
 	counts := []int{2, runtime.GOMAXPROCS(0), 5 + 1}
 	for _, workers := range counts {
 		for trial := 0; trial < 2; trial++ {
-			par := stripeScenarioWorkers(workers)
+			par := stripeScenario(workers)
 			if len(par) != len(seq) {
 				t.Fatalf("workers=%d trial %d: log has %d lines, sequential %d", workers, trial, len(par), len(seq))
 			}
@@ -195,8 +146,8 @@ func idleScenario(configure func(*Striper)) ([]string, StripeStats) {
 // TestStriperIdleFastForward pins that long empty stretches are skipped,
 // not simulated window by window, and that skipping does not change the
 // trajectory relative to a striper with batching and fast-forward forced
-// off via SetMaxBatch(1) — which still fast-forwards, so also compare
-// against per-window sequential execution through the legacy driver.
+// off via SetMaxBatch(1) — which still fast-forwards — and to the pinned
+// worker pool.
 func TestStriperIdleFastForward(t *testing.T) {
 	base, baseStats := idleScenario(func(s *Striper) { s.SetMaxBatch(1) })
 	if len(base) == 0 {
@@ -291,7 +242,7 @@ func TestStriperMergeMatchesReferenceSort(t *testing.T) {
 				at := Time(rng.Intn(5)) * Millisecond
 				id++
 				capture := id
-				sh.outbox = append(sh.outbox, outMsg{at: at, seq: int32(k), to: 0, fn: func() { _ = capture }})
+				sh.outbox = append(sh.outbox, outMsg{at: at, seq: int32(k), to: 0, h: callFunc, arg: func() { _ = capture }})
 				want = append(want, ref{at: at, src: src, seq: k, id: capture})
 			}
 		}
@@ -322,37 +273,56 @@ func TestStriperMergeMatchesReferenceSort(t *testing.T) {
 
 // TestStriperBarrierAllocFree pins the allocation-free barrier: once the
 // scratch buffers and engine storage have warmed up, a traffic-carrying
-// window barrier must not allocate at all (the per-window `make` churn
-// the reusable scratch replaces is the regression being guarded). Every
-// event is pre-scheduled so the measured op is pure striper machinery:
-// run window, sort outboxes, k-way merge, bulk-insert.
+// window — send, sort outboxes, k-way merge, insert, fire — must not
+// allocate at all, in the closure form (one closure made at set-up) and
+// in the typed form (a package-level handler over a pointer the sender
+// holds). Every sending event is pre-scheduled so the measured op is pure
+// striper machinery.
 func TestStriperBarrierAllocFree(t *testing.T) {
 	const horizon = Millisecond
 	const totalWindows = 320
-	s := NewStriper(4, horizon)
-	fn := func() {}
-	for w := 0; w < totalWindows; w++ {
-		at := Time(w) * horizon
-		for i := 0; i < 4; i++ {
-			i := i
-			sh := s.Shard(i)
-			sh.Eng.At(at, func() {
-				for k := 0; k < 8; k++ {
-					sh.Send((i+1+k)%4, horizon+Time(k%3)*horizon, fn)
+	var landed int
+	fn := func() { landed++ }
+	forms := map[string]func(sh *Shard, to int, delay Time){
+		"Send":    func(sh *Shard, to int, delay Time) { sh.Send(to, delay, fn) },
+		"SendArg": func(sh *Shard, to int, delay Time) { sh.SendArg(to, delay, countLanding, &landed) },
+	}
+	for name, send := range forms {
+		send := send
+		t.Run(name, func(t *testing.T) {
+			landed = 0
+			s := NewStriper(4, horizon)
+			for w := 0; w < totalWindows; w++ {
+				at := Time(w) * horizon
+				for i := 0; i < 4; i++ {
+					i := i
+					sh := s.Shard(i)
+					sh.Eng.At(at, func() {
+						for k := 0; k < 8; k++ {
+							send(sh, (i+1+k)%4, horizon+Time(k%3)*horizon)
+						}
+					})
 				}
+			}
+			for w := 0; w < 64; w++ { // warm scratch, outboxes, heaps, slots
+				s.RunUntil(s.Now() + horizon)
+			}
+			warm := landed
+			allocs := testing.AllocsPerRun(200, func() {
+				s.RunUntil(s.Now() + horizon)
 			})
-		}
-	}
-	for w := 0; w < 64; w++ { // warm scratch, outboxes, heaps, slots
-		s.RunUntil(s.Now() + horizon)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		s.RunUntil(s.Now() + horizon)
-	})
-	if allocs != 0 {
-		t.Fatalf("loaded window barrier allocates %.1f objects/op, want 0", allocs)
+			if allocs != 0 {
+				t.Fatalf("loaded window barrier allocates %.1f objects/op, want 0", allocs)
+			}
+			if landed-warm < 200*32 {
+				t.Fatalf("%d sends landed over the measured windows, want 32 a window", landed-warm)
+			}
+		})
 	}
 }
+
+// countLanding is a typed cross-shard event: its argument is the counter.
+func countLanding(arg any) { *arg.(*int)++ }
 
 // TestStriperWorkersLifecycle covers the pool lifecycle: arming, clamping
 // to the shard count, re-arming at a new width, Close idempotence, and
@@ -403,6 +373,39 @@ func TestStriperBadDestinationPanics(t *testing.T) {
 		}
 	}()
 	s.Shard(0).Send(2, Millisecond, func() {})
+}
+
+// Typed sends and closures are one kind of cross-shard event: at one
+// delivery time they land in send order across both forms, and the outbox
+// keeps neither alive past the barrier.
+func TestStriperTypedSends(t *testing.T) {
+	s := NewStriper(2, Millisecond)
+	var order []string
+	note := func(arg any) { order = append(order, arg.(string)) }
+	sh := s.Shard(0)
+	sh.SendArg(1, Millisecond, note, "a")
+	sh.Send(1, Millisecond, func() { order = append(order, "b") })
+	sh.SendArg(1, Millisecond, note, "c")
+	s.RunUntil(2 * Millisecond)
+	if got := fmt.Sprint(order); got != "[a b c]" {
+		t.Fatalf("landed %s, want [a b c]", got)
+	}
+	for _, m := range sh.outbox[:cap(sh.outbox)] {
+		if m.h != nil || m.arg != nil {
+			t.Fatal("a delivered send is still referenced from the outbox")
+		}
+	}
+	for _, m := range s.merged[:cap(s.merged)] {
+		if m.h != nil || m.arg != nil {
+			t.Fatal("a delivered send is still referenced from the merge scratch")
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil handler did not panic")
+		}
+	}()
+	sh.SendArg(1, Millisecond, nil, nil)
 }
 
 // TestStriperHorizonBoundary pins the conservative contract at its edge:
