@@ -103,11 +103,14 @@ type Generator struct {
 	rnd    *rng.Source
 	cfg    GeneratorConfig
 	submit Submitter
-	// issue is the bound userIssue, made once: every think schedules it.
-	issue func()
 
 	active   int
 	retiring int
+
+	// open is the open-loop arrival process (OpenLoop or Streaming), and
+	// idle the requests' flight records waiting for reuse.
+	open openArrivals
+	idle []*flight
 
 	samples []Sample
 	stream  *StreamStats // non-nil iff cfg.Streaming
@@ -133,15 +136,13 @@ func NewGenerator(eng *des.Engine, rnd *rng.Source, cfg GeneratorConfig, submit 
 	if cfg.StatsInterval <= 0 {
 		cfg.StatsInterval = des.Second
 	}
-	g := &Generator{
+	return &Generator{
 		eng:        eng,
 		rnd:        rnd,
 		cfg:        cfg,
 		submit:     submit,
 		statsEvery: cfg.StatsInterval,
 	}
-	g.issue = g.userIssue
-	return g
 }
 
 // Start launches the population at the trace's initial level and begins
@@ -153,11 +154,7 @@ func NewGenerator(eng *des.Engine, rnd *rng.Source, cfg GeneratorConfig, submit 
 func (g *Generator) Start() {
 	g.curStart = g.eng.Now()
 	g.startAt = g.eng.Now()
-	if g.cfg.Streaming {
-		g.startStreaming()
-		return
-	}
-	if g.cfg.OpenLoop {
+	if g.cfg.Streaming || g.cfg.OpenLoop {
 		g.startOpenLoop()
 		return
 	}
@@ -171,48 +168,39 @@ func (g *Generator) Start() {
 	})
 }
 
-// startOpenLoop schedules independent Poisson arrivals whose rate tracks
-// the trace: rate(t) = UsersAt(t)/ThinkTime (each notional user issues a
-// request every think time on average).
-func (g *Generator) startOpenLoop() {
-	think := g.cfg.ThinkTime
-	if think <= 0 {
-		think = 1
-	}
-	end := g.startAt + g.cfg.Trace.Duration
-	var next func()
-	next = func() {
-		now := g.eng.Now()
-		if now >= end {
-			return
-		}
-		g.curUsers = g.cfg.Trace.UsersAt(now)
-		rate := float64(g.curUsers) / think
-		if rate <= 0 {
-			rate = 0.1
-		}
-		g.eng.After(des.Time(g.rnd.Exp(1/rate)), func() {
-			g.issueOpen()
-			next()
-		})
-	}
-	next()
+// flight is one request between issue and response: the issue instant,
+// and the completion callback the Submitter is handed. The callback is
+// bound to the record once, when the record is made, so issuing a request
+// allocates nothing. A closed-loop user has at most one request out, so
+// its flight is the user: spawnUser makes it, every think re-arms it, and
+// a retiring user drops it. An open-loop request takes its flight from
+// the generator's idle list and returns it as the response lands.
+type flight struct {
+	g     *Generator
+	start des.Time
+	done  func(ok bool)
+	// out is set from issue to response. A response for a flight that is
+	// not out is a second completion of one request; counting it would
+	// credit the response time to whichever request holds the record next.
+	out bool
 }
 
-// issueOpen fires one open-loop request (no user waits on it).
-func (g *Generator) issueOpen() {
-	start := g.depart()
-	g.submit(func(ok bool) { g.land(start, ok) })
+// depart marks the flight's request leaving the population.
+func (f *flight) depart() {
+	f.start = f.g.eng.Now()
+	f.out = true
+	if tap := f.g.cfg.Tap; tap != nil {
+		tap.OnArrival(f.start)
+	}
 }
 
-// depart marks one request leaving the population and returns its issue
-// instant.
-func (g *Generator) depart() des.Time {
-	start := g.eng.Now()
-	if g.cfg.Tap != nil {
-		g.cfg.Tap.OnArrival(start)
+// arrive records the response to the flight's request.
+func (f *flight) arrive(ok bool) {
+	if !f.out {
+		panic("workload: a request was completed twice (done called on a flight that is not outstanding)")
 	}
-	return start
+	f.out = false
+	f.g.land(f.start, ok)
 }
 
 // land records the response to the request issued at start. The tap sees
@@ -265,20 +253,28 @@ func (g *Generator) spawnUser() {
 		}
 		delay += des.Time(g.rnd.Float64()) * ramp
 	}
-	g.eng.After(delay, g.issue)
+	u := &flight{g: g}
+	u.done = u.userDone
+	g.eng.AfterArg(delay, userIssue, u)
 }
 
-func (g *Generator) userIssue() {
+// userIssue is the event at the end of a user's think: issue, or retire.
+func userIssue(arg any) {
+	u := arg.(*flight)
+	g := u.g
 	if g.retiring > 0 {
 		g.retiring--
 		return
 	}
-	start := g.depart()
-	g.submit(func(ok bool) {
-		g.land(start, ok)
-		// Think, then issue again (or retire).
-		g.eng.After(des.Time(g.rnd.Exp(g.cfg.ThinkTime)), g.issue)
-	})
+	u.depart()
+	g.submit(u.done)
+}
+
+// userDone is a user's completion callback: think, then issue again.
+func (u *flight) userDone(ok bool) {
+	u.arrive(ok)
+	g := u.g
+	g.eng.AfterArg(des.Time(g.rnd.Exp(g.cfg.ThinkTime)), userIssue, u)
 }
 
 func (g *Generator) record(s Sample) {

@@ -129,15 +129,31 @@ func (st *StreamStats) Quantile(p float64) float64 {
 // not in streaming mode.
 func (g *Generator) Stream() *StreamStats { return g.stream }
 
-// startStreaming launches the O(1)-memory open-loop population: a single
-// aggregate arrival process whose rate tracks the trace,
-// rate(t) = Σ_c UsersAt(t)·w_c/think_c, with each arrival assigned to a
+// openArrivals is the state of the open-loop arrival process: the
+// (normalised) classes, the scratch their current rates are computed
+// into, and the instant arrivals stop.
+type openArrivals struct {
+	classes []Class
+	wsum    float64
+	rates   []float64
+	end     des.Time
+}
+
+// startOpenLoop launches the open-loop population: a single aggregate
+// Poisson arrival process whose rate tracks the trace,
+// rate(t) = Σ_c UsersAt(t)·w_c/think_c (each notional user issues a
+// request every think time on average), with each arrival assigned to a
 // class in proportion to the class's rate. Nothing is kept per client —
 // the scheduled state is one pending arrival event plus the in-flight
-// completions — and completions feed StreamStats instead of the Sample
-// slice, so memory is independent of the client count.
-func (g *Generator) startStreaming() {
-	classes := g.cfg.Classes
+// requests. A Streaming population may have several classes and folds
+// completions into StreamStats instead of the Sample slice, so its memory
+// is independent of the client count; a plain OpenLoop one is the single
+// class with ThinkTime.
+func (g *Generator) startOpenLoop() {
+	var classes []Class
+	if g.cfg.Streaming {
+		classes = g.cfg.Classes
+	}
 	if len(classes) == 0 {
 		think := g.cfg.ThinkTime
 		if think <= 0 {
@@ -155,40 +171,65 @@ func (g *Generator) startStreaming() {
 		}
 		wsum += c.Weight
 	}
-	g.stream = newStreamStats(classes, g.cfg.TailFrom)
-	rates := make([]float64, len(classes))
-	end := g.startAt + g.cfg.Trace.Duration
-	var next func()
-	next = func() {
-		now := g.eng.Now()
-		if now >= end {
-			return
-		}
-		g.curUsers = g.cfg.Trace.UsersAt(now)
-		total := 0.0
-		for i, c := range classes {
-			rates[i] = float64(g.curUsers) * (c.Weight / wsum) / c.ThinkTime
-			total += rates[i]
-		}
-		if total <= 0 {
-			total = 0.1 // idle-trace keep-alive, as in the open-loop path
-		}
-		g.eng.After(des.Time(g.rnd.Exp(1/total)), func() {
-			class := 0
-			if len(rates) > 1 {
-				class = g.rnd.Pick(rates)
-			}
-			g.issueStream(class)
-			next()
-		})
+	if g.cfg.Streaming {
+		g.stream = newStreamStats(classes, g.cfg.TailFrom)
 	}
-	next()
+	g.open = openArrivals{
+		classes: classes,
+		wsum:    wsum,
+		rates:   make([]float64, len(classes)),
+		end:     g.startAt + g.cfg.Trace.Duration,
+	}
+	g.scheduleArrival()
 }
 
-// issueStream fires one streaming open-loop request on behalf of a class.
-func (g *Generator) issueStream(class int) {
-	g.stream.Issued++
-	g.stream.Classes[class].Issued++
-	start := g.depart()
-	g.submit(func(ok bool) { g.land(start, ok) })
+// scheduleArrival draws the gap to the next arrival at the trace's
+// current rate, until the trace ends.
+func (g *Generator) scheduleArrival() {
+	o := &g.open
+	now := g.eng.Now()
+	if now >= o.end {
+		return
+	}
+	g.curUsers = g.cfg.Trace.UsersAt(now)
+	total := 0.0
+	for i, c := range o.classes {
+		o.rates[i] = float64(g.curUsers) * (c.Weight / o.wsum) / c.ThinkTime
+		total += o.rates[i]
+	}
+	if total <= 0 {
+		total = 0.1 // idle-trace keep-alive
+	}
+	g.eng.AfterArg(des.Time(g.rnd.Exp(1/total)), openArrival, g)
+}
+
+// openArrival is the arrival event: one request on behalf of a class (no
+// user waits on it), then the draw for the next.
+func openArrival(arg any) {
+	g := arg.(*Generator)
+	class := 0
+	if len(g.open.rates) > 1 {
+		class = g.rnd.Pick(g.open.rates)
+	}
+	if g.stream != nil {
+		g.stream.Issued++
+		g.stream.Classes[class].Issued++
+	}
+	var f *flight
+	if n := len(g.idle); n > 0 {
+		f, g.idle = g.idle[n-1], g.idle[:n-1]
+	} else {
+		f = &flight{g: g}
+		f.done = f.openDone
+	}
+	f.depart()
+	g.submit(f.done)
+	g.scheduleArrival()
+}
+
+// openDone is an open-loop request's completion callback: the flight goes
+// back on the idle list.
+func (f *flight) openDone(ok bool) {
+	f.arrive(ok)
+	f.g.idle = append(f.g.idle, f)
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -422,13 +423,107 @@ func closedLoopFixture(users int) (*des.Engine, *Generator) {
 }
 
 // TestClosedLoopArrivalAllocBudget pins the generator's share of the
-// request path: an arrival allocates only the completion closure the
-// Submitter shape requires.
+// request path: a user's flight record carries the completion callback,
+// so an arrival allocates nothing.
 func TestClosedLoopArrivalAllocBudget(t *testing.T) {
 	eng, gen := closedLoopFixture(500)
 	gen.samples = make([]Sample, 0, 1<<16) // keep sample growth out of the count
-	if allocs := testing.AllocsPerRun(5000, func() { eng.Step() }); allocs > 1 {
-		t.Fatalf("a closed-loop arrival allocates %.2f objects, want <= 1", allocs)
+	if allocs := testing.AllocsPerRun(5000, func() { eng.Step() }); allocs != 0 {
+		t.Fatalf("a closed-loop arrival allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// callDone is a completion event: its argument is the request's callback.
+func callDone(arg any) { arg.(func(ok bool))(true) }
+
+// TestOpenArrivalAllocBudget pins the open-loop issue paths with requests
+// overlapping (≈ 50 out at once, so flights cycle through the idle list):
+// an arrival and a completion are each one engine event and neither
+// allocates, with samples kept (OpenLoop) or folded (Streaming).
+func TestOpenArrivalAllocBudget(t *testing.T) {
+	for name, cfg := range map[string]GeneratorConfig{
+		"open-loop": {OpenLoop: true},
+		"streaming": {Streaming: true, Classes: []Class{{Weight: 3, ThinkTime: 1}, {Weight: 1, ThinkTime: 1}}},
+	} {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			eng := des.New()
+			issued := 0
+			cfg.Trace, cfg.ThinkTime = NewConstantTrace(1000, des.Time(1e9)), 1
+			gen := NewGenerator(eng, rng.New(1), cfg, func(done func(ok bool)) {
+				issued++
+				eng.AfterArg(50*des.Millisecond, callDone, done) // the argument is the callback: no allocation
+			})
+			gen.Start()
+			eng.RunUntil(30) // warm: engine storage, idle list, timeline
+			gen.samples = make([]Sample, 0, 1<<16)
+			warm := issued
+			if allocs := testing.AllocsPerRun(5000, func() { eng.Step() }); allocs != 0 {
+				t.Fatalf("an arrival or completion allocates %.2f objects, want 0", allocs)
+			}
+			if n := issued - warm; n < 2000 {
+				t.Fatalf("%d arrivals among the measured events, want about half of 5000", n)
+			}
+			if len(gen.idle) == 0 || len(gen.idle) > 200 {
+				t.Fatalf("%d flights idle: want the few dozen the overlap needs", len(gen.idle))
+			}
+		})
+	}
+}
+
+// TestFlightCompletesOnce: a system that answers one request twice must
+// crash the run, whichever issue path the request took — a recycled
+// record would credit the second answer to another request.
+func TestFlightCompletesOnce(t *testing.T) {
+	mustPanic := func(t *testing.T, fn func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "completed twice") {
+				t.Fatalf("panic %q, want one naming the double completion", msg)
+			}
+		}()
+		fn()
+	}
+	// held keeps every completion callback the generator hands out.
+	start := func(t *testing.T, cfg GeneratorConfig) (*Generator, []func(ok bool)) {
+		var held []func(ok bool)
+		eng := des.New()
+		cfg.Trace, cfg.ThinkTime = NewConstantTrace(4, 100), 1
+		gen := NewGenerator(eng, rng.New(3), cfg, func(done func(ok bool)) { held = append(held, done) })
+		gen.Start()
+		eng.RunUntil(20)
+		if len(held) < 4 {
+			t.Fatalf("only %d requests issued", len(held))
+		}
+		return gen, held
+	}
+	for name, tc := range map[string]struct {
+		cfg GeneratorConfig
+		run func(gen *Generator, held []func(ok bool))
+	}{
+		"open-loop done twice": {GeneratorConfig{OpenLoop: true}, func(_ *Generator, held []func(ok bool)) {
+			held[0](true)
+			held[0](true)
+		}},
+		"streaming done after the flight went idle": {GeneratorConfig{Streaming: true}, func(gen *Generator, held []func(ok bool)) {
+			held[0](true)
+			held[1](false)
+			if len(gen.idle) != 2 {
+				panic("the answered flights did not go idle")
+			}
+			held[0](false)
+		}},
+		"closed-loop user done twice": {GeneratorConfig{}, func(_ *Generator, held []func(ok bool)) {
+			held[2](true)
+			held[2](true)
+		}},
+	} {
+		tc := tc
+		t.Run(name, func(t *testing.T) {
+			gen, held := start(t, tc.cfg)
+			mustPanic(t, func() { tc.run(gen, held) })
+		})
 	}
 }
 
