@@ -155,6 +155,9 @@ type ScaleResult struct {
 	// sequential). The trajectory is identical at every value; only
 	// WallSec changes.
 	Workers int
+	// Stripe counts the striper's synchronization work: windows run and
+	// skipped, barriers that carried traffic, cross-shard events delivered.
+	Stripe des.StripeStats
 
 	// Events is the total simulation events executed; EventsPerSec the
 	// wall-clock execution rate; WallSec the wall-clock run time.
@@ -270,22 +273,11 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 				"Client-observed end-to-end response time of successful requests."),
 		}
 	}
-	nextCell := 0
-	submit := func(done func(ok bool)) {
-		cell := nextCell
-		nextCell++
-		if nextCell == cfg.Cells {
-			nextCell = 0
-		}
-		c := cells[cell]
-		sh := str.Shard(cell + 1)
-		front.Send(cell+1, cfg.EdgeDelay, func() {
-			c.Submit(func(ok bool) {
-				sh.Send(0, cfg.EdgeDelay, func() { done(ok) })
-			})
-		})
+	door := &frontDoor{str: str, edge: cfg.EdgeDelay, cells: make([]workload.Submitter, cfg.Cells)}
+	for i, c := range cells {
+		door.cells[i] = c.Submit
 	}
-	gen := workload.NewGenerator(front.Eng, rng.New(cfg.Seed^0x9e3779b9), gcfg, submit)
+	gen := workload.NewGenerator(front.Eng, rng.New(cfg.Seed^0x9e3779b9), gcfg, door.submit)
 
 	// Heap high-water sampling in simulated time: cheap (a few dozen
 	// reads per run), deterministic placement, and it reads — never
@@ -317,6 +309,7 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 		Cells:      cfg.Cells,
 		Duration:   cfg.Duration,
 		Workers:    str.Workers(),
+		Stripe:     str.Stats(),
 		Timeline:   trimTimeline(gen.Timeline(), cfg.Duration),
 		Stream:     gen.Stream(),
 		WallSec:    wall,
@@ -326,9 +319,8 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 	if wall > 0 {
 		res.EventsPerSec = float64(res.Events) / wall
 	}
-	res.P50 = gen.TailLatency(50, cfg.WarmupSkip)
-	res.P95 = gen.TailLatency(95, cfg.WarmupSkip)
-	res.P99 = gen.TailLatency(99, cfg.WarmupSkip)
+	tails := gen.TailLatencies(cfg.WarmupSkip, 50, 95, 99)
+	res.P50, res.P95, res.P99 = tails[0], tails[1], tails[2]
 	res.MeanRT = res.Stream.MeanRT()
 	res.ErrorRate = gen.ErrorRate()
 	res.Goodput = res.Stream.OK
@@ -352,6 +344,79 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 		res.PeakHeapBytes = res.FinalHeapBytes
 	}
 	return res
+}
+
+// frontDoor is the client side of the network edge: a workload.Submitter
+// that routes each request to a round-robin cell across the striper and
+// brings the outcome back. Both crossings carry exactly the lookahead
+// horizon, the minimum legal delay.
+type frontDoor struct {
+	str  *des.Striper
+	edge des.Time
+	// cells[i] submits into the cell on shard i+1.
+	cells []workload.Submitter
+	next  int
+	// idle holds the hops waiting for reuse. A hop is taken in submit and
+	// returned in hopHome, both events of shard 0, so the list has one
+	// owner at any worker count.
+	idle []*hop
+}
+
+// hop is one request's round trip over the edge: shard 0 fills in the
+// caller's callback and the cell, the cell's shard the outcome, and the
+// striper's barrier orders each hand-over. cellDone is bound to the
+// record once, so a crossing allocates nothing.
+type hop struct {
+	door     *frontDoor
+	done     func(ok bool)
+	cell     int
+	ok       bool
+	cellDone func(ok bool)
+	// out is set from submit to landing. A hop that lands while not out
+	// was completed twice by its cell; passing it on would complete
+	// whichever request holds the record next.
+	out bool
+}
+
+func (d *frontDoor) submit(done func(ok bool)) {
+	var h *hop
+	if n := len(d.idle); n > 0 {
+		h, d.idle = d.idle[n-1], d.idle[:n-1]
+	} else {
+		h = &hop{door: d}
+		h.cellDone = h.leaveCell
+	}
+	h.done, h.cell, h.out = done, d.next, true
+	d.next++
+	if d.next == len(d.cells) {
+		d.next = 0
+	}
+	d.str.Shard(0).SendArg(h.cell+1, d.edge, hopEnterCell, h)
+}
+
+// hopEnterCell is the request reaching its cell (an event of the cell's
+// shard).
+func hopEnterCell(arg any) {
+	h := arg.(*hop)
+	h.door.cells[h.cell](h.cellDone)
+}
+
+// leaveCell is the cell's completion callback: the outcome starts back.
+func (h *hop) leaveCell(ok bool) {
+	h.ok = ok
+	h.door.str.Shard(h.cell+1).SendArg(0, h.door.edge, hopHome, h)
+}
+
+// hopHome is the outcome reaching the front door (an event of shard 0).
+func hopHome(arg any) {
+	h := arg.(*hop)
+	if !h.out {
+		panic("experiment: a scale-mode request was completed twice (a hop landed that is not outstanding)")
+	}
+	done, ok := h.done, h.ok
+	h.done, h.out = nil, false
+	h.door.idle = append(h.door.idle, h)
+	done(ok)
 }
 
 // ProcessPeakRSS returns the process's peak resident set size in bytes

@@ -213,8 +213,8 @@ func TestScaleEdgeGolden(t *testing.T) {
 		if r.Workers != workers {
 			t.Fatalf("asked for %d workers, the run used %d", workers, r.Workers)
 		}
-		// Not vacuous: the shed path crossed the edge back, and arrivals
-		// were picked between the classes.
+		// Not vacuous: the shed path crossed the edge back, arrivals were
+		// picked between the classes, and the edge is the striper's.
 		if r.Sheds == 0 || r.Stream.Errors == 0 {
 			t.Fatalf("workers=%d: %d sheds, %d failed requests: the cell no longer overloads", workers, r.Sheds, r.Stream.Errors)
 		}
@@ -222,6 +222,10 @@ func TestScaleEdgeGolden(t *testing.T) {
 			if c.Issued == 0 {
 				t.Fatalf("workers=%d: class %s issued nothing", workers, c.Name)
 			}
+		}
+		// Every request crosses the striper twice.
+		if want := uint64(2 * r.Requests); r.Stripe.Delivered != want {
+			t.Fatalf("workers=%d: %d cross-shard deliveries for %d requests, want %d", workers, r.Stripe.Delivered, r.Requests, want)
 		}
 		var tl bytes.Buffer
 		WriteScaleTimelineCSV(&tl, r)
@@ -243,4 +247,65 @@ func TestScaleEdgeGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stubDoor is a front door over two cells that answer at once, on a
+// striper of their own.
+func stubDoor() (*des.Striper, *frontDoor) {
+	const edge = 20 * des.Millisecond
+	str := des.NewStriper(3, edge)
+	answer := func(done func(ok bool)) { done(true) }
+	return str, &frontDoor{str: str, edge: edge, cells: []workload.Submitter{answer, answer}}
+}
+
+// TestFrontDoorRoundTripAllocBudget pins the edge's share of a scale-mode
+// request: submit, the crossing to a cell, the cell's answer, the crossing
+// back and the landing allocate nothing once the hop records and the
+// striper's storage are warm.
+func TestFrontDoorRoundTripAllocBudget(t *testing.T) {
+	str, door := stubDoor()
+	landed := 0
+	done := func(ok bool) {
+		if ok {
+			landed++
+		}
+	}
+	trip := func() {
+		for i := 0; i < 8; i++ { // several out at once, over both cells
+			door.submit(done)
+		}
+		str.RunUntil(str.Now() + 3*door.edge)
+	}
+	for i := 0; i < 16; i++ {
+		trip()
+	}
+	warm := landed
+	if allocs := testing.AllocsPerRun(200, trip); allocs != 0 {
+		t.Fatalf("eight front-door round trips allocate %.1f objects, want 0", allocs)
+	}
+	if got := landed - warm; got != 201*8 {
+		t.Fatalf("%d requests landed over the measured trips, want %d", got, 201*8)
+	}
+	if len(door.idle) != 8 {
+		t.Fatalf("%d hops idle after the trips, want the 8 that were out at once", len(door.idle))
+	}
+}
+
+// TestHopLandsOnce: a cell that answers one request twice must crash the
+// run — the second landing would complete whichever request holds the
+// recycled hop next.
+func TestHopLandsOnce(t *testing.T) {
+	str, door := stubDoor()
+	door.cells[0] = func(done func(ok bool)) {
+		done(true)
+		done(false)
+	}
+	door.submit(func(bool) {})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "completed twice") {
+			t.Fatalf("panic %q, want one naming the double completion", msg)
+		}
+	}()
+	str.RunUntil(3 * door.edge)
 }
