@@ -51,6 +51,21 @@ func stripeScenario(workers int) []string {
 	return flat
 }
 
+// sameStripeLog fails the test unless a run of the chatter scenario on the
+// given number of workers logs exactly what the sequential loop logged.
+func sameStripeLog(t *testing.T, seq []string, workers, trial int) {
+	t.Helper()
+	par := stripeScenario(workers)
+	if len(par) != len(seq) {
+		t.Fatalf("workers=%d trial %d: log has %d lines, sequential %d", workers, trial, len(par), len(seq))
+	}
+	for i := range seq {
+		if par[i] != seq[i] {
+			t.Fatalf("workers=%d trial %d: log diverges at line %d:\nseq: %s\npar: %s", workers, trial, i, seq[i], par[i])
+		}
+	}
+}
+
 // TestStriperParallelMatchesSequential runs every shard on a worker of its
 // own — the most adversarial scheduling the striper has to stay
 // deterministic under — against the sequential loop.
@@ -60,15 +75,7 @@ func TestStriperParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("scenario too small to be meaningful: %d log lines", len(seq))
 	}
 	for trial := 0; trial < 3; trial++ {
-		par := stripeScenario(5)
-		if len(par) != len(seq) {
-			t.Fatalf("trial %d: parallel log has %d lines, sequential %d", trial, len(par), len(seq))
-		}
-		for i := range seq {
-			if par[i] != seq[i] {
-				t.Fatalf("trial %d: log diverges at line %d:\nseq: %s\npar: %s", trial, i, seq[i], par[i])
-			}
-		}
+		sameStripeLog(t, seq, 5, trial)
 	}
 }
 
@@ -78,22 +85,9 @@ func TestStriperParallelMatchesSequential(t *testing.T) {
 // both GOMAXPROCS and the shard count (run under -race in CI).
 func TestStriperWorkerPoolMatchesSequential(t *testing.T) {
 	seq := stripeScenario(1)
-	if len(seq) < 100 {
-		t.Fatalf("scenario too small to be meaningful: %d log lines", len(seq))
-	}
-	counts := []int{2, runtime.GOMAXPROCS(0), 5 + 1}
-	for _, workers := range counts {
+	for _, workers := range []int{2, runtime.GOMAXPROCS(0), 5 + 1} {
 		for trial := 0; trial < 2; trial++ {
-			par := stripeScenario(workers)
-			if len(par) != len(seq) {
-				t.Fatalf("workers=%d trial %d: log has %d lines, sequential %d", workers, trial, len(par), len(seq))
-			}
-			for i := range seq {
-				if par[i] != seq[i] {
-					t.Fatalf("workers=%d trial %d: log diverges at line %d:\nseq: %s\npar: %s",
-						workers, trial, i, seq[i], par[i])
-				}
-			}
+			sameStripeLog(t, seq, workers, trial)
 		}
 	}
 }
