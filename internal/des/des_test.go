@@ -545,7 +545,7 @@ func TestQuickCancelMixDeterminism(t *testing.T) {
 	}
 }
 
-// --- microbenchmarks (compare with internal/des/baseline) ---
+// --- microbenchmarks ---
 
 // BenchmarkEngineScheduleFire is the steady-state hot path: one event
 // scheduled and fired per op with the heap near-empty.

@@ -19,38 +19,44 @@ func tracedShortRun(mode scaling.Mode, traceName string, seed uint64) RunConfig 
 }
 
 func TestTracedRunIsByteIdenticalToUntraced(t *testing.T) {
-	// Tracing is pure observation: even at SampleRate 1 the traced run's
-	// client-observed timeline must match the untraced run byte for byte.
+	// Tracing is pure observation: at the canonical head-sampling rate
+	// and at SampleRate 1 alike, the traced run's client-observed
+	// timeline must match the untraced run byte for byte.
 	plain := Run(shortRun(scaling.ConScale, workload.LargeVariations, 1))
-	traced := Run(tracedShortRun(scaling.ConScale, workload.LargeVariations, 1))
-
-	if plain.Goodput != traced.Goodput || plain.P99 != traced.P99 || plain.ErrorRate != traced.ErrorRate {
-		t.Fatalf("traced run diverged: goodput %d vs %d, p99 %v vs %v",
-			plain.Goodput, traced.Goodput, plain.P99, traced.P99)
+	if plain.Tracer != nil || plain.Audit != nil {
+		t.Fatal("untraced run grew a tracer")
 	}
-	var a, b bytes.Buffer
+	var a bytes.Buffer
 	if err := WriteTimelineCSV(&a, plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTimelineCSV(&b, traced); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("traced timeline CSV differs from untraced")
-	}
+	for _, rate := range []float64{1.0 / 64, 1} {
+		cfg := shortRun(scaling.ConScale, workload.LargeVariations, 1)
+		cfg.Tracing = &trace.Config{SampleRate: rate}
+		traced := Run(cfg)
 
-	if traced.Tracer == nil {
-		t.Fatal("traced run has no tracer")
-	}
-	started, sampled, completed, _ := traced.Tracer.Stats()
-	if started == 0 || sampled != started {
-		t.Fatalf("SampleRate 1 sampled %d of %d requests", sampled, started)
-	}
-	if completed == 0 {
-		t.Fatal("no spans completed")
-	}
-	if plain.Tracer != nil || plain.Audit != nil {
-		t.Fatal("untraced run grew a tracer")
+		if plain.Goodput != traced.Goodput || plain.P99 != traced.P99 || plain.ErrorRate != traced.ErrorRate {
+			t.Fatalf("rate %v: traced run diverged: goodput %d vs %d, p99 %v vs %v",
+				rate, plain.Goodput, traced.Goodput, plain.P99, traced.P99)
+		}
+		var b bytes.Buffer
+		if err := WriteTimelineCSV(&b, traced); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("rate %v: traced timeline CSV differs from untraced", rate)
+		}
+
+		if traced.Tracer == nil {
+			t.Fatalf("rate %v: traced run has no tracer", rate)
+		}
+		started, sampled, completed, _ := traced.Tracer.Stats()
+		if sampled == 0 || (rate == 1) != (sampled == started) {
+			t.Fatalf("rate %v sampled %d of %d requests", rate, sampled, started)
+		}
+		if completed == 0 {
+			t.Fatalf("rate %v: no spans completed", rate)
+		}
 	}
 }
 

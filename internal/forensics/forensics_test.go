@@ -94,7 +94,7 @@ func TestRecorderSpanSummary(t *testing.T) {
 
 // TestDisabledPathZeroAlloc pins the disabled hot path at zero
 // allocations — the same discipline the tracer and telemetry registries
-// are held to, and the property benchreport's alloc gate watches.
+// are held to.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	f := New(Config{})
 	f.SetEnabled(false)
