@@ -130,7 +130,6 @@ var (
 	scaleModes    = flag.String("scale-modes", "ec2,dcm,conscale", "scale sweep: comma-separated frameworks")
 	scaleCells    = flag.Int("scale-cells", 16, "scale sweep: independent n-tier cells per run")
 	scaleDuration = flag.Float64("scale-duration", 120, "scale sweep: simulated seconds per run")
-	scaleSeq      = flag.Bool("scale-seq", false, "scale sweep: force the sequential striper fallback")
 	scaleWorkers  = flag.String("scale-workers", "", "scale sweep: comma-separated striper worker counts, repeating each sweep point per count (e.g. 1,2,4,8 records a scaling curve; empty = one auto-sized run)")
 )
 
@@ -170,7 +169,6 @@ var (
 	frClients     = flag.Int("frontier-clients", 0, "frontier: peak client count per cell (default 100000)")
 	frDuration    = flag.Float64("frontier-duration", 0, "frontier: simulated seconds per run (default 120)")
 	frThink       = flag.Float64("frontier-think", 0, "frontier: mean client think time in seconds (default 3, the paper's evaluation setting)")
-	frSeq         = flag.Bool("frontier-seq", false, "frontier: force the sequential striper fallback")
 )
 
 func main() {
@@ -606,8 +604,7 @@ func parseScaleSweep(seed uint64) ([]experiment.ScaleConfig, error) {
 	if *scaleDuration <= 0 {
 		return nil, fmt.Errorf("-scale-duration must be positive")
 	}
-	// A worker count of 0 means "auto": sized from Parallel inside
-	// RunScale. Explicit counts repeat every sweep point, innermost, so a
+	// A worker count of 0 means "auto": GOMAXPROCS inside RunScale. Explicit counts repeat every sweep point, innermost, so a
 	// scaling curve reads as consecutive rows of the same cell.
 	workerCounts := []int{0}
 	if s := strings.TrimSpace(*scaleWorkers); s != "" {
@@ -635,7 +632,6 @@ func parseScaleSweep(seed uint64) ([]experiment.ScaleConfig, error) {
 				cfg.Seed = seed
 				cfg.Cells = *scaleCells
 				cfg.Duration = des.Time(*scaleDuration) * des.Second
-				cfg.Parallel = !*scaleSeq
 				cfg.Workers = w
 				cfg.Telemetry = true
 				cfgs = append(cfgs, cfg)
@@ -890,7 +886,6 @@ func parseFrontier(seed uint64) (experiment.FrontierConfig, error) {
 		return cfg, fmt.Errorf("-frontier-think must be positive")
 	}
 	cfg.ThinkTime = *frThink
-	cfg.Parallel = !*frSeq
 	return cfg, nil
 }
 

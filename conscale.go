@@ -585,7 +585,7 @@ type (
 	// ScaleResult captures a scale run's metrics: tails, goodput,
 	// events/sec, peak heap.
 	ScaleResult = experiment.ScaleResult
-	// ScaleRow is the JSON row of a scale sweep report (BENCH_5 schema).
+	// ScaleRow is one row of the `-run scale` report (BENCH_7.json).
 	ScaleRow = experiment.ScaleRow
 )
 
@@ -603,7 +603,8 @@ func DefaultScaleConfig(mode Mode, clients int) ScaleConfig {
 	return experiment.DefaultScaleConfig(mode, clients)
 }
 
-// WriteScaleReport writes a scale sweep as the BENCH_5 JSON schema.
+// WriteScaleReport writes a scale sweep as `-run scale`'s BENCH_7.json
+// (schema conscale-bench/7).
 func WriteScaleReport(w io.Writer, rows []ScaleRow) error {
 	return experiment.WriteScaleReport(w, rows)
 }
@@ -815,7 +816,8 @@ func RenderFrontier(w io.Writer, res *FrontierResult) { experiment.RenderFrontie
 // WriteFrontierCSV writes every frontier cell as CSV.
 func WriteFrontierCSV(w io.Writer, res *FrontierResult) { experiment.WriteFrontierCSV(w, res) }
 
-// WriteFrontierReport writes the frontier as the BENCH_10 JSON schema.
+// WriteFrontierReport writes the frontier as `-run frontier`'s
+// BENCH_10.json (schema conscale-bench/10).
 func WriteFrontierReport(w io.Writer, res *FrontierResult) error {
 	return experiment.WriteFrontierReport(w, res)
 }

@@ -35,8 +35,7 @@
 //     clock, no scheduled callbacks — the same request stream produces
 //     the same shed set on every run.
 //   - Zero allocations: both methods sit on the per-request hot path
-//     and must not allocate (pinned by TestPolicyZeroAlloc and the
-//     benchreport admission microbenches).
+//     and must not allocate (pinned by TestPolicyZeroAlloc).
 //   - Nil is off: a server with a nil Policy takes the untouched
 //     pre-admission code path; "always" must be observationally
 //     identical to nil.

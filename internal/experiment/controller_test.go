@@ -158,7 +158,7 @@ func TestPolicyNameSpellings(t *testing.T) {
 		cfg.Cells = 1
 		cfg.TraceName = "big-spike"
 		cfg.Duration = 60 * des.Second
-		cfg.Parallel = false
+		cfg.Workers = 1
 		cell := cluster.DefaultConfig()
 		cell.PrepDelay = 5 * des.Second
 		cfg.CellConfig = &cell

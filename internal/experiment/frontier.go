@@ -44,10 +44,9 @@ type FrontierConfig struct {
 	// Tiers are the cluster tiers the policy is installed on (default
 	// web and app: the client edge and the soft-resource bottleneck).
 	Tiers []cluster.Tier
-	// Parallel / Workers configure each run's striper pool (runs
-	// themselves execute sequentially — one run saturates the pool).
-	Parallel bool
-	Workers  int
+	// Workers sizes each run's striper pool as ScaleConfig.Workers does
+	// (runs themselves execute sequentially — one run saturates the pool).
+	Workers int
 	// Progress (optional) is called after each cell with the completed
 	// row and the done/total counts.
 	Progress func(done, total int, row FrontierRow)
@@ -74,7 +73,6 @@ func DefaultFrontierConfig() FrontierConfig {
 		Traces:    workload.Names(),
 		ThinkTime: 3,
 		Tiers:     []cluster.Tier{cluster.Web, cluster.App},
-		Parallel:  true,
 	}
 }
 
@@ -110,8 +108,8 @@ func (cfg FrontierConfig) withDefaults() FrontierConfig {
 	return cfg
 }
 
-// FrontierRow is one factorial cell of the frontier — the JSON shape
-// benchreport schema 10 embeds and `-run frontier` writes.
+// FrontierRow is one factorial cell of the frontier — the row shape
+// `-run frontier` writes to frontier_summary.csv and BENCH_10.json.
 type FrontierRow struct {
 	// Trace / Controller / Policy locate the cell in the factorial.
 	// Policy is the admission policy name; Spec the full parsed spec.
@@ -206,7 +204,6 @@ func RunFrontier(cfg FrontierConfig) *FrontierResult {
 					TraceName:  tr,
 					ThinkTime:  cfg.ThinkTime,
 					CellConfig: &cell,
-					Parallel:   cfg.Parallel,
 					Workers:    cfg.Workers,
 				}
 				if acfg.Policy != admission.Always {
@@ -306,8 +303,8 @@ func (res *FrontierResult) BestTailCut(maxGoodputLossPct float64) (FrontierRow, 
 	return best, ok
 }
 
-// FrontierReport is the `-run frontier` JSON artifact: benchreport
-// schema 10's frontier section as a standalone file.
+// FrontierReport is the `-run frontier` JSON artifact, BENCH_10.json
+// (schema conscale-bench/10).
 type FrontierReport struct {
 	// Schema identifies the report format.
 	Schema string `json:"schema"`

@@ -69,13 +69,10 @@ type ScaleConfig struct {
 	// It is also the striper's conservative lookahead horizon — the
 	// minimum cross-shard delay that makes parallel windows safe.
 	EdgeDelay des.Time
-	// Parallel executes shard windows on the striper's persistent pinned
-	// worker pool. Sequential and parallel execution are byte-identical;
-	// see TestScaleStripedMatchesSequential.
-	Parallel bool
-	// Workers fixes the worker-pool size. Zero derives it from Parallel
-	// (GOMAXPROCS workers when true, sequential when false); one forces
-	// sequential execution; larger values are clamped to the shard count.
+	// Workers sizes the striper's persistent pinned worker pool that
+	// executes shard windows: zero means GOMAXPROCS, one is sequential,
+	// and larger values are clamped to the shard count. Every count is
+	// byte-identical; see TestScaleStripedMatchesSequential.
 	Workers int
 	// Telemetry arms a frontdoor telemetry registry (arrival counter,
 	// in-flight gauge, client RT histogram) on the run.
@@ -97,7 +94,6 @@ func DefaultScaleConfig(mode scaling.Mode, clients int) ScaleConfig {
 		TraceName:  workload.LargeVariations,
 		ThinkTime:  7,
 		EdgeDelay:  20 * des.Millisecond,
-		Parallel:   true,
 		WarmupSkip: 15 * des.Second,
 	}
 }
@@ -119,7 +115,7 @@ func ScaleCellConfig() cluster.Config {
 
 // ScaleResult aggregates one scale-mode run: client-observed latency from
 // the streaming population, fleet state, and the execution-cost metrics
-// (wall time, events, peak heap) the BENCH_5 report tracks.
+// (wall time, events, peak heap) `-run scale` reports.
 type ScaleResult struct {
 	// Mode and the population parameters of the run. Controller echoes
 	// ScaleConfig.Controller ("" when Mode named the policy).
@@ -215,11 +211,7 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 
 	workers := cfg.Workers
 	if workers <= 0 {
-		if cfg.Parallel {
-			workers = runtime.GOMAXPROCS(0)
-		} else {
-			workers = 1
-		}
+		workers = runtime.GOMAXPROCS(0)
 	}
 	str := des.NewStriper(cfg.Cells+1, cfg.EdgeDelay)
 	str.SetWorkers(workers)
@@ -446,8 +438,8 @@ func ProcessPeakRSS() uint64 {
 	return 0
 }
 
-// ScaleRow is one sweep point of the scale report — the JSON shape
-// benchreport schema 5 embeds and `-run scale` writes.
+// ScaleRow is one sweep point of the scale report — the row shape
+// `-run scale` writes to scale_summary.csv and BENCH_7.json.
 type ScaleRow struct {
 	// Mode is the framework name (ec2/dcm/conscale).
 	Mode string `json:"mode"`
@@ -510,8 +502,8 @@ func (r *ScaleResult) Row() ScaleRow {
 	}
 }
 
-// ScaleReport is the `-run scale` JSON artifact: benchreport schema 7's
-// scale section as a standalone file.
+// ScaleReport is the `-run scale` JSON artifact, BENCH_7.json (schema
+// conscale-bench/7).
 type ScaleReport struct {
 	// Schema identifies the report format.
 	Schema string `json:"schema"`

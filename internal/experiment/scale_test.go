@@ -21,7 +21,9 @@ func smallScaleConfig(mode scaling.Mode, parallel bool) ScaleConfig {
 	cfg.Cells = 4
 	cfg.Duration = 40 * des.Second
 	cfg.WarmupSkip = 10 * des.Second
-	cfg.Parallel = parallel
+	if !parallel {
+		cfg.Workers = 1
+	}
 	return cfg
 }
 

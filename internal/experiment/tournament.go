@@ -282,8 +282,8 @@ func assignRanks(ranks []TournamentRank, metric func(TournamentRank) float64, se
 	}
 }
 
-// TournamentReport is the `-run tournament` JSON artifact — the
-// benchreport schema 6 tournament section as a standalone file.
+// TournamentReport is the `-run tournament` JSON artifact, BENCH_6.json
+// (schema conscale-bench/6).
 type TournamentReport struct {
 	// Schema identifies the report format.
 	Schema string `json:"schema"`
