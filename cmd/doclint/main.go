@@ -2,15 +2,19 @@
 // identifier in the audited packages must carry a doc comment, and a
 // doc comment on a single-name declaration must start with the name it
 // documents (the standard godoc convention, so `go doc` output reads as
-// prose). It is the documentation half of the CI docs gate; the other
-// half, cmd/doccheck, keeps the prose documents runnable.
+// prose). It also fails on an orphan: an internal/ package that no
+// non-test .go file outside the package imports, so code nothing reaches
+// is deleted rather than documented. It is the documentation half of
+// the CI docs gate; the other half, cmd/doccheck, keeps the prose
+// documents runnable.
 //
 // Usage:
 //
 //	go run ./cmd/doclint [-root DIR] [packages...]
 //
 // With no package arguments it audits the default set: the conscale
-// facade package plus internal/{des,workload,cluster,sct,scaling}.
+// facade package plus internal/{des,workload,cluster,sct,scaling}. The
+// orphan check always covers every package under DIR/internal.
 // Violations are printed one per line as path:line: message and the
 // process exits 1; a clean audit exits 0.
 //
@@ -26,7 +30,9 @@
 //     "The", matching the godoc convention).
 //   - Deprecated markers and directive comments (//go:...) do not count
 //     as documentation.
-//   - _test.go files are exempt.
+//   - _test.go files are exempt, and do not count as importers.
+//   - Every package under internal/ is imported by some non-test .go
+//     file outside its own directory (cmd/, examples/ and bench/ count).
 package main
 
 import (
@@ -38,6 +44,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -74,6 +81,12 @@ func main() {
 		}
 		violations = append(violations, vs...)
 	}
+	vs, err := orphans(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		os.Exit(2)
+	}
+	violations = append(violations, vs...)
 	sort.Strings(violations)
 	for _, v := range violations {
 		fmt.Println(v)
@@ -102,6 +115,76 @@ func lintPackage(dir string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// orphans reports every package under root/internal that no non-test
+// .go file outside the package's own directory imports. Hidden and
+// testdata directories are skipped.
+func orphans(root string) ([]string, error) {
+	mod, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	internal := map[string]bool{} // package import path -> has non-test files
+	imported := map[string]bool{} // import path -> imported from outside itself
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		self := mod + "/" + filepath.ToSlash(rel)
+		if strings.HasPrefix(filepath.ToSlash(rel)+"/", "internal/") {
+			internal[self] = true
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p != self {
+				imported[p] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for pkg := range internal {
+		if !imported[pkg] {
+			dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(pkg, mod+"/")))
+			out = append(out, fmt.Sprintf("%s: orphan package: no non-test .go file outside it imports %s", dir, pkg))
+		}
+	}
+	return out, nil
+}
+
+// modulePath reads the module path from root/go.mod.
+func modulePath(root string) (string, error) {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return f[1], nil
+		}
+	}
+	return "", fmt.Errorf("%s/go.mod: no module line", root)
 }
 
 // lintFile walks one file's top-level declarations and collects

@@ -111,6 +111,45 @@ func (hidden) Method() {}
 	}
 }
 
+// writeTree writes files (slash paths relative to the root) into a temp
+// module named m and returns its root.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	files["go.mod"] = "module m\n\ngo 1.22\n"
+	for rel, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+func TestOrphanInternalPackageFails(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"cmd/tool/main.go":          "package main\n\nimport _ \"m/internal/used\"\n\nfunc main() {}\n",
+		"internal/used/used.go":     "package used\n",
+		"internal/orphan/orphan.go": "package orphan\n\nimport _ \"m/internal/orphan/sub\"\n",
+		// A test importer does not count, nor does the package itself.
+		"internal/used/used_test.go":        "package used\n\nimport _ \"m/internal/orphan\"\n",
+		"internal/orphan/sub/sub.go":        "package sub\n",
+		"internal/testonly/only_test.go":    "package testonly\n",
+		"examples/demo/main.go":             "package main\n\nimport _ \"m/internal/viaexample\"\n\nfunc main() {}\n",
+		"internal/viaexample/viaexample.go": "package viaexample\n",
+	})
+	vs, err := orphans(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 1 || !strings.Contains(vs[0], "orphan package") || !strings.HasSuffix(vs[0], "m/internal/orphan") {
+		t.Fatalf("want exactly internal/orphan flagged, got:\n%s", strings.Join(vs, "\n"))
+	}
+}
+
 // TestAuditedPackagesStayClean is the real gate: the default package
 // set must lint clean so CI fails the moment a new exported identifier
 // lands without documentation.
@@ -124,5 +163,12 @@ func TestAuditedPackagesStayClean(t *testing.T) {
 		if len(vs) != 0 {
 			t.Errorf("package %s has doc violations:\n%s", rel, strings.Join(vs, "\n"))
 		}
+	}
+	vs, err := orphans(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 0 {
+		t.Errorf("orphan packages:\n%s", strings.Join(vs, "\n"))
 	}
 }
