@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -516,7 +517,28 @@ func runBlame(seed uint64, outDir string) error {
 }
 
 func runSLO(seed uint64, outDir string) error {
-	runs := experiment.SLODetection(seed)
+	// Showcase scrape timelines for the headline trace — one OpenMetrics
+	// file per controller, replayable into any Prometheus-compatible tool,
+	// streamed to disk as the runs scrape.
+	var sinks []*omSink
+	runs := experiment.SLODetection(seed, func(trace string, mode scaling.Mode) io.Writer {
+		if trace != workload.LargeVariations {
+			return nil
+		}
+		s := &omSink{path: filepath.Join(outDir, "slo_scrape_"+sanitize(mode.String())+".om")}
+		s.f, s.err = os.Create(s.path)
+		sinks = append(sinks, s)
+		return s
+	})
+	var sinkErr error
+	for _, s := range sinks {
+		if err := s.close(); err != nil && sinkErr == nil {
+			sinkErr = err
+		}
+	}
+	if sinkErr != nil {
+		return sinkErr
+	}
 	experiment.RenderSLO(os.Stdout, runs)
 
 	if err := writeCSV(outDir, "slo_leadtime.csv", func(f *os.File) error {
@@ -542,20 +564,37 @@ func runSLO(seed uint64, outDir string) error {
 		return err
 	}
 
-	// Showcase scrape timelines for the headline trace — one OpenMetrics
-	// file per controller, replayable into any Prometheus-compatible tool.
-	for _, r := range runs {
-		if r.Trace != workload.LargeVariations || r.Res.Scraper == nil {
-			continue
-		}
-		file := "slo_scrape_" + sanitize(r.Mode.String()) + ".om"
-		if err := writeCSV(outDir, file, func(f *os.File) error {
-			return r.Res.Scraper.WriteOpenMetrics(f)
-		}); err != nil {
-			return err
-		}
+	for _, s := range sinks {
+		fmt.Printf("   wrote %s\n", s.path)
 	}
 	return nil
+}
+
+// omSink is a results file a run streams its OpenMetrics timeline into.
+// It keeps the first error, from creating the file or writing it, for
+// close to report.
+type omSink struct {
+	path string
+	f    *os.File
+	err  error
+}
+
+func (s *omSink) Write(p []byte) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	n, err := s.f.Write(p)
+	s.err = err
+	return n, err
+}
+
+func (s *omSink) close() error {
+	if s.f != nil {
+		if err := s.f.Close(); err != nil && s.err == nil {
+			s.err = err
+		}
+	}
+	return s.err
 }
 
 func runReport(seed uint64, outDir string) error {

@@ -492,7 +492,7 @@ func ParseProm(r io.Reader) ([]PromFamily, error) { return telemetry.ParseProm(r
 
 // SLODetection runs the detection lead-time comparison — EC2 vs DCM vs
 // ConScale across the six bursty traces — at the paper's evaluation size.
-func SLODetection(seed uint64) []SLODetectionRun { return experiment.SLODetection(seed) }
+func SLODetection(seed uint64) []SLODetectionRun { return experiment.SLODetection(seed, nil) }
 
 // RenderSLODetection prints the detection comparison table.
 func RenderSLODetection(w io.Writer, runs []SLODetectionRun) { experiment.RenderSLO(w, runs) }

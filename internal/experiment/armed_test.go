@@ -68,12 +68,11 @@ func detectorSeries(points []forensics.TickPoint) string {
 }
 
 // armedArtifacts renders every observer artifact of an armed run, keyed
-// by golden file name.
-func armedArtifacts(t *testing.T, r *RunResult) map[string][]byte {
+// by golden file name; om is the scrape timeline the run streamed.
+func armedArtifacts(t *testing.T, r *RunResult, om []byte) map[string][]byte {
 	t.Helper()
-	var om, fj, tw, au, tl bytes.Buffer
+	var fj, tw, au, tl bytes.Buffer
 	for _, err := range []error{
-		r.Scraper.WriteOpenMetrics(&om),
 		forensics.WriteJSON(&fj, r.Forensics.Report("armed", r.Tracer.BlameTable())),
 		WriteTwinCSV(&tw, r),
 		trace.WriteAuditCSV(&au, r.Audit),
@@ -84,7 +83,7 @@ func armedArtifacts(t *testing.T, r *RunResult) map[string][]byte {
 		}
 	}
 	return map[string][]byte{
-		"armed_openmetrics.txt":     om.Bytes(),
+		"armed_openmetrics.txt":     om,
 		"armed_forensics.json":      fj.Bytes(),
 		"armed_detector_series.csv": []byte(detectorSeries(r.Forensics.Det.Series())),
 		"armed_twin.csv":            tw.Bytes(),
@@ -100,10 +99,15 @@ var armedHashedOnly = map[string]bool{"armed_openmetrics.txt": true}
 // TestArmedGolden pins the armed cell's observer artifacts and checks
 // that none of them is vacuous: the detector confirmed an episode, the
 // audit trail holds decisions, the SLO monitor raised an alert, the
-// scraper ran and the twin found an applicable window.
+// scraper ran and the twin found an applicable window. It also holds the
+// client ledger.
 func TestArmedGolden(t *testing.T) {
 	t.Parallel()
-	r := Run(armedCell())
+	cfg := armedCell()
+	var om bytes.Buffer
+	cfg.Telemetry.OpenMetrics = &om
+	r := Run(cfg)
+	checkClientLedger(t, r)
 
 	if n := len(r.Forensics.Det.Episodes()); n < 1 {
 		t.Fatalf("%d confirmed episodes: the cell no longer fluctuates", n)
@@ -125,7 +129,7 @@ func TestArmedGolden(t *testing.T) {
 	}
 
 	gen := os.Getenv("GEN_ARMED_GOLDEN") != ""
-	for name, got := range armedArtifacts(t, r) {
+	for name, got := range armedArtifacts(t, r, om.Bytes()) {
 		file := "testdata/" + name
 		if armedHashedOnly[name] {
 			file += ".sha256"
@@ -170,5 +174,54 @@ func TestArmedCostsWhatBareCosts(t *testing.T) {
 	t.Logf("%d requests: bare %.3f allocs/request, armed %.3f", n, bare, armed)
 	if armed-bare > 0.5 {
 		t.Fatalf("arming the observers costs %.3f allocations per request (bare %.3f, armed %.3f); budget 0.5", armed-bare, bare, armed)
+	}
+}
+
+// checkClientLedger holds request conservation at the client: every
+// request the population issued completed ok, failed, or was still out
+// when the drain ended, and the ok count is the goodput.
+func checkClientLedger(t *testing.T, r *RunResult) {
+	t.Helper()
+	l := r.Client
+	if l.Issued == 0 || l.InFlight < 0 || l.Issued != l.OK+l.Failed+l.InFlight {
+		t.Fatalf("client ledger %+v: issued must equal ok + failed + in flight", l)
+	}
+	if int(l.OK) != r.Goodput {
+		t.Fatalf("client ledger counts %d ok, goodput is %d", l.OK, r.Goodput)
+	}
+}
+
+// TestArmedRunKeepsNoPerRequestState pins results as sinks: once Run
+// returns, the live heap it leaves behind grows with the run's length
+// only by what the result keeps per second, not per request. Doubling
+// the armed cell from 90 to 180 sim-s may add 1.5 MiB of retained heap;
+// a sample per request and a buffered scrape timeline added 5.6 MiB. Not
+// parallel: it reads the whole process's heap.
+func TestArmedRunKeepsNoPerRequestState(t *testing.T) {
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second cycle empties the pools' victim caches
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	retained := func(dur des.Time) (mib float64, r *RunResult) {
+		cfg := armedCell()
+		cfg.Duration = dur
+		before := liveHeap()
+		r = Run(cfg)
+		after := liveHeap()
+		runtime.KeepAlive(r)
+		return (float64(after) - float64(before)) / (1 << 20), r
+	}
+	short, rs := retained(90 * des.Second)
+	long, rl := retained(180 * des.Second)
+	if rl.Client.Issued < rs.Client.Issued*3/2 {
+		t.Fatalf("the long run issued %d requests, the short one %d: the doubling did not add load", rl.Client.Issued, rs.Client.Issued)
+	}
+	t.Logf("retained with the result: %.2f MiB after 90 sim-s (%d requests), %.2f MiB after 180 sim-s (%d)",
+		short, rs.Client.Issued, long, rl.Client.Issued)
+	if long-short >= 1.5 {
+		t.Fatalf("doubling the armed run grew the heap retained with its result by %.2f MiB; budget 1.5", long-short)
 	}
 }

@@ -203,7 +203,8 @@ func TestRequestPathGoldenCache(t *testing.T) {
 
 // TestRequestPathGoldenChaos pins the fault cell and checks it is not
 // vacuous: the crash failed requests both queued and in flight, both
-// admission tiers shed, and requests dwelt on each delayed edge.
+// admission tiers shed, and requests dwelt on each delayed edge. It also
+// holds the client ledger through those failures.
 func TestRequestPathGoldenChaos(t *testing.T) {
 	t.Parallel()
 	r := Run(faultCell())
@@ -247,6 +248,12 @@ func TestRequestPathGoldenChaos(t *testing.T) {
 	}
 	if r.ShedsByClass[admission.ClassBrowse] == 0 {
 		t.Fatalf("no browse-class shed: %v", r.ShedsByClass)
+	}
+	// The client ledger conserves requests across the kill and the sheds,
+	// and a shed request is a failed one.
+	checkClientLedger(t, r)
+	if r.Client.Failed < int64(r.Sheds) {
+		t.Fatalf("client ledger %+v counts fewer failures than the %d sheds", r.Client, r.Sheds)
 	}
 	// The client->web and web->app delays dwell on the web span, the
 	// app->db delay on the app span.

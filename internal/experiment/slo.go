@@ -34,42 +34,49 @@ type SLOEpisode struct {
 // own threshold.
 const sloPreSlack = 15 * des.Second
 
+// SLOSecond is one second of a run's client ground truth: the requests
+// that finished in it, and how many of them were bad — failed, or slower
+// than the SLO target.
+type SLOSecond struct {
+	Total, Bad int
+}
+
+// observeTruth counts one completion at now into the per-second ground
+// truth, growing it to now's second.
+func observeTruth(truth []SLOSecond, now des.Time, bad bool) []SLOSecond {
+	sec := int(now)
+	for len(truth) <= sec {
+		truth = append(truth, SLOSecond{})
+	}
+	truth[sec].Total++
+	if bad {
+		truth[sec].Bad++
+	}
+	return truth
+}
+
 // ViolationEpisodes derives the ground-truth SLA-violation intervals from a
-// run's exact client sample stream: seconds whose 10 s windowed bad-request
-// fraction (errored or over cfg.Target) reaches the alerting consumption
-// rate Burn × (1 − Objective), merged across gaps of up to 5 s, dropping
-// episodes shorter than 3 s. Using the same badness definition and rate as
-// the monitor makes the comparison about *detection latency*, not about
-// disagreeing definitions of "violation".
-func ViolationEpisodes(samples []workload.Sample, cfg telemetry.SLOConfig) []SLOEpisode {
-	if len(samples) == 0 {
+// run's per-second client ledger, every request already classed against
+// cfg.Target: seconds whose 10 s windowed bad-request fraction reaches the
+// alerting consumption rate Burn × (1 − Objective), merged across gaps of
+// up to 5 s, dropping episodes shorter than 3 s. Using the same badness
+// definition and rate as the monitor makes the comparison about *detection
+// latency*, not about disagreeing definitions of "violation".
+func ViolationEpisodes(truth []SLOSecond, cfg telemetry.SLOConfig) []SLOEpisode {
+	if len(truth) == 0 {
 		return nil
 	}
-	maxSec := 0
-	for _, s := range samples {
-		if sec := int(s.Finish); sec > maxSec {
-			maxSec = sec
-		}
-	}
-	bad := make([]int, maxSec+1)
-	total := make([]int, maxSec+1)
-	for _, s := range samples {
-		sec := int(s.Finish)
-		total[sec]++
-		if !s.OK || s.RT > cfg.Target {
-			bad[sec]++
-		}
-	}
+	maxSec := len(truth) - 1
 	const window = 10
 	threshold := cfg.Burn * (1 - cfg.Objective)
 	violating := make([]bool, maxSec+1)
 	sumBad, sumTotal := 0, 0
 	for sec := 0; sec <= maxSec; sec++ {
-		sumBad += bad[sec]
-		sumTotal += total[sec]
+		sumBad += truth[sec].Bad
+		sumTotal += truth[sec].Total
 		if sec >= window {
-			sumBad -= bad[sec-window]
-			sumTotal -= total[sec-window]
+			sumBad -= truth[sec-window].Bad
+			sumTotal -= truth[sec-window].Total
 		}
 		violating[sec] = sumTotal > 0 && float64(sumBad)/float64(sumTotal) >= threshold
 	}
@@ -121,14 +128,14 @@ type SLORow struct {
 }
 
 // EvaluateSLO scores a telemetry-armed run. The run must have been executed
-// with RunConfig.Telemetry (for the monitor and samples) and
+// with RunConfig.Telemetry (for the monitor and the ground truth) and
 // RunConfig.Tracing (for the audit trail carrying the CPU triggers).
 func EvaluateSLO(res *RunResult) SLORow {
 	row := SLORow{Trace: res.Trace, Mode: res.Mode}
 	if res.SLO == nil {
 		return row
 	}
-	episodes := ViolationEpisodes(res.Samples, res.SLO.Config())
+	episodes := ViolationEpisodes(res.SLOTruth, res.SLO.Config())
 	alerts := res.SLO.Alerts()
 	var cpuTriggers []des.Time
 	for _, e := range res.Audit {
@@ -208,15 +215,19 @@ type SLORun struct {
 }
 
 // SLODetection runs the full comparison at the paper's evaluation size.
-func SLODetection(seed uint64) []SLORun {
-	return SLORunsSized(seed, 720*des.Second, 7500)
+// timeline, if non-nil, names each cell's OpenMetrics sink (see
+// SLORunsSized).
+func SLODetection(seed uint64, timeline func(trace string, mode scaling.Mode) io.Writer) []SLORun {
+	return SLORunsSized(seed, 720*des.Second, 7500, timeline)
 }
 
 // SLORunsSized runs every bursty trace under the three controllers with
 // telemetry and tracing armed, fanned out over the worker pool, and scores
 // each run. Traces iterate in canonical order, controllers in blame order,
-// so output ordering is deterministic.
-func SLORunsSized(seed uint64, duration des.Time, users int) []SLORun {
+// so output ordering is deterministic. timeline, if non-nil, is asked once
+// per cell, before any run starts, for the writer that cell streams its
+// scrape timeline into; a nil func or a nil writer keeps none.
+func SLORunsSized(seed uint64, duration des.Time, users int, timeline func(trace string, mode scaling.Mode) io.Writer) []SLORun {
 	profile := AnalyticDCMProfile(cluster.DefaultConfig())
 	traces := workload.Names()
 	var cfgs []RunConfig
@@ -227,6 +238,9 @@ func SLORunsSized(seed uint64, duration des.Time, users int) []SLORun {
 			cfg.Duration = duration
 			cfg.MaxUsers = users
 			cfg.Telemetry = &TelemetryOptions{}
+			if timeline != nil {
+				cfg.Telemetry.OpenMetrics = timeline(tr, mode)
+			}
 			// The audit trail carries the CPU triggers and SLO transitions;
 			// light head sampling keeps the span machinery out of the way.
 			cfg.Tracing = &trace.Config{SampleRate: 1.0 / 64}

@@ -32,13 +32,23 @@ func sloSamples(dst []workload.Sample, from, to, rps int, badFrac float64) []wor
 	return dst
 }
 
+// sloTruth bins samples into the per-second ground truth the way Run's
+// probe does, each classed against cfg's target.
+func sloTruth(samples []workload.Sample, cfg telemetry.SLOConfig) []SLOSecond {
+	var truth []SLOSecond
+	for _, s := range samples {
+		truth = observeTruth(truth, s.Finish, !s.OK || s.RT > cfg.Target)
+	}
+	return truth
+}
+
 func TestViolationEpisodesSustainedBurst(t *testing.T) {
 	cfg := telemetry.DefaultSLOConfig()
 	var s []workload.Sample
 	s = sloSamples(s, 0, 40, 20, 0)
 	s = sloSamples(s, 40, 70, 20, 0.5) // 50% bad >> 4% alerting rate
 	s = sloSamples(s, 70, 120, 20, 0)
-	eps := ViolationEpisodes(s, cfg)
+	eps := ViolationEpisodes(sloTruth(s, cfg), cfg)
 	if len(eps) != 1 {
 		t.Fatalf("want 1 episode, got %v", eps)
 	}
@@ -61,12 +71,12 @@ func TestViolationEpisodesMergeAndClean(t *testing.T) {
 	s = sloSamples(s, 43, 56, 20, 0)
 	s = sloSamples(s, 56, 59, 20, 0.5)
 	s = sloSamples(s, 59, 120, 20, 0)
-	if eps := ViolationEpisodes(s, cfg); len(eps) != 1 {
+	if eps := ViolationEpisodes(sloTruth(s, cfg), cfg); len(eps) != 1 {
 		t.Errorf("gapped blocks did not merge: %v", eps)
 	}
 
 	// A clean stream and an empty stream have no episodes.
-	if eps := ViolationEpisodes(sloSamples(nil, 0, 60, 20, 0), cfg); eps != nil {
+	if eps := ViolationEpisodes(sloTruth(sloSamples(nil, 0, 60, 20, 0), cfg), cfg); eps != nil {
 		t.Errorf("clean stream produced episodes: %v", eps)
 	}
 	if eps := ViolationEpisodes(nil, cfg); eps != nil {
@@ -105,8 +115,8 @@ func TestEvaluateSLOLeadTime(t *testing.T) {
 			{Time: 95, Kind: trace.AuditThresholdTrigger, Tier: "app", Cause: "sla trigger: p95 above target"},
 		},
 	}
-	// Samples travel on the result for ground truth.
-	res.Samples = samples
+	// The ground truth travels on the result.
+	res.SLOTruth = sloTruth(samples, cfg)
 
 	row := EvaluateSLO(res)
 	if row.Episodes != 1 || row.Alerts != 1 {
@@ -143,7 +153,7 @@ func TestEvaluateSLONoTelemetry(t *testing.T) {
 // TestSLORunsShort drives the whole matrix at test size and checks the
 // scored rows are internally consistent and the render holds together.
 func TestSLORunsShort(t *testing.T) {
-	runs := SLORunsSized(1, ShortDuration, 5000)
+	runs := SLORunsSized(1, ShortDuration, 5000, nil)
 	traces := workload.Names()
 	if len(runs) != len(traces)*3 {
 		t.Fatalf("got %d runs, want %d", len(runs), len(traces)*3)
@@ -157,8 +167,8 @@ func TestSLORunsShort(t *testing.T) {
 		if r.Res.SLO == nil || r.Res.Registry == nil {
 			t.Fatalf("%s/%s: telemetry layer missing", r.Trace, r.Mode)
 		}
-		if r.Res.Samples == nil {
-			t.Fatalf("%s/%s: samples not retained", r.Trace, r.Mode)
+		if r.Res.SLOTruth == nil {
+			t.Fatalf("%s/%s: no ground truth kept", r.Trace, r.Mode)
 		}
 		row := r.Row
 		if row.Detected > row.Episodes || row.TruePositives > row.Alerts {

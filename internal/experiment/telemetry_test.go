@@ -49,7 +49,10 @@ func TestTelemeteredRunIsByteIdenticalToBare(t *testing.T) {
 // accumulated snapshots over the run, parses as exposition text, and covers
 // the stack's metric families.
 func TestTelemeteredRunProducesTimeline(t *testing.T) {
-	res := Run(telemeteredShortRun(scaling.ConScale, workload.LargeVariations, 1))
+	var buf bytes.Buffer
+	cfg := telemeteredShortRun(scaling.ConScale, workload.LargeVariations, 1)
+	cfg.Telemetry.OpenMetrics = &buf
+	res := Run(cfg)
 	if res.Registry == nil || res.Scraper == nil || res.SLO == nil {
 		t.Fatal("telemetry layer missing from result")
 	}
@@ -57,9 +60,10 @@ func TestTelemeteredRunProducesTimeline(t *testing.T) {
 	if res.Scraper.Scrapes() < 10 {
 		t.Fatalf("only %d scrapes", res.Scraper.Scrapes())
 	}
-	var buf bytes.Buffer
-	if err := res.Scraper.WriteOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
+	// The timeline went to the sink; the scraper has none to write.
+	var again bytes.Buffer
+	if err := res.Scraper.WriteOpenMetrics(&again); err == nil || again.Len() != 0 {
+		t.Fatalf("WriteOpenMetrics on a streamed run: err %v, %d bytes", err, again.Len())
 	}
 	fams, err := telemetry.ParseProm(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -91,8 +95,8 @@ func TestTelemeteredRunProducesTimeline(t *testing.T) {
 		t.Fatal("timeline missing # EOF")
 	}
 	// The client histogram must have seen the run's successful requests.
-	if res.Samples == nil {
-		t.Fatal("telemetry run did not retain samples")
+	if res.SLOTruth == nil {
+		t.Fatal("telemetry run kept no SLO ground truth")
 	}
 	clientRT := res.Registry.Histogram("conscale_client_rt_seconds", "")
 	if clientRT.Count() == 0 {
