@@ -2,6 +2,8 @@ package des
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -391,12 +393,61 @@ func TestCancelHeavyCompaction(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
 	}
-	if got := len(e.heap); got > 64 {
-		t.Fatalf("heap holds %d entries after mass cancel, want compaction to ~1", got)
+	if got := len(e.near) + len(e.far); got > 64 {
+		t.Fatalf("heaps hold %d entries after mass cancel, want compaction to ~1", got)
 	}
 	e.Run()
 	if e.Fired() != 1 {
 		t.Fatalf("fired %d events, want 1", e.Fired())
+	}
+}
+
+// The cancel that trips compaction may leave a heap with nothing live in
+// it — or both: the sweep must then leave it empty instead of sifting an
+// entry that is not there.
+func TestCompactionEmptiesAHeap(t *testing.T) {
+	// 64 cancels trip the sweep, so each case cancels exactly 64.
+	cases := []struct {
+		name              string
+		nearN, farN       int  // events scheduled on each heap, all cancelled
+		nearLive, farLive bool // one more event that survives
+	}{
+		{"everything cancelled", 32, 32, false, false},
+		{"near emptied, far live", 64, 0, false, true},
+		{"far emptied, near live", 0, 64, true, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			var hs []Handle
+			for i := 0; i < c.nearN; i++ {
+				hs = append(hs, e.After(0, func() {}))
+			}
+			for i := 0; i < c.farN; i++ {
+				hs = append(hs, e.After(10*nearHorizon, func() {}))
+			}
+			fired := 0
+			if c.nearLive {
+				e.After(0, func() { fired++ })
+			}
+			if c.farLive {
+				e.After(10*nearHorizon, func() { fired++ })
+			}
+			for _, h := range hs {
+				h.Cancel()
+			}
+			if n := len(e.near) + len(e.far); n != e.Pending() {
+				t.Fatalf("heaps hold %d entries after compaction, want the %d live", n, e.Pending())
+			}
+			e.Run()
+			want := 0
+			if c.nearLive || c.farLive {
+				want = 1
+			}
+			if fired != want || e.Pending() != 0 {
+				t.Fatalf("fired %d survivors, want %d; %d still pending", fired, want, e.Pending())
+			}
+		})
 	}
 }
 
@@ -508,41 +559,169 @@ func TestTypedEvents(t *testing.T) {
 	e.AtArg(2, nil, nil)
 }
 
-// Property: a deep interleaving of schedules, cancels, and ticks fires in
-// exactly (time, scheduling-order) sequence — the determinism contract the
-// parallel experiment harness relies on.
+// Property: a deep interleaving of schedules, cancels (before and during
+// the run, enough to trip compaction) and handlers that schedule more
+// fires in exactly (time, scheduling-order) sequence — the determinism
+// contract the parallel experiment harness relies on — whether the run is
+// one Run or sliced by RunUntil. Delays fall on both sides of nearHorizon
+// and include zero, and events on the two heaps tie exactly in time.
 func TestQuickCancelMixDeterminism(t *testing.T) {
-	f := func(raw []uint16, cancelMask []bool) bool {
-		run := func() []int {
-			e := New()
-			var fired []int
-			var hs []Handle
-			for i, r := range raw {
-				i := i
-				hs = append(hs, e.At(Time(r%512), func() { fired = append(fired, i) }))
-			}
-			for i, h := range hs {
-				if i < len(cancelMask) && cancelMask[i] {
-					h.Cancel()
-				}
-			}
-			e.Run()
-			return fired
-		}
-		a, b := run(), run()
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+	var cov mixCoverage
+	f := func(seed int64) bool {
+		p := drawMix(seed)
+		want := p.reference(&cov)
+		return slices.Equal(p.run(false), want) && slices.Equal(p.run(true), want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+	if cov.zero == 0 || cov.near == 0 || cov.far == 0 || cov.crossTies == 0 {
+		t.Fatalf("draws did not cover every case: %+v", cov)
+	}
+}
+
+// mixProgram is one drawn program for the cancel-mix property: root events
+// scheduled up front, some cancelled before the run; a root that fires may
+// cancel another root, and every event may schedule a child, so the clock
+// moves under later schedules and what lands near or far changes with it.
+type mixProgram struct {
+	grid   Time     // a power of two ≤ nearHorizon/4, so sums of grid steps are exact and tie
+	codes  []uint16 // root i is at (codes[i]%32)·grid; code>>5 is its child's code, until 0
+	precut []bool   // root i is cancelled before the run
+	kill   []int    // root i, firing, cancels root kill[i] (-1: none)
+	cuts   []Time   // RunUntil deadlines for the sliced run, in drawn order
+}
+
+// mixID names an event by its root and its depth in the root's chain (a
+// 16-bit code has at most three children).
+func mixID(root, depth int) int { return 4*root + depth }
+
+func drawMix(seed int64) mixProgram {
+	rng := rand.New(rand.NewSource(seed))
+	p := mixProgram{grid: 1}
+	for p.grid > nearHorizon/4 {
+		p.grid /= 2
+	}
+	n := rng.Intn(400)
+	p.codes, p.precut, p.kill = make([]uint16, n), make([]bool, n), make([]int, n)
+	for i := range p.codes {
+		p.codes[i] = uint16(rng.Intn(1 << 16))
+		p.precut[i] = rng.Intn(3) > 0 // enough cancels to trip compaction
+		p.kill[i] = -1
+		if rng.Intn(2) == 0 {
+			p.kill[i] = rng.Intn(n)
+		}
+	}
+	for c := rng.Intn(8); c > 0; c-- {
+		p.cuts = append(p.cuts, Time(rng.Intn(256))*p.grid/2)
+	}
+	return p
+}
+
+// mixCoverage counts what the drawn programs exercised.
+type mixCoverage struct{ zero, near, far, crossTies int }
+
+// reference fires p by the definition of the engine's order: at every step
+// the pending event with the least (time, schedule index), i.e. the stable
+// sort of the survivors by time. It also classifies each event as the
+// engine would, to count what the draw covered.
+func (p mixProgram) reference(cov *mixCoverage) []int {
+	type ev struct {
+		at   Time
+		idx  int
+		id   int
+		code uint16
+		near bool
+	}
+	var pending []ev
+	idx := 0
+	add := func(at, now Time, id int, code uint16) {
+		e := ev{at, idx, id, code, at-now < nearHorizon}
+		idx++
+		switch {
+		case at == now:
+			cov.zero++
+		case e.near:
+			cov.near++
+		default:
+			cov.far++
+		}
+		pending = append(pending, e)
+	}
+	cancel := func(id int) {
+		pending = slices.DeleteFunc(pending, func(e ev) bool { return e.id == id })
+	}
+	for i, c := range p.codes {
+		add(Time(c%32)*p.grid, 0, mixID(i, 0), c)
+	}
+	for i, cut := range p.precut {
+		if cut {
+			cancel(mixID(i, 0))
+		}
+	}
+	var fired []int
+	var last ev
+	for len(pending) > 0 {
+		j := 0
+		for k, e := range pending {
+			if e.at < pending[j].at || e.at == pending[j].at && e.idx < pending[j].idx {
+				j = k
+			}
+		}
+		e := pending[j]
+		pending = slices.Delete(pending, j, j+1)
+		if len(fired) > 0 && last.at == e.at && last.near != e.near {
+			cov.crossTies++
+		}
+		last = e
+		fired = append(fired, e.id)
+		if e.id%4 == 0 {
+			if k := p.kill[e.id/4]; k >= 0 {
+				cancel(mixID(k, 0))
+			}
+		}
+		if next := e.code >> 5; next != 0 {
+			add(e.at+Time(next%32)*p.grid, e.at, e.id+1, next)
+		}
+	}
+	return fired
+}
+
+// run fires p on an engine, draining with Run, or first slicing the run
+// with RunUntil at each of p.cuts.
+func (p mixProgram) run(sliced bool) []int {
+	e := New()
+	var fired []int
+	roots := make([]Handle, len(p.codes))
+	var schedule func(at Time, id int, code uint16) Handle
+	schedule = func(at Time, id int, code uint16) Handle {
+		return e.At(at, func() {
+			fired = append(fired, id)
+			if id%4 == 0 {
+				if k := p.kill[id/4]; k >= 0 {
+					roots[k].Cancel()
+				}
+			}
+			if next := code >> 5; next != 0 {
+				schedule(e.Now()+Time(next%32)*p.grid, id+1, next)
+			}
+		})
+	}
+	for i, c := range p.codes {
+		roots[i] = schedule(Time(c%32)*p.grid, mixID(i, 0), c)
+	}
+	for i, cut := range p.precut {
+		if cut {
+			roots[i].Cancel()
+		}
+	}
+	if sliced {
+		for _, d := range p.cuts {
+			e.RunUntil(d)
+		}
+	}
+	e.Run()
+	return fired
 }
 
 // --- microbenchmarks ---
@@ -573,6 +752,57 @@ func BenchmarkEngineScheduleFireDepth1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(1000, fn)
 		e.Step()
+	}
+}
+
+// parkedLoad drives BenchmarkEngineParkedTimers: its events re-arm
+// themselves with delays from a xorshift stream.
+type parkedLoad struct {
+	e *Engine
+	x uint64
+}
+
+// uniform returns the next delay fraction in [0, 1).
+func (l *parkedLoad) uniform() Time {
+	l.x ^= l.x << 13
+	l.x ^= l.x >> 7
+	l.x ^= l.x << 17
+	return Time(l.x>>11) / (1 << 53)
+}
+
+// rearmBurst is a request-path event: the next one is under 10 ms ahead.
+func rearmBurst(arg any) {
+	l := arg.(*parkedLoad)
+	l.e.AfterArg(l.uniform()*10*Millisecond, rearmBurst, l)
+}
+
+// rearmThink is a think timer: the next one is parked 0.25–5 s ahead.
+func rearmThink(arg any) {
+	l := arg.(*parkedLoad)
+	l.e.AfterArg(0.25+l.uniform()*4.75, rearmThink, l)
+}
+
+// BenchmarkEngineParkedTimers is the paper cell's schedule in miniature:
+// 4 800 think timers parked 0.25–5 s ahead while 100 request-path chains
+// schedule and fire events under 10 ms ahead, so ≈ 92 % of ops (one Step
+// each) fire a request-path event, as ≈ 92 % of the paper cell's events
+// are. BenchmarkEngineScheduleFireDepth1k puts every event at one horizon
+// and cannot show the near/far split.
+func BenchmarkEngineParkedTimers(b *testing.B) {
+	b.ReportAllocs()
+	l := &parkedLoad{e: New(), x: 1}
+	for i := 0; i < 4800; i++ {
+		rearmThink(l)
+	}
+	for i := 0; i < 100; i++ {
+		rearmBurst(l)
+	}
+	for i := 0; i < 100_000; i++ { // reach the steady mix
+		l.e.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.e.Step()
 	}
 }
 
