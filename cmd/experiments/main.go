@@ -15,6 +15,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"conscale/internal/admission"
 	"conscale/internal/des"
 	"conscale/internal/experiment"
 	"conscale/internal/forensics"
@@ -41,28 +41,39 @@ type runner struct {
 	name string
 	desc string
 	fn   func(seed uint64, outDir string) error
+	// check validates the runner's flags without running (nil: it has
+	// none); -check calls every one.
+	check func(seed uint64) error
 }
 
 var runners = []runner{
-	{"fig1", "EC2-AutoScaling RT fluctuations under the Large Variations trace", runFig1},
-	{"fig3", "Tomcat concurrency sweeps: 1-core / 2-core / enlarged dataset", runFig3},
-	{"fig5", "MySQL fine-grained 50 ms series during the 1/1/1 -> 1/2/1 scaling", runFig5},
-	{"fig6", "MySQL scatter correlation and rational concurrency range", runFig6},
-	{"fig7", "Optimal-concurrency shifts: cores, dataset size, workload type", runFig7},
-	{"fig9", "The six bursty workload traces", runFig9},
-	{"fig10", "EC2-AutoScaling vs ConScale full timelines", runFig10},
-	{"table1", "Tail latencies, EC2 vs ConScale, all six traces", runTable1},
-	{"fig11", "DCM (stale profile) vs ConScale after a system-state change", runFig11},
-	{"ablations", "A1 window size, A2 Qupper, A3 LB policy, A4 cooldown", runAblations},
-	{"chaos", "Controller robustness under injected cloud faults", runChaos},
-	{"blame", "Latency-blame attribution: traced EC2 vs DCM vs ConScale", runBlame},
-	{"slo", "SLO burn-rate detection lead time: EC2 vs DCM vs ConScale", runSLO},
-	{"report", "All-in-one reproduction report (Table I + Fig. 3 + Fig. 11)", runReport},
-	{"scale", "Million-client scale mode: streaming population over striped cells", runScale},
-	{"tournament", "Full-factorial controller tournament: every controller × trace × tier", runTournament},
-	{"episodes", "Fluctuation forensics: episode detection + causal attribution per controller", runEpisodes},
-	{"hypothesis", "Declared-hypothesis validation: DES≡MVA steady-state, calm-regime drift, blame conservation, SCT tail dominance", runHypothesis},
-	{"frontier", "Admission frontier: admission policy × controller × trace on the p99-vs-goodput plane", runFrontier},
+	{"fig1", "EC2-AutoScaling RT fluctuations under the Large Variations trace", runFig1, nil},
+	{"fig3", "Tomcat concurrency sweeps: 1-core / 2-core / enlarged dataset", runFig3, nil},
+	{"fig5", "MySQL fine-grained 50 ms series during the 1/1/1 -> 1/2/1 scaling", runFig5, nil},
+	{"fig6", "MySQL scatter correlation and rational concurrency range", runFig6, nil},
+	{"fig7", "Optimal-concurrency shifts: cores, dataset size, workload type", runFig7, nil},
+	{"fig9", "The six bursty workload traces", runFig9, nil},
+	{"fig10", "EC2-AutoScaling vs ConScale full timelines", runFig10, nil},
+	{"table1", "Tail latencies, EC2 vs ConScale, all six traces", runTable1, nil},
+	{"fig11", "DCM (stale profile) vs ConScale after a system-state change", runFig11, nil},
+	{"ablations", "A1 window size, A2 Qupper, A3 LB policy, A4 cooldown", runAblations, nil},
+	{"chaos", "Controller robustness under injected cloud faults", runChaos, nil},
+	{"blame", "Latency-blame attribution: traced EC2 vs DCM vs ConScale", runBlame, nil},
+	{"slo", "SLO burn-rate detection lead time: EC2 vs DCM vs ConScale", runSLO, nil},
+	{"report", "All-in-one reproduction report (Table I + Fig. 3 + Fig. 11)", runReport, nil},
+	{"scale", "Million-client scale mode: streaming population over striped cells", runScale, checks(parseScaleSweep)},
+	{"tournament", "Full-factorial controller tournament: every controller × trace × tier", runTournament, checks(parseTournament)},
+	{"episodes", "Fluctuation forensics: episode detection + causal attribution per controller", runEpisodes, checks(parseEpisodes)},
+	{"hypothesis", "Declared-hypothesis validation: DES≡MVA steady-state, calm-regime drift, blame conservation, SCT tail dominance", runHypothesis, checks(parseHypothesis)},
+	{"frontier", "Admission frontier: admission policy × controller × trace on the p99-vs-goodput plane", runFrontier, checks(parseFrontier)},
+}
+
+// checks turns a runner's flag parser into its -check hook.
+func checks[T any](parse func(seed uint64) (T, error)) func(seed uint64) error {
+	return func(seed uint64) error {
+		_, err := parse(seed)
+		return err
+	}
 }
 
 // heavyRunners are excluded from `-run all` and must be requested by id:
@@ -74,7 +85,7 @@ var heavyRunners = map[string]bool{"scale": true, "tournament": true, "episodes"
 // selectRunners resolves a -run spec ("all" or a comma-separated id list)
 // against the runner table, preserving table order and deduplicating.
 // Unknown ids are an error that names every available id. "all" selects
-// every runner except the heavy ones (currently `scale`), which must be
+// every runner except the heavy ones in heavyRunners, which must be
 // requested explicitly.
 func selectRunners(spec string) ([]runner, error) {
 	if strings.TrimSpace(strings.ToLower(spec)) == "all" {
@@ -124,52 +135,44 @@ func availableIDs() string {
 	return strings.Join(ids, ", ")
 }
 
-// Scale-mode sweep flags (the `-run scale` experiment). Declared at
-// package level so the runner function can read them after flag.Parse.
+// Flags of the heavy runners, declared at package level so the runner
+// functions can read them after flag.Parse. A 0 or empty value means
+// the library default, which the matching experiment config documents
+// (DefaultScaleConfig, DefaultTournamentConfig, DefaultEpisodesConfig,
+// DefaultFrontierConfig, HypothesisConfig); -scale-clients and
+// -scale-modes name the sweep itself and have no library default.
 var (
 	scaleClients  = flag.String("scale-clients", "10000,100000,1000000", "scale sweep: comma-separated peak client counts")
 	scaleModes    = flag.String("scale-modes", "ec2,dcm,conscale", "scale sweep: comma-separated frameworks")
-	scaleCells    = flag.Int("scale-cells", 16, "scale sweep: independent n-tier cells per run")
-	scaleDuration = flag.Float64("scale-duration", 120, "scale sweep: simulated seconds per run")
+	scaleCells    = flag.Int("scale-cells", 0, "scale sweep: independent n-tier cells per run (0 = library default)")
+	scaleDuration = flag.Float64("scale-duration", 0, "scale sweep: simulated seconds per run (0 = library default)")
 	scaleWorkers  = flag.String("scale-workers", "", "scale sweep: comma-separated striper worker counts, repeating each sweep point per count (e.g. 1,2,4,8 records a scaling curve; empty = one auto-sized run)")
-)
 
-// Tournament flags (the `-run tournament` experiment).
-var (
-	tournControllers = flag.String("tournament-controllers", "", "tournament: comma-separated controller names (default: every registered controller)")
-	tournTraces      = flag.String("tournament-traces", "", "tournament: comma-separated trace names (default: all six)")
-	tournTiers       = flag.String("tournament-tiers", "2500,7500", "tournament: comma-separated peak client counts")
-	tournDuration    = flag.Float64("tournament-duration", 300, "tournament: simulated seconds per cell")
-)
+	tournControllers = flag.String("tournament-controllers", "", "tournament: comma-separated controller names (empty = library default)")
+	tournTraces      = flag.String("tournament-traces", "", "tournament: comma-separated trace names (empty = library default)")
+	tournTiers       = flag.String("tournament-tiers", "", "tournament: comma-separated peak client counts (empty = library default)")
+	tournDuration    = flag.Float64("tournament-duration", 0, "tournament: simulated seconds per cell (0 = library default)")
 
-// Hypothesis-validation flags (the `-run hypothesis` experiment).
-var (
-	hypoIDs      = flag.String("hypothesis-ids", "", "hypothesis: comma-separated hypothesis ids (default: all declared)")
-	hypoSeeds    = flag.Int("hypothesis-seeds", 0, "hypothesis: seeds per cell (default 5)")
-	hypoDuration = flag.Float64("hypothesis-duration", 0, "hypothesis: steady-cell simulated seconds (default 300)")
-	hypoUsers    = flag.Int("hypothesis-users", 0, "hypothesis: trace-sweep peak client population (default 7500)")
-	hypoTraces   = flag.String("hypothesis-traces", "", "hypothesis: comma-separated sweep traces (default: all six)")
-)
+	hypoIDs      = flag.String("hypothesis-ids", "", "hypothesis: comma-separated hypothesis ids (empty = library default)")
+	hypoSeeds    = flag.Int("hypothesis-seeds", 0, "hypothesis: seeds per cell (0 = library default)")
+	hypoDuration = flag.Float64("hypothesis-duration", 0, "hypothesis: steady-cell simulated seconds (0 = library default)")
+	hypoUsers    = flag.Int("hypothesis-users", 0, "hypothesis: trace-sweep peak client population (0 = library default)")
+	hypoTraces   = flag.String("hypothesis-traces", "", "hypothesis: comma-separated sweep traces (empty = library default)")
 
-// Episode-forensics flags (the `-run episodes` experiment).
-var (
-	epControllers = flag.String("episodes-controllers", "", "episodes: comma-separated controller names (default: ec2,dcm,conscale,target-tracking-sct)")
-	epTraces      = flag.String("episodes-traces", "", "episodes: comma-separated trace names (default: all six)")
-	epUsers       = flag.Int("episodes-users", 0, "episodes: peak client population per cell (default 7500)")
-	epDuration    = flag.Float64("episodes-duration", 0, "episodes: simulated seconds per cell (default 720)")
+	epControllers = flag.String("episodes-controllers", "", "episodes: comma-separated controller names (empty = library default)")
+	epTraces      = flag.String("episodes-traces", "", "episodes: comma-separated trace names (empty = library default)")
+	epUsers       = flag.Int("episodes-users", 0, "episodes: peak client population per cell (0 = library default)")
+	epDuration    = flag.Float64("episodes-duration", 0, "episodes: simulated seconds per cell (0 = library default)")
 	epChaos       = flag.Bool("episodes-chaos", true, "episodes: arm the deterministic fault overlay (the attribution score's ground truth)")
-)
 
-// Admission-frontier flags (the `-run frontier` experiment). Policy
-// specs carry commas ("codel:target=250ms,interval=1s"), so the policy
-// list is semicolon-separated.
-var (
-	frControllers = flag.String("frontier-controllers", "", "frontier: comma-separated controller names (default: ec2,dcm,conscale,target-tracking-sct)")
-	frPolicies    = flag.String("frontier-policies", "", "frontier: semicolon-separated admission policy specs (default: always; queue-cap:cap=300; codel:target=100ms,interval=200ms; priority:cap=300,browse=75)")
-	frTraces      = flag.String("frontier-traces", "", "frontier: comma-separated trace names (default: all six)")
-	frClients     = flag.Int("frontier-clients", 0, "frontier: peak client count per cell (default 100000)")
-	frDuration    = flag.Float64("frontier-duration", 0, "frontier: simulated seconds per run (default 120)")
-	frThink       = flag.Float64("frontier-think", 0, "frontier: mean client think time in seconds (default 3, the paper's evaluation setting)")
+	// Policy specs carry commas ("codel:target=250ms,interval=1s"), so
+	// the policy list is semicolon-separated.
+	frControllers = flag.String("frontier-controllers", "", "frontier: comma-separated controller names (empty = library default)")
+	frPolicies    = flag.String("frontier-policies", "", "frontier: semicolon-separated admission policy specs, including always (empty = library default)")
+	frTraces      = flag.String("frontier-traces", "", "frontier: comma-separated trace names (empty = library default)")
+	frClients     = flag.Int("frontier-clients", 0, "frontier: peak client count per cell (0 = library default)")
+	frDuration    = flag.Float64("frontier-duration", 0, "frontier: simulated seconds per run (0 = library default)")
+	frThink       = flag.Float64("frontier-think", 0, "frontier: mean client think time in seconds (0 = library default)")
 )
 
 func main() {
@@ -186,27 +189,13 @@ func main() {
 	flag.Parse()
 
 	if *check {
-		if _, err := selectRunners(*run); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		_, err := selectRunners(*run)
+		for _, r := range runners {
+			if r.check != nil {
+				err = errors.Join(err, r.check(*seed))
+			}
 		}
-		if _, err := parseScaleSweep(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if _, err := parseTournament(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if _, err := parseEpisodes(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if _, err := parseHypothesis(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if _, err := parseFrontier(*seed); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -604,64 +593,71 @@ func runReport(seed uint64, outDir string) error {
 	})
 }
 
-// parseScaleSweep expands the scale flags into the run configurations of
-// the sweep, clients ascending × modes in flag order.
-func parseScaleSweep(seed uint64) ([]experiment.ScaleConfig, error) {
-	var clients []int
-	for _, tok := range strings.Split(*scaleClients, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
+// splitList splits a list flag on sep into trimmed entries. An empty
+// flag is nil, the library default; one holding only separators is an
+// error.
+func splitList(name, s, sep string) ([]string, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var out []string
+	for _, tok := range strings.Split(s, sep) {
+		if tok = strings.TrimSpace(tok); tok != "" {
+			out = append(out, tok)
 		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-%s lists no entries", name)
+	}
+	return out, nil
+}
+
+// positiveInts parses a comma-separated list flag of positive integers,
+// nil when the flag is empty.
+func positiveInts(name, s string) ([]int, error) {
+	toks, err := splitList(name, s, ",")
+	if err != nil {
+		return nil, err
+	}
+	var out []int
+	for _, tok := range toks {
 		n, err := strconv.Atoi(tok)
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -scale-clients entry %q", tok)
+			return nil, fmt.Errorf("bad -%s entry %q: want a positive integer", name, tok)
 		}
-		clients = append(clients, n)
+		out = append(out, n)
 	}
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("-scale-clients is empty")
+	return out, nil
+}
+
+// parseScaleSweep expands the scale flags into the run configurations of
+// the sweep: clients ascending × modes in flag order × worker counts
+// innermost, so a scaling curve reads as consecutive rows of one cell.
+func parseScaleSweep(seed uint64) ([]experiment.ScaleConfig, error) {
+	clients, errClients := positiveInts("scale-clients", *scaleClients)
+	modeNames, errModes := splitList("scale-modes", *scaleModes, ",")
+	// Worker count 0 is one auto-sized run: GOMAXPROCS inside RunScale.
+	workerCounts, errWorkers := positiveInts("scale-workers", *scaleWorkers)
+	if err := errors.Join(errClients, errModes, errWorkers); err != nil {
+		return nil, err
+	}
+	if len(clients) == 0 || len(modeNames) == 0 {
+		return nil, fmt.Errorf("-scale-clients and -scale-modes must each list a value")
+	}
+	if *scaleCells < 0 || *scaleDuration < 0 {
+		return nil, fmt.Errorf("-scale-cells and -scale-duration must not be negative")
+	}
+	if workerCounts == nil {
+		workerCounts = []int{0}
 	}
 	sort.Ints(clients)
-	var modes []scaling.Mode
-	for _, tok := range strings.Split(*scaleModes, ",") {
-		if strings.TrimSpace(tok) == "" {
-			continue
-		}
-		m, err := scaling.ParseMode(tok)
+	modes := make([]scaling.Mode, len(modeNames))
+	for i, name := range modeNames {
+		m, err := scaling.ParseMode(name)
 		if err != nil {
 			return nil, err
 		}
-		modes = append(modes, m)
-	}
-	if len(modes) == 0 {
-		return nil, fmt.Errorf("-scale-modes is empty")
-	}
-	if *scaleCells <= 0 {
-		return nil, fmt.Errorf("-scale-cells must be positive")
-	}
-	if *scaleDuration <= 0 {
-		return nil, fmt.Errorf("-scale-duration must be positive")
-	}
-	// A worker count of 0 means "auto": GOMAXPROCS inside RunScale. Explicit counts repeat every sweep point, innermost, so a
-	// scaling curve reads as consecutive rows of the same cell.
-	workerCounts := []int{0}
-	if s := strings.TrimSpace(*scaleWorkers); s != "" {
-		workerCounts = nil
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
-			n, err := strconv.Atoi(tok)
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("bad -scale-workers entry %q", tok)
-			}
-			workerCounts = append(workerCounts, n)
-		}
-		if len(workerCounts) == 0 {
-			return nil, fmt.Errorf("-scale-workers is empty")
-		}
+		modes[i] = m
 	}
 	var cfgs []experiment.ScaleConfig
 	for _, n := range clients {
@@ -669,8 +665,12 @@ func parseScaleSweep(seed uint64) ([]experiment.ScaleConfig, error) {
 			for _, w := range workerCounts {
 				cfg := experiment.DefaultScaleConfig(m, n)
 				cfg.Seed = seed
-				cfg.Cells = *scaleCells
-				cfg.Duration = des.Time(*scaleDuration) * des.Second
+				if *scaleCells > 0 {
+					cfg.Cells = *scaleCells
+				}
+				if *scaleDuration > 0 {
+					cfg.Duration = des.Time(*scaleDuration) * des.Second
+				}
 				cfg.Workers = w
 				cfg.Telemetry = true
 				cfgs = append(cfgs, cfg)
@@ -739,75 +739,21 @@ func runScale(seed uint64, outDir string) error {
 	})
 }
 
-// parseTournament expands the tournament flags into the factorial
-// configuration, validating controller and trace names up front so a
-// typo fails before hours of simulation.
+// parseTournament reads the tournament flags into a validated config,
+// defaults filled in, so a typo fails before hours of simulation.
 func parseTournament(seed uint64) (experiment.TournamentConfig, error) {
-	cfg := experiment.DefaultTournamentConfig()
-	cfg.Seed = seed
-	if s := strings.TrimSpace(*tournControllers); s != "" {
-		cfg.Controllers = nil
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(strings.ToLower(tok))
-			if tok == "" {
-				continue
-			}
-			if _, err := scaling.Canonical(tok); err != nil {
-				return cfg, err
-			}
-			cfg.Controllers = append(cfg.Controllers, tok)
-		}
-		if len(cfg.Controllers) == 0 {
-			return cfg, fmt.Errorf("-tournament-controllers is empty")
-		}
+	ctrls, errCtrls := splitList("tournament-controllers", strings.ToLower(*tournControllers), ",")
+	traces, errTraces := splitList("tournament-traces", strings.ToLower(*tournTraces), ",")
+	tiers, errTiers := positiveInts("tournament-tiers", *tournTiers)
+	sort.Ints(tiers)
+	cfg := experiment.TournamentConfig{
+		Controllers: ctrls,
+		Traces:      traces,
+		Tiers:       tiers,
+		Duration:    des.Time(*tournDuration) * des.Second,
+		Seed:        seed,
 	}
-	if s := strings.TrimSpace(*tournTraces); s != "" {
-		cfg.Traces = nil
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(strings.ToLower(tok))
-			if tok == "" {
-				continue
-			}
-			known := false
-			for _, n := range workload.Names() {
-				if tok == n {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return cfg, fmt.Errorf("unknown trace %q; available: %s",
-					tok, strings.Join(workload.Names(), ", "))
-			}
-			cfg.Traces = append(cfg.Traces, tok)
-		}
-		if len(cfg.Traces) == 0 {
-			return cfg, fmt.Errorf("-tournament-traces is empty")
-		}
-	}
-	if s := strings.TrimSpace(*tournTiers); s != "" {
-		cfg.Tiers = nil
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
-			n, err := strconv.Atoi(tok)
-			if err != nil || n <= 0 {
-				return cfg, fmt.Errorf("bad -tournament-tiers entry %q", tok)
-			}
-			cfg.Tiers = append(cfg.Tiers, n)
-		}
-		sort.Ints(cfg.Tiers)
-	}
-	if len(cfg.Tiers) == 0 {
-		return cfg, fmt.Errorf("-tournament-tiers is empty")
-	}
-	if *tournDuration <= 0 {
-		return cfg, fmt.Errorf("-tournament-duration must be positive")
-	}
-	cfg.Duration = des.Time(*tournDuration) * des.Second
-	return cfg, nil
+	return cfg.WithDefaults(), errors.Join(errCtrls, errTraces, errTiers, cfg.Validate())
 }
 
 // runTournament executes the factorial, prints the ranked standings, and
@@ -821,7 +767,10 @@ func runTournament(seed uint64, outDir string) error {
 	fmt.Printf("   %d controllers × %d traces × %d tiers = %d cells (%.0fs each)\n",
 		len(cfg.Controllers), len(cfg.Traces), len(cfg.Tiers),
 		len(cfg.Controllers)*len(cfg.Traces)*len(cfg.Tiers), float64(cfg.Duration))
-	res := experiment.RunTournament(cfg)
+	res, err := experiment.RunTournament(cfg)
+	if err != nil {
+		return err
+	}
 	experiment.RenderTournament(os.Stdout, res)
 
 	if err := writeCSV(outDir, "tournament_summary.csv", func(f *os.File) error {
@@ -835,97 +784,22 @@ func runTournament(seed uint64, outDir string) error {
 	})
 }
 
-// parseFrontier expands the frontier flags into the factorial
-// configuration, validating controller names, trace names, and
-// admission policy specs up front so a typo fails before hours of
-// simulation.
+// parseFrontier reads the frontier flags into a validated config,
+// defaults filled in.
 func parseFrontier(seed uint64) (experiment.FrontierConfig, error) {
-	cfg := experiment.DefaultFrontierConfig()
-	cfg.Seed = seed
-	if s := strings.TrimSpace(*frControllers); s != "" {
-		cfg.Controllers = nil
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(strings.ToLower(tok))
-			if tok == "" {
-				continue
-			}
-			if _, err := scaling.Canonical(tok); err != nil {
-				return cfg, err
-			}
-			cfg.Controllers = append(cfg.Controllers, tok)
-		}
-		if len(cfg.Controllers) == 0 {
-			return cfg, fmt.Errorf("-frontier-controllers is empty")
-		}
+	ctrls, errCtrls := splitList("frontier-controllers", strings.ToLower(*frControllers), ",")
+	policies, errPolicies := splitList("frontier-policies", *frPolicies, ";")
+	traces, errTraces := splitList("frontier-traces", strings.ToLower(*frTraces), ",")
+	cfg := experiment.FrontierConfig{
+		Clients:     *frClients,
+		Duration:    des.Time(*frDuration) * des.Second,
+		Seed:        seed,
+		Controllers: ctrls,
+		Policies:    policies,
+		Traces:      traces,
+		ThinkTime:   *frThink,
 	}
-	if s := strings.TrimSpace(*frPolicies); s != "" {
-		cfg.Policies = nil
-		hasAlways := false
-		for _, tok := range strings.Split(s, ";") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
-			acfg, err := admission.Parse(tok)
-			if err != nil {
-				return cfg, err
-			}
-			if _, err := admission.New(acfg); err != nil {
-				return cfg, err
-			}
-			if acfg.Policy == admission.Always {
-				hasAlways = true
-			}
-			cfg.Policies = append(cfg.Policies, tok)
-		}
-		if len(cfg.Policies) == 0 {
-			return cfg, fmt.Errorf("-frontier-policies is empty")
-		}
-		if !hasAlways {
-			return cfg, fmt.Errorf("-frontier-policies must include %q (the baseline of the delta columns)", admission.Always)
-		}
-	}
-	if s := strings.TrimSpace(*frTraces); s != "" {
-		cfg.Traces = nil
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(strings.ToLower(tok))
-			if tok == "" {
-				continue
-			}
-			known := false
-			for _, n := range workload.Names() {
-				if tok == n {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return cfg, fmt.Errorf("unknown trace %q; available: %s",
-					tok, strings.Join(workload.Names(), ", "))
-			}
-			cfg.Traces = append(cfg.Traces, tok)
-		}
-		if len(cfg.Traces) == 0 {
-			return cfg, fmt.Errorf("-frontier-traces is empty")
-		}
-	}
-	if *frClients < 0 {
-		return cfg, fmt.Errorf("-frontier-clients must be positive")
-	}
-	if *frClients > 0 {
-		cfg.Clients = *frClients
-	}
-	if *frDuration < 0 {
-		return cfg, fmt.Errorf("-frontier-duration must be positive")
-	}
-	if *frDuration > 0 {
-		cfg.Duration = des.Time(*frDuration) * des.Second
-	}
-	if *frThink < 0 {
-		return cfg, fmt.Errorf("-frontier-think must be positive")
-	}
-	cfg.ThinkTime = *frThink
-	return cfg, nil
+	return cfg.WithDefaults(), errors.Join(errCtrls, errPolicies, errTraces, cfg.Validate())
 }
 
 // runFrontier executes the admission factorial, prints the per-cell
@@ -945,7 +819,10 @@ func runFrontier(seed uint64, outDir string) error {
 			done, total, row.Trace, row.Controller, row.Policy,
 			row.P99Ms, row.Goodput, row.Sheds, row.WallSec)
 	}
-	res := experiment.RunFrontier(cfg)
+	res, err := experiment.RunFrontier(cfg)
+	if err != nil {
+		return err
+	}
 	fmt.Println()
 	experiment.RenderFrontier(os.Stdout, res)
 	if best, ok := res.BestTailCut(10); ok {
@@ -964,63 +841,20 @@ func runFrontier(seed uint64, outDir string) error {
 	})
 }
 
+// parseEpisodes reads the episodes flags into a validated config,
+// defaults filled in.
 func parseEpisodes(seed uint64) (experiment.EpisodesConfig, error) {
-	cfg := experiment.DefaultEpisodesConfig()
-	cfg.Seed = seed
-	cfg.Chaos = *epChaos
-	if s := strings.TrimSpace(*epControllers); s != "" {
-		cfg.Controllers = nil
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(strings.ToLower(tok))
-			if tok == "" {
-				continue
-			}
-			if _, err := scaling.Canonical(tok); err != nil {
-				return cfg, err
-			}
-			cfg.Controllers = append(cfg.Controllers, tok)
-		}
-		if len(cfg.Controllers) == 0 {
-			return cfg, fmt.Errorf("-episodes-controllers is empty")
-		}
+	ctrls, errCtrls := splitList("episodes-controllers", strings.ToLower(*epControllers), ",")
+	traces, errTraces := splitList("episodes-traces", strings.ToLower(*epTraces), ",")
+	cfg := experiment.EpisodesConfig{
+		Controllers: ctrls,
+		Traces:      traces,
+		Users:       *epUsers,
+		Duration:    des.Time(*epDuration) * des.Second,
+		Seed:        seed,
+		Chaos:       *epChaos,
 	}
-	if s := strings.TrimSpace(*epTraces); s != "" {
-		cfg.Traces = nil
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(strings.ToLower(tok))
-			if tok == "" {
-				continue
-			}
-			known := false
-			for _, n := range workload.Names() {
-				if tok == n {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return cfg, fmt.Errorf("unknown trace %q; available: %s",
-					tok, strings.Join(workload.Names(), ", "))
-			}
-			cfg.Traces = append(cfg.Traces, tok)
-		}
-		if len(cfg.Traces) == 0 {
-			return cfg, fmt.Errorf("-episodes-traces is empty")
-		}
-	}
-	if *epUsers < 0 {
-		return cfg, fmt.Errorf("-episodes-users must be positive")
-	}
-	if *epUsers > 0 {
-		cfg.Users = *epUsers
-	}
-	if *epDuration < 0 {
-		return cfg, fmt.Errorf("-episodes-duration must be positive")
-	}
-	if *epDuration > 0 {
-		cfg.Duration = des.Time(*epDuration) * des.Second
-	}
-	return cfg, nil
+	return cfg.WithDefaults(), errors.Join(errCtrls, errTraces, cfg.Validate())
 }
 
 // runEpisodes executes the forensics matrix, prints the per-cell table,
@@ -1035,7 +869,10 @@ func runEpisodes(seed uint64, outDir string) error {
 	fmt.Printf("   %d controllers × %d traces = %d cells (%.0fs each, chaos=%v)\n",
 		len(cfg.Controllers), len(cfg.Traces),
 		len(cfg.Controllers)*len(cfg.Traces), float64(cfg.Duration), cfg.Chaos)
-	cells := experiment.RunEpisodes(cfg)
+	cells, err := experiment.RunEpisodes(cfg)
+	if err != nil {
+		return err
+	}
 	experiment.RenderEpisodes(os.Stdout, cells)
 	fmt.Println()
 	experiment.RenderEpisodeRanking(os.Stdout, experiment.RankEpisodes(cells))
@@ -1119,63 +956,20 @@ func runEpisodes(seed uint64, outDir string) error {
 	return nil
 }
 
-// parseHypothesis expands the hypothesis flags, validating ids and
-// trace names up front.
+// parseHypothesis reads the hypothesis flags into a validated config;
+// zero fields stay for RunHypotheses to default.
 func parseHypothesis(seed uint64) (experiment.HypothesisConfig, error) {
-	cfg := experiment.HypothesisConfig{BaseSeed: seed}
-	if s := strings.TrimSpace(*hypoIDs); s != "" {
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(strings.ToLower(tok))
-			if tok == "" {
-				continue
-			}
-			known := false
-			for _, id := range experiment.HypothesisIDs() {
-				if tok == id {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return cfg, fmt.Errorf("unknown hypothesis %q; available: %s",
-					tok, strings.Join(experiment.HypothesisIDs(), ", "))
-			}
-			cfg.IDs = append(cfg.IDs, tok)
-		}
+	ids, errIDs := splitList("hypothesis-ids", strings.ToLower(*hypoIDs), ",")
+	traces, errTraces := splitList("hypothesis-traces", strings.ToLower(*hypoTraces), ",")
+	cfg := experiment.HypothesisConfig{
+		IDs:      ids,
+		Seeds:    *hypoSeeds,
+		BaseSeed: seed,
+		Duration: des.Time(*hypoDuration) * des.Second,
+		Users:    *hypoUsers,
+		Traces:   traces,
 	}
-	if *hypoSeeds < 0 {
-		return cfg, fmt.Errorf("-hypothesis-seeds must be positive")
-	}
-	cfg.Seeds = *hypoSeeds
-	if *hypoDuration < 0 {
-		return cfg, fmt.Errorf("-hypothesis-duration must be positive")
-	}
-	cfg.Duration = des.Time(*hypoDuration) * des.Second
-	if *hypoUsers < 0 {
-		return cfg, fmt.Errorf("-hypothesis-users must be positive")
-	}
-	cfg.Users = *hypoUsers
-	if s := strings.TrimSpace(*hypoTraces); s != "" {
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(strings.ToLower(tok))
-			if tok == "" {
-				continue
-			}
-			known := false
-			for _, n := range workload.Names() {
-				if tok == n {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return cfg, fmt.Errorf("unknown trace %q; available: %s",
-					tok, strings.Join(workload.Names(), ", "))
-			}
-			cfg.Traces = append(cfg.Traces, tok)
-		}
-	}
-	return cfg, nil
+	return cfg, errors.Join(errIDs, errTraces, cfg.Validate())
 }
 
 // runHypothesis executes the declared hypotheses, prints the FINDINGS

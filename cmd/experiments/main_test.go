@@ -1,8 +1,11 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"conscale/internal/experiment"
 )
 
 func names(rs []runner) []string {
@@ -190,5 +193,31 @@ func TestParseScaleSweepWorkers(t *testing.T) {
 		if _, err := parseScaleSweep(1); err == nil {
 			t.Errorf("-scale-workers=%q must be rejected", bad)
 		}
+	}
+}
+
+// TestUnsetFlagsTakeLibraryDefaults: with every size and list flag at 0 or
+// empty, the parsed configs are the library defaults.
+func TestUnsetFlagsTakeLibraryDefaults(t *testing.T) {
+	tc, err := parseTournament(1)
+	if err != nil || !reflect.DeepEqual(tc, experiment.DefaultTournamentConfig()) {
+		t.Errorf("tournament: %+v, %v", tc, err)
+	}
+	ec, err := parseEpisodes(1)
+	if err != nil || !reflect.DeepEqual(ec, experiment.DefaultEpisodesConfig()) {
+		t.Errorf("episodes: %+v, %v", ec, err)
+	}
+	fc, err := parseFrontier(1)
+	if err != nil || !reflect.DeepEqual(fc, experiment.DefaultFrontierConfig()) {
+		t.Errorf("frontier: %+v, %v", fc, err)
+	}
+	cfgs, err := parseScaleSweep(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := experiment.DefaultScaleConfig(cfgs[0].Mode, cfgs[0].Clients)
+	if cfgs[0].Cells != def.Cells || cfgs[0].Duration != def.Duration {
+		t.Errorf("scale: %d cells, %v s; library default %d cells, %v s",
+			cfgs[0].Cells, cfgs[0].Duration, def.Cells, def.Duration)
 	}
 }

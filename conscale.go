@@ -677,8 +677,12 @@ func NewControllerRuntime(c *Cluster, ctrl Controller, opts ControllerOptions) *
 func DefaultTournamentConfig() TournamentConfig { return experiment.DefaultTournamentConfig() }
 
 // RunTournament executes the controller tournament and ranks the
-// controllers by rank sum over p99 / SLO-burn minutes / VM-hours.
-func RunTournament(cfg TournamentConfig) *TournamentResult { return experiment.RunTournament(cfg) }
+// controllers by rank sum over p99 / SLO-burn minutes / VM-hours. A
+// config that fails TournamentConfig.Validate returns its error before
+// any cell runs.
+func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
+	return experiment.RunTournament(cfg)
+}
 
 // RenderTournament prints the ranked standings and per-cell table.
 func RenderTournament(w io.Writer, res *TournamentResult) { experiment.RenderTournament(w, res) }
@@ -806,8 +810,10 @@ func DefaultFrontierConfig() FrontierConfig { return experiment.DefaultFrontierC
 
 // RunFrontier executes the admission frontier factorial. Always-admit
 // cells run with no policy installed — byte-identical to the pre-layer
-// simulation — and serve as each (controller, trace) delta baseline.
-func RunFrontier(cfg FrontierConfig) *FrontierResult { return experiment.RunFrontier(cfg) }
+// simulation — and serve as each (controller, trace) delta baseline. A
+// config that fails FrontierConfig.Validate returns its error before any
+// cell runs.
+func RunFrontier(cfg FrontierConfig) (*FrontierResult, error) { return experiment.RunFrontier(cfg) }
 
 // RenderFrontier prints the frontier as an ASCII table grouped by
 // trace and controller, best p99 first.

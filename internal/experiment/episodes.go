@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -35,11 +36,10 @@ type EpisodesConfig struct {
 	Duration des.Time
 	// Seed derives every cell's random streams (default 1).
 	Seed uint64
-	// Chaos arms the deterministic fault overlay (default on; the
-	// attribution precision/recall table needs the ground truth).
+	// Chaos arms the deterministic fault overlay. A zero config leaves
+	// it off; DefaultEpisodesConfig arms it, since the attribution
+	// precision/recall table needs the ground truth.
 	Chaos bool
-	// Parallel fans cells out over the harness worker pool.
-	Parallel bool
 }
 
 // DefaultEpisodesConfig returns the standard matrix at the paper's
@@ -52,11 +52,22 @@ func DefaultEpisodesConfig() EpisodesConfig {
 		Duration:    720 * des.Second,
 		Seed:        1,
 		Chaos:       true,
-		Parallel:    true,
 	}
 }
 
-func (cfg EpisodesConfig) withDefaults() EpisodesConfig {
+// Validate reports every unknown controller or trace and negative size.
+// Zero fields take the defaults.
+func (cfg EpisodesConfig) Validate() error {
+	return errors.Join(
+		checkControllers(cfg.Controllers),
+		checkTraces(cfg.Traces),
+		checkSizes(size{"episodes Users", float64(cfg.Users)},
+			size{"episodes Duration", float64(cfg.Duration)}),
+	)
+}
+
+// WithDefaults returns cfg with every zero field set to its default.
+func (cfg EpisodesConfig) WithDefaults() EpisodesConfig {
 	def := DefaultEpisodesConfig()
 	if len(cfg.Controllers) == 0 {
 		cfg.Controllers = def.Controllers
@@ -189,12 +200,16 @@ func overlappingFaults(windows []chaos.Window, ep forensics.Episode, lag des.Tim
 
 // RunEpisodes executes the matrix: every (trace, controller) cell with
 // forensics, tracing (denser 1/8 head sampling so per-episode blame
-// diffs have a populated p99 class), telemetry, and — by default — the
-// chaos overlay armed. Cells iterate traces outer, controllers inner, so
-// output ordering is deterministic; Parallel preserves it via RunMany's
-// indexed slots.
-func RunEpisodes(cfg EpisodesConfig) []EpisodeCell {
-	cfg = cfg.withDefaults()
+// diffs have a populated p99 class), telemetry, and — when cfg.Chaos is
+// set — the chaos overlay armed. Cells iterate traces outer, controllers inner, so
+// output ordering is deterministic; RunMany's indexed slots keep it at
+// any worker count. A config that fails Validate returns its error
+// before any cell runs.
+func RunEpisodes(cfg EpisodesConfig) ([]EpisodeCell, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
 	profile := AnalyticDCMProfile(cluster.DefaultConfig())
 	var cfgs []RunConfig
 	for _, tr := range cfg.Traces {
@@ -222,20 +237,12 @@ func RunEpisodes(cfg EpisodesConfig) []EpisodeCell {
 			cfgs = append(cfgs, rc)
 		}
 	}
-	var results []*RunResult
-	if cfg.Parallel {
-		results = RunMany(cfgs)
-	} else {
-		results = make([]*RunResult, len(cfgs))
-		for i := range cfgs {
-			results[i] = Run(cfgs[i])
-		}
-	}
+	results := RunMany(cfgs)
 	cells := make([]EpisodeCell, len(results))
 	for i, res := range results {
 		cells[i] = EvaluateEpisodes(res)
 	}
-	return cells
+	return cells, nil
 }
 
 // EpisodeRank is one controller's aggregate standing: fewer, shorter,

@@ -51,7 +51,7 @@ func TestForensicsRunByteIdentical(t *testing.T) {
 // and checks the pipeline detects the injected fluctuation and grades
 // attribution against the known schedule.
 func TestEpisodesExperimentSmoke(t *testing.T) {
-	cells := RunEpisodes(EpisodesConfig{
+	cells, err := RunEpisodes(EpisodesConfig{
 		Controllers: []string{"ec2"},
 		Traces:      []string{workload.BigSpike},
 		Users:       5000,
@@ -59,6 +59,9 @@ func TestEpisodesExperimentSmoke(t *testing.T) {
 		Seed:        1,
 		Chaos:       true,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 1 {
 		t.Fatalf("cells = %d, want 1", len(cells))
 	}

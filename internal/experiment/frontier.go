@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -76,7 +77,8 @@ func DefaultFrontierConfig() FrontierConfig {
 	}
 }
 
-func (cfg FrontierConfig) withDefaults() FrontierConfig {
+// WithDefaults returns cfg with every zero field set to its default.
+func (cfg FrontierConfig) WithDefaults() FrontierConfig {
 	def := DefaultFrontierConfig()
 	if cfg.Clients <= 0 {
 		cfg.Clients = def.Clients
@@ -155,31 +157,55 @@ type FrontierResult struct {
 	Clients int
 }
 
-// RunFrontier executes the factorial sequentially (each run already
-// saturates the striper worker pool) and fills in the delta columns
-// against each (controller, trace) pair's always-admit cell.
-func RunFrontier(cfg FrontierConfig) *FrontierResult {
-	cfg = cfg.withDefaults()
+// Validate reports every unknown controller, trace or admission spec, a
+// policy list without the always-admit baseline the delta columns need,
+// and every negative size. Zero fields take the defaults.
+func (cfg FrontierConfig) Validate() error {
+	_, err := parsePolicies(cfg.Policies)
+	return errors.Join(
+		checkControllers(cfg.Controllers),
+		checkTraces(cfg.Traces),
+		err,
+		checkSizes(size{"frontier Clients", float64(cfg.Clients)},
+			size{"frontier Cells", float64(cfg.Cells)},
+			size{"frontier Duration", float64(cfg.Duration)},
+			size{"frontier ThinkTime", cfg.ThinkTime},
+			size{"frontier Workers", float64(cfg.Workers)}),
+	)
+}
 
-	// Validate every policy spec up front so a typo fails before hours
-	// of simulation, and pin the always-admit baseline's presence.
-	parsed := make([]admission.Config, len(cfg.Policies))
-	hasAlways := false
-	for i, spec := range cfg.Policies {
+// parsePolicies parses admission specs; a non-empty list must include
+// the always-admit baseline.
+func parsePolicies(specs []string) ([]admission.Config, error) {
+	parsed := make([]admission.Config, len(specs))
+	hasAlways := len(specs) == 0
+	for i, spec := range specs {
 		acfg, err := admission.Parse(spec)
 		if err != nil {
-			panic(err) // specs are validated by callers; a typo here is a programming error
-		}
-		if _, err := admission.New(acfg); err != nil {
-			panic(err)
+			return nil, err
 		}
 		parsed[i] = acfg
-		if acfg.Policy == admission.Always {
-			hasAlways = true
-		}
+		hasAlways = hasAlways || acfg.Policy == admission.Always
 	}
 	if !hasAlways {
-		panic("experiment: frontier needs an always-admit policy for its baseline columns")
+		return nil, fmt.Errorf("experiment: frontier policies %q must include %q, the baseline of the delta columns",
+			specs, admission.Always)
+	}
+	return parsed, nil
+}
+
+// RunFrontier executes the factorial sequentially (each run already
+// saturates the striper worker pool) and fills in the delta columns
+// against each (controller, trace) pair's always-admit cell. A config
+// that fails Validate returns its error before any cell runs.
+func RunFrontier(cfg FrontierConfig) (*FrontierResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
+	parsed, err := parsePolicies(cfg.Policies)
+	if err != nil {
+		return nil, err
 	}
 
 	// The frontier runs on PAPER-sized cells (1-core VMs, 60-thread app
@@ -227,7 +253,7 @@ func RunFrontier(cfg FrontierConfig) *FrontierResult {
 		}
 	}
 	res.fillDeltas()
-	return res
+	return res, nil
 }
 
 func frontierRow(tr, ctrl, spec string, acfg admission.Config, r *ScaleResult) FrontierRow {

@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"conscale/internal/admission"
 	"conscale/internal/cluster"
@@ -35,7 +38,8 @@ type HypothesisConfig struct {
 	Traces []string
 }
 
-func (cfg HypothesisConfig) withDefaults() HypothesisConfig {
+// WithDefaults returns cfg with every zero field set to its default.
+func (cfg HypothesisConfig) WithDefaults() HypothesisConfig {
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 5
 	}
@@ -168,29 +172,36 @@ func HypothesisIDs() []string {
 	return out
 }
 
-// RunHypotheses executes the selected hypotheses and returns their
-// results in declaration order. Unknown IDs error before any run
-// starts.
-func RunHypotheses(cfg HypothesisConfig) ([]HypothesisResult, error) {
-	cfg = cfg.withDefaults()
-	specs := hypoSpecs()
-	want := map[string]bool{}
-	for _, id := range cfg.IDs {
-		found := false
-		for _, s := range specs {
-			if s.id == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiment: unknown hypothesis %q (have %v)", id, HypothesisIDs())
-		}
-		want[id] = true
+// Validate reports every unknown hypothesis id or sweep trace and
+// negative size. Zero fields take the defaults.
+func (cfg HypothesisConfig) Validate() error {
+	errs := []error{
+		checkTraces(cfg.Traces),
+		checkSizes(size{"hypothesis Seeds", float64(cfg.Seeds)},
+			size{"hypothesis Duration", float64(cfg.Duration)},
+			size{"hypothesis SweepDuration", float64(cfg.SweepDuration)},
+			size{"hypothesis Users", float64(cfg.Users)}),
 	}
+	for _, id := range cfg.IDs {
+		if !slices.Contains(HypothesisIDs(), id) {
+			errs = append(errs, fmt.Errorf("experiment: unknown hypothesis %q; available: %s",
+				id, strings.Join(HypothesisIDs(), ", ")))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// RunHypotheses executes the selected hypotheses and returns their
+// results in declaration order. A config that fails Validate returns
+// its error before any run starts.
+func RunHypotheses(cfg HypothesisConfig) ([]HypothesisResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
 	var out []HypothesisResult
-	for _, s := range specs {
-		if len(want) > 0 && !want[s.id] {
+	for _, s := range hypoSpecs() {
+		if len(cfg.IDs) > 0 && !slices.Contains(cfg.IDs, s.id) {
 			continue
 		}
 		r := s.run(cfg)

@@ -37,8 +37,9 @@ func SetMaxWorkers(n int) int {
 // goroutines. Iterations must be independent; completion order is
 // unspecified, so fn must write results only to its own index.
 // Nested calls are safe — each level spawns its own bounded pool and
-// GOMAXPROCS bounds actual CPU use. Besides backing RunMany, it is the
-// worker-pool driver the scale mode injects into des.Striper.
+// GOMAXPROCS bounds actual CPU use. It backs RunMany, the sweeps, the
+// chaos table and the tournament; des.Striper does not use it, since
+// it owns a pinned pool of its own (SetWorkers).
 func ParallelFor(n int, fn func(i int)) {
 	w := MaxWorkers()
 	if w > n {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -37,10 +38,6 @@ type TournamentConfig struct {
 	// WarmupSkip excludes the initial span from the tail statistics
 	// (default 30 s).
 	WarmupSkip des.Time
-	// Parallel fans cells out over the harness worker pool. Cell
-	// results are written to caller-indexed slots, so parallel and
-	// sequential execution produce identical reports.
-	Parallel bool
 }
 
 // DefaultTournamentConfig returns the standard factorial: every
@@ -56,11 +53,28 @@ func DefaultTournamentConfig() TournamentConfig {
 		Duration:   300 * des.Second,
 		Seed:       1,
 		WarmupSkip: 30 * des.Second,
-		Parallel:   true,
 	}
 }
 
-func (cfg TournamentConfig) withDefaults() TournamentConfig {
+// Validate reports every unknown controller or trace, non-positive tier
+// and negative duration. Zero fields take the defaults.
+func (cfg TournamentConfig) Validate() error {
+	errs := []error{
+		checkControllers(cfg.Controllers),
+		checkTraces(cfg.Traces),
+		checkSizes(size{"tournament Duration", float64(cfg.Duration)},
+			size{"tournament WarmupSkip", float64(cfg.WarmupSkip)}),
+	}
+	for _, n := range cfg.Tiers {
+		if n <= 0 {
+			errs = append(errs, fmt.Errorf("experiment: tournament tier %d is not a positive client count", n))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// WithDefaults returns cfg with every zero field set to its default.
+func (cfg TournamentConfig) WithDefaults() TournamentConfig {
 	def := DefaultTournamentConfig()
 	if len(cfg.Controllers) == 0 {
 		cfg.Controllers = def.Controllers
@@ -138,9 +152,15 @@ type TournamentResult struct {
 // RunTournament executes the factorial and ranks the controllers. Every
 // cell runs with telemetry (for SLO burn accounting) and the audit
 // trail armed, flowing each controller's decisions through the same
-// observability stack the single-run experiments use.
-func RunTournament(cfg TournamentConfig) *TournamentResult {
-	cfg = cfg.withDefaults()
+// observability stack the single-run experiments use. Cells fan out
+// over the harness worker pool into indexed slots, so the result is the
+// same at any worker count. A config that fails Validate returns its
+// error before any cell runs.
+func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
 
 	type cellSpec struct {
 		ctrl, trace string
@@ -157,7 +177,7 @@ func RunTournament(cfg TournamentConfig) *TournamentResult {
 
 	profile := AnalyticDCMProfile(cluster.DefaultConfig())
 	res := &TournamentResult{Cells: make([]TournamentCell, len(specs))}
-	runCell := func(i int) {
+	ParallelFor(len(specs), func(i int) {
 		spec := specs[i]
 		fcfg := profiledConfig(scaling.EC2, profile) // Controller, not Mode, names the policy
 		shortHorizonSCT(fcfg, 60*des.Second)
@@ -174,17 +194,9 @@ func RunTournament(cfg TournamentConfig) *TournamentResult {
 			WarmupSkip: cfg.WarmupSkip,
 		})
 		res.Cells[i] = tournamentCell(spec.ctrl, spec.trace, spec.users, r)
-	}
-	if cfg.Parallel {
-		ParallelFor(len(specs), runCell)
-	} else {
-		for i := range specs {
-			runCell(i)
-		}
-	}
-
+	})
 	res.Ranking = rankTournament(cfg.Controllers, res.Cells)
-	return res
+	return res, nil
 }
 
 // tournamentCell scores one finished run.

@@ -9,22 +9,27 @@ import (
 	"conscale/internal/workload"
 )
 
-// smokeTournament is a two-controller, one-trace, one-tier factorial —
+// smokeTournament runs a two-controller, one-trace, one-tier factorial —
 // the smallest tournament that still exercises ranking.
-func smokeTournament(parallel bool) TournamentConfig {
-	return TournamentConfig{
+func smokeTournament(t *testing.T) *TournamentResult {
+	t.Helper()
+	res, err := RunTournament(TournamentConfig{
 		Controllers: []string{"ec2", "target-tracking"},
 		Traces:      []string{workload.BigSpike},
 		Tiers:       []int{1500},
 		Duration:    120 * des.Second,
 		Seed:        3,
-		Parallel:    parallel,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
 func TestTournamentParallelMatchesSequential(t *testing.T) {
-	seq := RunTournament(smokeTournament(false))
-	par := RunTournament(smokeTournament(true))
+	var seq, par *TournamentResult
+	withWorkers(1, func() { seq = smokeTournament(t) })
+	withWorkers(4, func() { par = smokeTournament(t) })
 	var a, b bytes.Buffer
 	WriteTournamentCSV(&a, seq)
 	WriteTournamentCSV(&b, par)
@@ -34,7 +39,7 @@ func TestTournamentParallelMatchesSequential(t *testing.T) {
 }
 
 func TestTournamentReportShape(t *testing.T) {
-	res := RunTournament(smokeTournament(true))
+	res := smokeTournament(t)
 	if len(res.Cells) != 2 {
 		t.Fatalf("want 2 cells, got %d", len(res.Cells))
 	}

@@ -7,6 +7,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"conscale/internal/des"
 )
@@ -98,60 +99,68 @@ func gauss(x, center, width float64) float64 {
 	return math.Exp(-d * d / 2)
 }
 
-// NewTrace builds one of the six standard traces with the given peak user
-// count and duration. It panics on an unknown name; use Names for the list.
+// shapes is the table of named traces: NewTrace builds from it and
+// CheckTrace validates against it, so what a config may name is what can
+// run.
+var shapes = map[string]func(u float64) float64{
+	// Flat load at maxUsers for the whole run.
+	Constant: func(float64) float64 { return 1 },
+	// Several big swings: three major peaks with deep valleys.
+	LargeVariations: func(u float64) float64 {
+		v := 0.45 + 0.33*math.Sin(2*math.Pi*2.6*u-0.9) + 0.18*math.Sin(2*math.Pi*5.3*u+1.7)
+		return 0.12 + 0.88*clamp01(v)
+	},
+	// Rapid oscillation around a mid level.
+	QuicklyVarying: func(u float64) float64 {
+		v := 0.5 + 0.28*math.Sin(2*math.Pi*9*u) + 0.16*math.Sin(2*math.Pi*17*u+0.6)
+		return 0.10 + 0.80*clamp01(v)
+	},
+	// One slow rise and fall across the run.
+	SlowlyVarying: func(u float64) float64 {
+		return 0.15 + 0.85*math.Pow(math.Sin(math.Pi*u), 1.6)
+	},
+	// Modest baseline with one sudden tall spike near 40% of the run.
+	BigSpike: func(u float64) float64 {
+		base := 0.28 + 0.06*math.Sin(2*math.Pi*2*u)
+		return clamp01(base + 0.72*gauss(u, 0.42, 0.045))
+	},
+	// Low plateau, steep climb to a high plateau, then descent.
+	DualPhase: func(u float64) float64 {
+		up := smoothstep(0.35, 0.45, u)
+		down := smoothstep(0.82, 0.95, u)
+		return 0.25 + 0.65*up - 0.55*down
+	},
+	// Three steep steps upward, then a cliff at the end.
+	SteepTriPhase: func(u float64) float64 {
+		v := 0.18 +
+			0.30*smoothstep(0.22, 0.27, u) +
+			0.42*smoothstep(0.55, 0.60, u) -
+			0.70*smoothstep(0.88, 0.93, u)
+		return clamp01(v)
+	},
+}
+
+// CheckTrace reports whether NewTrace knows the name: one of Names() or
+// Constant.
+func CheckTrace(name string) error {
+	if _, ok := shapes[name]; !ok {
+		return fmt.Errorf("workload: unknown trace %q; available: %s, %s",
+			name, strings.Join(Names(), ", "), Constant)
+	}
+	return nil
+}
+
+// NewTrace builds one of the six standard traces (or Constant) with the
+// given peak user count and duration. It panics on an unknown name;
+// CheckTrace validates one first.
 func NewTrace(name string, maxUsers int, duration des.Time) *Trace {
 	if maxUsers <= 0 || duration <= 0 {
 		panic("workload: non-positive trace parameters")
 	}
-	var shape func(u float64) float64
-	switch name {
-	case Constant:
-		// Flat load at maxUsers for the whole run.
-		shape = func(float64) float64 { return 1 }
-	case LargeVariations:
-		// Several big swings: three major peaks with deep valleys.
-		shape = func(u float64) float64 {
-			v := 0.45 + 0.33*math.Sin(2*math.Pi*2.6*u-0.9) + 0.18*math.Sin(2*math.Pi*5.3*u+1.7)
-			return 0.12 + 0.88*clamp01(v)
-		}
-	case QuicklyVarying:
-		// Rapid oscillation around a mid level.
-		shape = func(u float64) float64 {
-			v := 0.5 + 0.28*math.Sin(2*math.Pi*9*u) + 0.16*math.Sin(2*math.Pi*17*u+0.6)
-			return 0.10 + 0.80*clamp01(v)
-		}
-	case SlowlyVarying:
-		// One slow rise and fall across the run.
-		shape = func(u float64) float64 {
-			return 0.15 + 0.85*math.Pow(math.Sin(math.Pi*u), 1.6)
-		}
-	case BigSpike:
-		// Modest baseline with one sudden tall spike near 40% of the run.
-		shape = func(u float64) float64 {
-			base := 0.28 + 0.06*math.Sin(2*math.Pi*2*u)
-			return clamp01(base + 0.72*gauss(u, 0.42, 0.045))
-		}
-	case DualPhase:
-		// Low plateau, steep climb to a high plateau, then descent.
-		shape = func(u float64) float64 {
-			up := smoothstep(0.35, 0.45, u)
-			down := smoothstep(0.82, 0.95, u)
-			return 0.25 + 0.65*up - 0.55*down
-		}
-	case SteepTriPhase:
-		// Three steep steps upward, then a cliff at the end.
-		shape = func(u float64) float64 {
-			v := 0.18 +
-				0.30*smoothstep(0.22, 0.27, u) +
-				0.42*smoothstep(0.55, 0.60, u) -
-				0.70*smoothstep(0.88, 0.93, u)
-			return clamp01(v)
-		}
-	default:
-		panic(fmt.Sprintf("workload: unknown trace %q", name))
+	if err := CheckTrace(name); err != nil {
+		panic(err)
 	}
-	return &Trace{Name: name, Duration: duration, MaxUsers: maxUsers, shape: shape}
+	return &Trace{Name: name, Duration: duration, MaxUsers: maxUsers, shape: shapes[name]}
 }
 
 func clamp01(v float64) float64 {
