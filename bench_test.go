@@ -159,81 +159,47 @@ func BenchmarkFig11_DCMvsConScale(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_WindowSize (A1): sensitivity of the SCT estimate and
-// end-to-end tails to the fine-grained measurement interval.
-func BenchmarkAblation_WindowSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiment.AblationWindowSize(1)
-		for _, r := range rows {
-			b.ReportMetric(r.P99*1000, r.Label+"_p99_ms")
+// benchAblation replays study i of experiment.Ablations (A1 is 0) and
+// reports each arm's p95 or p99.
+func benchAblation(b *testing.B, i int, tail string) {
+	study := experiment.Ablations()[i]
+	for n := 0; n < b.N; n++ {
+		for _, r := range study.Run(1) {
+			v := r.P99
+			if tail == "p95" {
+				v = r.P95
+			}
+			b.ReportMetric(v*1000, r.Label+"_"+tail+"_ms")
 		}
 	}
 }
+
+// BenchmarkAblation_WindowSize (A1): sensitivity of the SCT estimate and
+// end-to-end tails to the fine-grained measurement interval.
+func BenchmarkAblation_WindowSize(b *testing.B) { benchAblation(b, 0, "p99") }
 
 // BenchmarkAblation_QupperSetting (A2): the latency cost of choosing the
 // upper bound of the rational range instead of Qlower.
-func BenchmarkAblation_QupperSetting(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiment.AblationQupper(1)
-		for _, r := range rows {
-			b.ReportMetric(r.P95*1000, r.Label+"_p95_ms")
-		}
-	}
-}
+func BenchmarkAblation_QupperSetting(b *testing.B) { benchAblation(b, 1, "p95") }
 
 // BenchmarkAblation_LBPolicy (A3): leastconn vs roundrobin balancing.
-func BenchmarkAblation_LBPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiment.AblationLBPolicy(1)
-		for _, r := range rows {
-			b.ReportMetric(r.P95*1000, r.Label+"_p95_ms")
-		}
-	}
-}
+func BenchmarkAblation_LBPolicy(b *testing.B) { benchAblation(b, 2, "p95") }
 
 // BenchmarkAblation_Cooldown (A4): the "quick start but slow turn off"
 // policy against aggressive scale-in.
-func BenchmarkAblation_Cooldown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiment.AblationCooldown(1)
-		for _, r := range rows {
-			b.ReportMetric(r.P99*1000, r.Label+"_p99_ms")
-		}
-	}
-}
+func BenchmarkAblation_Cooldown(b *testing.B) { benchAblation(b, 3, "p99") }
 
 // BenchmarkAblation_VerticalScaling (A5): horizontal vs vertical DB
 // scaling under ConScale.
-func BenchmarkAblation_VerticalScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiment.AblationVertical(1)
-		for _, r := range rows {
-			b.ReportMetric(r.P99*1000, r.Label+"_p99_ms")
-		}
-	}
-}
+func BenchmarkAblation_VerticalScaling(b *testing.B) { benchAblation(b, 4, "p99") }
 
 // BenchmarkAblation_CacheTier (A6): the optional Memcached tier's effect
 // on DB pressure and tails.
-func BenchmarkAblation_CacheTier(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiment.AblationCacheTier(1)
-		for _, r := range rows {
-			b.ReportMetric(r.P99*1000, r.Label+"_p99_ms")
-		}
-	}
-}
+func BenchmarkAblation_CacheTier(b *testing.B) { benchAblation(b, 5, "p99") }
 
 // BenchmarkAblation_SLATrigger (A7): the QoS trigger's value in the
 // under-allocation regime a stale DCM profile creates.
-func BenchmarkAblation_SLATrigger(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiment.AblationSLATrigger(1)
-		for _, r := range rows {
-			b.ReportMetric(r.P99*1000, r.Label+"_p99_ms")
-		}
-	}
-}
+func BenchmarkAblation_SLATrigger(b *testing.B) { benchAblation(b, 6, "p99") }
 
 // benchChaosScenario runs one canonical fault scenario across the three
 // controllers and reports each one's p99 — the robustness rows of the

@@ -56,7 +56,7 @@ var runners = []runner{
 	{"fig10", "EC2-AutoScaling vs ConScale full timelines", runFig10, nil},
 	{"table1", "Tail latencies, EC2 vs ConScale, all six traces", runTable1, nil},
 	{"fig11", "DCM (stale profile) vs ConScale after a system-state change", runFig11, nil},
-	{"ablations", "A1 window size, A2 Qupper, A3 LB policy, A4 cooldown", runAblations, nil},
+	{"ablations", "A1–A7: SCT window, Qupper, LB policy, cooldown, vertical DB, cache tier, SLA trigger", runAblations, nil},
 	{"chaos", "Controller robustness under injected cloud faults", runChaos, nil},
 	{"blame", "Latency-blame attribution: traced EC2 vs DCM vs ConScale", runBlame, nil},
 	{"slo", "SLO burn-rate detection lead time: EC2 vs DCM vs ConScale", runSLO, nil},
@@ -411,23 +411,10 @@ func runTable1(seed uint64, outDir string) error {
 }
 
 func runAblations(seed uint64, outDir string) error {
-	studies := []struct {
-		title string
-		file  string
-		rows  []experiment.AblationRow
-	}{
-		{"A1: SCT measurement window", "ablation_a1_window.csv", experiment.AblationWindowSize(seed)},
-		{"A2: Qlower vs Qupper setting", "ablation_a2_qupper.csv", experiment.AblationQupper(seed)},
-		{"A3: load-balancer policy", "ablation_a3_lb.csv", experiment.AblationLBPolicy(seed)},
-		{"A4: scale-in cooldown", "ablation_a4_cooldown.csv", experiment.AblationCooldown(seed)},
-		{"A5: horizontal vs vertical DB scaling", "ablation_a5_vertical.csv", experiment.AblationVertical(seed)},
-		{"A6: optional Memcached cache tier", "ablation_a6_cache.csv", experiment.AblationCacheTier(seed)},
-		{"A7: SLA trigger vs CPU threshold under a stale profile", "ablation_a7_sla.csv", experiment.AblationSLATrigger(seed)},
-	}
-	for _, st := range studies {
-		experiment.RenderAblation(os.Stdout, st.title, st.rows)
-		rows := st.rows
-		if err := writeCSV(outDir, st.file, func(f *os.File) error {
+	for _, study := range experiment.Ablations() {
+		rows := study.Run(seed)
+		experiment.RenderAblation(os.Stdout, study.Title, rows)
+		if err := writeCSV(outDir, study.File, func(f *os.File) error {
 			if _, err := fmt.Fprintln(f, "label,p95_ms,p99_ms,detail"); err != nil {
 				return err
 			}

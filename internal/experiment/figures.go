@@ -261,216 +261,183 @@ type AblationRow struct {
 	Detail string
 }
 
-// AblationWindowSize (A1) varies the fine-grained measurement interval and
-// reports the SCT estimate MySQL gets from the same scenario: too-coarse
-// windows smear the concurrency signal, too-fine ones starve bins.
-func AblationWindowSize(seed uint64) []AblationRow {
-	windows := []des.Time{10 * des.Millisecond, 50 * des.Millisecond, 250 * des.Millisecond, des.Second}
-	cfgs := make([]RunConfig, len(windows))
-	for i, w := range windows {
-		ccfg := cluster.DefaultConfig()
-		ccfg.Window = w
-		cfg := DefaultRunConfig(scaling.ConScale, workload.LargeVariations)
-		cfg.Seed = seed
-		cfg.Cluster = &ccfg
-		cfgs[i] = cfg
-	}
-	results := RunMany(cfgs)
-	rows := make([]AblationRow, len(windows))
-	for i, res := range results {
-		detail := "no estimate"
-		if est, ok := res.FinalEstimates["mysql1"]; ok {
-			detail = fmt.Sprintf("mysql1 Qlower=%d Qupper=%d", est.Qlower, est.Qupper)
-		}
-		rows[i] = AblationRow{
-			Label:  fmt.Sprintf("window=%dms", int(windows[i]/des.Millisecond)),
-			P95:    res.P95,
-			P99:    res.P99,
-			Detail: detail,
-		}
-	}
-	return rows
+// Ablation is one sensitivity study beyond the paper. Every arm runs the
+// large-variations trace under the study's policy with one design choice
+// changed; the study reports each arm's tails and a detail column.
+type Ablation struct {
+	// Title heads the study's table; File names its CSV artifact.
+	Title, File string
+
+	mode scaling.Mode
+	// base sets what every arm shares from the seed (nil: nothing).
+	base func(seed uint64, cfg *RunConfig)
+	arms []ablationArm
+	// detail fills a finished arm's detail column (nil: empty).
+	detail func(res *RunResult) string
 }
 
-// AblationQupper (A2) compares choosing Qlower (the paper's pick) against
-// Qupper as the soft-resource setting: both sustain maximum throughput,
-// but the upper bound operates at higher latency.
-func AblationQupper(seed uint64) []AblationRow {
-	labels := []string{"setting=Qlower", "setting=Qupper"}
-	cfgs := make([]RunConfig, len(labels))
-	for i, upper := range []bool{false, true} {
-		fcfg := scaling.DefaultConfig(scaling.ConScale)
-		fcfg.UseQupper = upper
-		cfg := DefaultRunConfig(scaling.ConScale, workload.LargeVariations)
-		cfg.Seed = seed
-		cfg.Framework = &fcfg
-		cfgs[i] = cfg
-	}
-	results := RunMany(cfgs)
-	rows := make([]AblationRow, len(labels))
-	for i, res := range results {
-		rows[i] = AblationRow{Label: labels[i], P95: res.P95, P99: res.P99}
-	}
-	return rows
+// ablationArm is one configuration of a study: its row label and its
+// change to the study's base run.
+type ablationArm struct {
+	label string
+	set   func(cfg *RunConfig)
 }
 
-// AblationLBPolicy (A3) compares leastconn (the paper's deployment) with
-// roundrobin balancing under ConScale.
-func AblationLBPolicy(seed uint64) []AblationRow {
-	policies := []lb.Policy{lb.LeastConn, lb.RoundRobin}
-	cfgs := make([]RunConfig, len(policies))
-	for i, policy := range policies {
-		ccfg := cluster.DefaultConfig()
-		ccfg.LBPolicy = policy
-		cfg := DefaultRunConfig(scaling.ConScale, workload.LargeVariations)
-		cfg.Seed = seed
-		cfg.Cluster = &ccfg
-		cfgs[i] = cfg
-	}
-	results := RunMany(cfgs)
-	rows := make([]AblationRow, len(policies))
-	for i, res := range results {
-		rows[i] = AblationRow{Label: "lb=" + policies[i].String(), P95: res.P95, P99: res.P99}
-	}
-	return rows
-}
-
-// AblationCooldown (A4) turns the "quick start but slow turn off" policy
-// off (aggressive scale-in) and measures the resulting oscillation.
-func AblationCooldown(seed uint64) []AblationRow {
-	labels := []string{"slow-turn-off", "fast-turn-off"}
-	cfgs := make([]RunConfig, len(labels))
-	for i, slow := range []bool{true, false} {
-		fcfg := scaling.DefaultConfig(scaling.EC2)
-		if !slow {
-			fcfg.SustainIn = 5
-			fcfg.InCooldown = 10 * des.Second
+// clusterArm changes a copy of the run's cluster config.
+func clusterArm(label string, set func(c *cluster.Config)) ablationArm {
+	return ablationArm{label, func(cfg *RunConfig) {
+		c := cluster.DefaultConfig()
+		if cfg.Cluster != nil {
+			c = *cfg.Cluster
 		}
-		cfg := DefaultRunConfig(scaling.EC2, workload.LargeVariations)
-		cfg.Seed = seed
-		cfg.Framework = &fcfg
-		cfgs[i] = cfg
+		set(&c)
+		cfg.Cluster = &c
+	}}
+}
+
+// frameworkArm changes a copy of the run's control-plane config.
+func frameworkArm(label string, set func(f *scaling.Config)) ablationArm {
+	return ablationArm{label, func(cfg *RunConfig) {
+		f := scaling.DefaultConfig(cfg.Mode)
+		if cfg.Framework != nil {
+			f = *cfg.Framework
+		}
+		set(&f)
+		cfg.Framework = &f
+	}}
+}
+
+// Ablations returns studies A1–A7 in order.
+func Ablations() []Ablation {
+	window := func(w des.Time) ablationArm {
+		return clusterArm(fmt.Sprintf("window=%dms", int(w/des.Millisecond)),
+			func(c *cluster.Config) { c.Window = w })
 	}
-	results := RunMany(cfgs)
-	rows := make([]AblationRow, len(labels))
-	for i, res := range results {
-		ins := 0
-		for _, e := range res.Events {
-			if e.Kind == scaling.ScaleIn {
-				ins++
+	balancer := func(p lb.Policy) ablationArm {
+		return clusterArm("lb="+p.String(), func(c *cluster.Config) { c.LBPolicy = p })
+	}
+	cache := func(label string, servers int) ablationArm {
+		return clusterArm(label, func(c *cluster.Config) {
+			c.CacheServers = servers
+			c.CacheHitRatio = 0.8
+		})
+	}
+	unchanged := func(*scaling.Config) {}
+	return []Ablation{{
+		// A1: too-coarse windows smear the concurrency signal, too-fine
+		// ones starve bins; the detail is the estimate MySQL gets.
+		Title: "A1: SCT measurement window", File: "ablation_a1_window.csv",
+		mode: scaling.ConScale,
+		arms: []ablationArm{window(10 * des.Millisecond), window(50 * des.Millisecond),
+			window(250 * des.Millisecond), window(des.Second)},
+		detail: func(res *RunResult) string {
+			if est, ok := res.FinalEstimates["mysql1"]; ok {
+				return fmt.Sprintf("mysql1 Qlower=%d Qupper=%d", est.Qlower, est.Qupper)
 			}
-		}
-		rows[i] = AblationRow{
-			Label:  labels[i],
-			P95:    res.P95,
-			P99:    res.P99,
-			Detail: fmt.Sprintf("%d scale-in events", ins),
-		}
-	}
-	return rows
-}
-
-// AblationVertical (A5) compares horizontal DB scaling (new VMs, 15 s
-// preparation each) with vertical scaling (adding vCPUs to live VMs, no
-// preparation) under ConScale — the scale-up strategy of the paper's
-// Section III-C.1, whose optimal-concurrency doubling the SCT model must
-// track online.
-func AblationVertical(seed uint64) []AblationRow {
-	labels := []string{"db=horizontal", "db=vertical(4max)"}
-	cfgs := make([]RunConfig, len(labels))
-	for i, vertical := range []bool{false, true} {
-		fcfg := scaling.DefaultConfig(scaling.ConScale)
-		if vertical {
-			fcfg.VerticalDBMaxCores = 4
-		}
-		cfg := DefaultRunConfig(scaling.ConScale, workload.LargeVariations)
-		cfg.Seed = seed
-		cfg.Framework = &fcfg
-		cfgs[i] = cfg
-	}
-	results := RunMany(cfgs)
-	rows := make([]AblationRow, len(labels))
-	for i, res := range results {
-		ups := 0
-		for _, e := range res.Events {
-			if e.Kind == scaling.ScaleOut && e.Tier == cluster.DB {
-				ups++
+			return "no estimate"
+		},
+	}, {
+		// A2: Qlower (the paper's pick) against Qupper as the setting;
+		// both sustain maximum throughput, the upper bound at higher
+		// latency.
+		Title: "A2: Qlower vs Qupper setting", File: "ablation_a2_qupper.csv",
+		mode: scaling.ConScale,
+		arms: []ablationArm{
+			frameworkArm("setting=Qlower", unchanged),
+			frameworkArm("setting=Qupper", func(f *scaling.Config) { f.UseQupper = true }),
+		},
+	}, {
+		// A3: leastconn (the paper's deployment) against roundrobin.
+		Title: "A3: load-balancer policy", File: "ablation_a3_lb.csv",
+		mode: scaling.ConScale,
+		arms: []ablationArm{balancer(lb.LeastConn), balancer(lb.RoundRobin)},
+	}, {
+		// A4: the "quick start but slow turn off" policy against
+		// aggressive scale-in, and the oscillation that follows.
+		Title: "A4: scale-in cooldown", File: "ablation_a4_cooldown.csv",
+		mode: scaling.EC2,
+		arms: []ablationArm{
+			frameworkArm("slow-turn-off", unchanged),
+			frameworkArm("fast-turn-off", func(f *scaling.Config) {
+				f.SustainIn = 5
+				f.InCooldown = 10 * des.Second
+			}),
+		},
+		detail: func(res *RunResult) string {
+			ins := 0
+			for _, e := range res.Events {
+				if e.Kind == scaling.ScaleIn {
+					ins++
+				}
 			}
-		}
-		rows[i] = AblationRow{
-			Label:  labels[i],
-			P95:    res.P95,
-			P99:    res.P99,
-			Detail: fmt.Sprintf("%d db scale events", ups),
-		}
-	}
-	return rows
+			return fmt.Sprintf("%d scale-in events", ins)
+		},
+	}, {
+		// A5: horizontal DB scaling (new VMs, 15 s preparation each)
+		// against vertical (vCPUs added to live VMs, no preparation) —
+		// Section III-C.1's scale-up, whose optimal-concurrency doubling
+		// the SCT model must track online.
+		Title: "A5: horizontal vs vertical DB scaling", File: "ablation_a5_vertical.csv",
+		mode: scaling.ConScale,
+		arms: []ablationArm{
+			frameworkArm("db=horizontal", unchanged),
+			frameworkArm("db=vertical(4max)", func(f *scaling.Config) { f.VerticalDBMaxCores = 4 }),
+		},
+		detail: func(res *RunResult) string {
+			return fmt.Sprintf("%d db scale events", len(res.ScaleOutTimes(cluster.DB)))
+		},
+	}, {
+		// A6: the optional Memcached tier the paper mentions, and the
+		// load it takes off the DB tier.
+		Title: "A6: optional Memcached cache tier", File: "ablation_a6_cache.csv",
+		mode: scaling.ConScale,
+		arms: []ablationArm{cache("cache=off", 0), cache("cache=on(80%hit)", 1)},
+		detail: func(res *RunResult) string {
+			return fmt.Sprintf("%d db scale-outs, goodput %d", len(res.ScaleOutTimes(cluster.DB)), res.Goodput)
+		},
+	}, {
+		// A7: the QoS trigger on top of DCM in Fig. 11's scenario (a
+		// stale, under-allocating profile). The CPU threshold alone
+		// cannot see the under-allocation — hardware idles while
+		// response times burn — but the SLA trigger can.
+		Title: "A7: SLA trigger vs CPU threshold under a stale profile", File: "ablation_a7_sla.csv",
+		mode: scaling.DCM,
+		base: func(seed uint64, cfg *RunConfig) {
+			profile := TrainDCM(seed, cluster.DefaultConfig())
+			ccfg := cluster.DefaultConfig()
+			ccfg.DatasetScale = 0.5 // system state changed after training
+			cfg.Cluster = &ccfg
+			cfg.Framework = profiledConfig(scaling.DCM, profile)
+		},
+		arms: []ablationArm{
+			frameworkArm("dcm", unchanged),
+			frameworkArm("dcm+sla-trigger", func(f *scaling.Config) {
+				f.SLATarget = 0.300 // the paper's web QoS example: p99 < 300 ms
+				f.SLAPercentile = 99
+			}),
+		},
+		detail: func(res *RunResult) string { return fmt.Sprintf("goodput %d", res.Goodput) },
+	}}
 }
 
-// AblationCacheTier (A6) adds the optional Memcached tier the paper
-// mentions and measures how much load it takes off the DB tier.
-func AblationCacheTier(seed uint64) []AblationRow {
-	labels := []string{"cache=off", "cache=on(80%hit)"}
-	cfgs := make([]RunConfig, len(labels))
-	for i, caches := range []int{0, 1} {
-		ccfg := cluster.DefaultConfig()
-		ccfg.CacheServers = caches
-		ccfg.CacheHitRatio = 0.8
-		cfg := DefaultRunConfig(scaling.ConScale, workload.LargeVariations)
-		cfg.Seed = seed
-		cfg.Cluster = &ccfg
-		cfgs[i] = cfg
+// Run executes every arm of the study, in parallel up to MaxWorkers, and
+// folds each finished run into its row.
+func (a Ablation) Run(seed uint64) []AblationRow {
+	base := DefaultRunConfig(a.mode, workload.LargeVariations)
+	base.Seed = seed
+	if a.base != nil {
+		a.base(seed, &base)
 	}
-	results := RunMany(cfgs)
-	rows := make([]AblationRow, len(labels))
-	for i, res := range results {
-		dbOuts := 0
-		for _, e := range res.Events {
-			if e.Kind == scaling.ScaleOut && e.Tier == cluster.DB {
-				dbOuts++
-			}
-		}
-		rows[i] = AblationRow{
-			Label:  labels[i],
-			P95:    res.P95,
-			P99:    res.P99,
-			Detail: fmt.Sprintf("%d db scale-outs, goodput %d", dbOuts, res.Goodput),
-		}
+	cfgs := make([]RunConfig, len(a.arms))
+	for i, arm := range a.arms {
+		cfgs[i] = base
+		arm.set(&cfgs[i])
 	}
-	return rows
-}
-
-// AblationSLATrigger (A7) arms the QoS trigger on top of the DCM baseline
-// in the Fig. 11 scenario (stale under-allocating profile): the CPU
-// threshold alone cannot see the under-allocation effect — hardware idles
-// while response times burn — but the SLA trigger can.
-func AblationSLATrigger(seed uint64) []AblationRow {
-	profile := TrainDCM(seed, cluster.DefaultConfig())
-	ccfg := cluster.DefaultConfig()
-	ccfg.DatasetScale = 0.5 // system state changed after training
-
-	labels := []string{"dcm", "dcm+sla-trigger"}
-	cfgs := make([]RunConfig, len(labels))
-	for i, withSLA := range []bool{false, true} {
-		fcfg := profiledConfig(scaling.DCM, profile)
-		if withSLA {
-			fcfg.SLATarget = 0.300 // the paper's web QoS example: p99 < 300 ms
-			fcfg.SLAPercentile = 99
-		}
-		cfg := DefaultRunConfig(scaling.DCM, workload.LargeVariations)
-		cfg.Seed = seed
-		cfg.Cluster = &ccfg
-		cfg.Framework = fcfg
-		cfgs[i] = cfg
-	}
-	results := RunMany(cfgs)
-	rows := make([]AblationRow, len(labels))
-	for i, res := range results {
-		rows[i] = AblationRow{
-			Label:  labels[i],
-			P95:    res.P95,
-			P99:    res.P99,
-			Detail: fmt.Sprintf("goodput %d", res.Goodput),
+	rows := make([]AblationRow, len(cfgs))
+	for i, res := range RunMany(cfgs) {
+		rows[i] = AblationRow{Label: a.arms[i].label, P95: res.P95, P99: res.P99}
+		if a.detail != nil {
+			rows[i].Detail = a.detail(res)
 		}
 	}
 	return rows
