@@ -368,27 +368,23 @@ func runFig9(_ uint64, outDir string) error {
 }
 
 func runFig10(seed uint64, outDir string) error {
-	res := experiment.Fig10(seed)
-	experiment.RenderCompare(os.Stdout, res)
-	if err := writeCSV(outDir, "fig10_ec2_timeline.csv", func(f *os.File) error {
-		return experiment.WriteTimelineCSV(f, res.Baseline)
-	}); err != nil {
-		return err
-	}
-	return writeCSV(outDir, "fig10_conscale_timeline.csv", func(f *os.File) error {
-		return experiment.WriteTimelineCSV(f, res.ConScale)
-	})
+	return writeCompare(outDir, "fig10", "ec2", experiment.Fig10(seed))
 }
 
 func runFig11(seed uint64, outDir string) error {
-	res := experiment.Fig11(seed)
+	return writeCompare(outDir, "fig11", "dcm", experiment.Fig11(seed))
+}
+
+// writeCompare prints a baseline-vs-ConScale pair and writes both
+// timelines as <fig>_<baseline>_timeline.csv and <fig>_conscale_timeline.csv.
+func writeCompare(outDir, fig, baseline string, res experiment.CompareResult) error {
 	experiment.RenderCompare(os.Stdout, res)
-	if err := writeCSV(outDir, "fig11_dcm_timeline.csv", func(f *os.File) error {
+	if err := writeCSV(outDir, fig+"_"+baseline+"_timeline.csv", func(f *os.File) error {
 		return experiment.WriteTimelineCSV(f, res.Baseline)
 	}); err != nil {
 		return err
 	}
-	return writeCSV(outDir, "fig11_conscale_timeline.csv", func(f *os.File) error {
+	return writeCSV(outDir, fig+"_conscale_timeline.csv", func(f *os.File) error {
 		return experiment.WriteTimelineCSV(f, res.ConScale)
 	})
 }

@@ -59,8 +59,8 @@ func DefaultEpisodesConfig() EpisodesConfig {
 // Zero fields take the defaults.
 func (cfg EpisodesConfig) Validate() error {
 	return errors.Join(
-		checkControllers(cfg.Controllers),
-		checkTraces(cfg.Traces),
+		checkNames(cfg.Controllers, knownController),
+		checkNames(cfg.Traces, workload.CheckTrace),
 		checkSizes(size{"episodes Users", float64(cfg.Users)},
 			size{"episodes Duration", float64(cfg.Duration)}),
 	)

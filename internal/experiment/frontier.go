@@ -163,8 +163,8 @@ type FrontierResult struct {
 func (cfg FrontierConfig) Validate() error {
 	_, err := parsePolicies(cfg.Policies)
 	return errors.Join(
-		checkControllers(cfg.Controllers),
-		checkTraces(cfg.Traces),
+		checkNames(cfg.Controllers, knownController),
+		checkNames(cfg.Traces, workload.CheckTrace),
 		err,
 		checkSizes(size{"frontier Clients", float64(cfg.Clients)},
 			size{"frontier Cells", float64(cfg.Cells)},

@@ -175,20 +175,20 @@ func HypothesisIDs() []string {
 // Validate reports every unknown hypothesis id or sweep trace and
 // negative size. Zero fields take the defaults.
 func (cfg HypothesisConfig) Validate() error {
-	errs := []error{
-		checkTraces(cfg.Traces),
+	return errors.Join(
+		checkNames(cfg.IDs, func(id string) error {
+			if !slices.Contains(HypothesisIDs(), id) {
+				return fmt.Errorf("experiment: unknown hypothesis %q; available: %s",
+					id, strings.Join(HypothesisIDs(), ", "))
+			}
+			return nil
+		}),
+		checkNames(cfg.Traces, workload.CheckTrace),
 		checkSizes(size{"hypothesis Seeds", float64(cfg.Seeds)},
 			size{"hypothesis Duration", float64(cfg.Duration)},
 			size{"hypothesis SweepDuration", float64(cfg.SweepDuration)},
 			size{"hypothesis Users", float64(cfg.Users)}),
-	}
-	for _, id := range cfg.IDs {
-		if !slices.Contains(HypothesisIDs(), id) {
-			errs = append(errs, fmt.Errorf("experiment: unknown hypothesis %q; available: %s",
-				id, strings.Join(HypothesisIDs(), ", ")))
-		}
-	}
-	return errors.Join(errs...)
+	)
 }
 
 // RunHypotheses executes the selected hypotheses and returns their

@@ -60,8 +60,8 @@ func DefaultTournamentConfig() TournamentConfig {
 // and negative duration. Zero fields take the defaults.
 func (cfg TournamentConfig) Validate() error {
 	errs := []error{
-		checkControllers(cfg.Controllers),
-		checkTraces(cfg.Traces),
+		checkNames(cfg.Controllers, knownController),
+		checkNames(cfg.Traces, workload.CheckTrace),
 		checkSizes(size{"tournament Duration", float64(cfg.Duration)},
 			size{"tournament WarmupSkip", float64(cfg.WarmupSkip)}),
 	}

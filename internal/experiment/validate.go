@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"conscale/internal/scaling"
-	"conscale/internal/workload"
 )
 
 // The matrix configs (tournament, episodes, frontier, hypothesis) each
@@ -14,25 +13,19 @@ import (
 // rather than a panic in a worker goroutine after other cells have run.
 // Zero fields mean "library default", so only negative sizes are bad.
 
-// checkControllers resolves every name through the controller registry.
-func checkControllers(names []string) error {
+// checkNames runs check on every name and joins the errors.
+func checkNames(names []string, check func(name string) error) error {
 	var errs []error
 	for _, n := range names {
-		if _, err := scaling.Canonical(n); err != nil {
-			errs = append(errs, err)
-		}
+		errs = append(errs, check(n))
 	}
 	return errors.Join(errs...)
 }
 
-// checkTraces checks every name against the table workload.NewTrace
-// builds from.
-func checkTraces(names []string) error {
-	var errs []error
-	for _, n := range names {
-		errs = append(errs, workload.CheckTrace(n))
-	}
-	return errors.Join(errs...)
+// knownController resolves a name through the controller registry.
+func knownController(name string) error {
+	_, err := scaling.Canonical(name)
+	return err
 }
 
 // size is one numeric config field, named for the error message.
