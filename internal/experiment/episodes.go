@@ -201,10 +201,10 @@ func overlappingFaults(windows []chaos.Window, ep forensics.Episode, lag des.Tim
 // RunEpisodes executes the matrix: every (trace, controller) cell with
 // forensics, tracing (denser 1/8 head sampling so per-episode blame
 // diffs have a populated p99 class), telemetry, and — when cfg.Chaos is
-// set — the chaos overlay armed. Cells iterate traces outer, controllers inner, so
-// output ordering is deterministic; RunMany's indexed slots keep it at
-// any worker count. A config that fails Validate returns its error
-// before any cell runs.
+// set — the chaos overlay armed. Cells iterate traces outer,
+// controllers inner, so output ordering is deterministic; RunMany's
+// indexed slots keep it at any worker count. A config that fails
+// Validate returns its error before any cell runs.
 func RunEpisodes(cfg EpisodesConfig) ([]EpisodeCell, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -203,10 +203,7 @@ func RunFrontier(cfg FrontierConfig) (*FrontierResult, error) {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	parsed, err := parsePolicies(cfg.Policies)
-	if err != nil {
-		return nil, err
-	}
+	parsed, _ := parsePolicies(cfg.Policies) // Validate accepted them; the defaults parse
 
 	// The frontier runs on PAPER-sized cells (1-core VMs, 60-thread app
 	// pools), not the beefy scale skeleton: 100k clients over 16 such

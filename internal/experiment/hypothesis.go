@@ -38,8 +38,7 @@ type HypothesisConfig struct {
 	Traces []string
 }
 
-// WithDefaults returns cfg with every zero field set to its default.
-func (cfg HypothesisConfig) WithDefaults() HypothesisConfig {
+func (cfg HypothesisConfig) withDefaults() HypothesisConfig {
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 5
 	}
@@ -198,7 +197,7 @@ func RunHypotheses(cfg HypothesisConfig) ([]HypothesisResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.WithDefaults()
+	cfg = cfg.withDefaults()
 	var out []HypothesisResult
 	for _, s := range hypoSpecs() {
 		if len(cfg.IDs) > 0 && !slices.Contains(cfg.IDs, s.id) {
