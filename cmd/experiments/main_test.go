@@ -1,7 +1,11 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,9 +62,9 @@ func TestSelectRunnersHeavyExplicit(t *testing.T) {
 }
 
 func TestParseScaleSweep(t *testing.T) {
-	cfgs, err := parseScaleSweep(7)
+	cfgs, err := scaleSweep()
 	if err != nil {
-		t.Fatalf("parseScaleSweep: %v", err)
+		t.Fatalf("scaleSweep: %v", err)
 	}
 	// Defaults: 3 client tiers × 3 modes, ascending client order.
 	if len(cfgs) != 9 {
@@ -70,7 +74,7 @@ func TestParseScaleSweep(t *testing.T) {
 		t.Fatalf("sweep not ascending: first=%d last=%d", cfgs[0].Clients, cfgs[len(cfgs)-1].Clients)
 	}
 	for _, cfg := range cfgs {
-		if cfg.Seed != 7 || cfg.Cells <= 0 || cfg.Duration <= 0 {
+		if cfg.Cells <= 0 || cfg.Duration <= 0 || !cfg.Telemetry {
 			t.Fatalf("bad sweep point: %+v", cfg)
 		}
 	}
@@ -131,51 +135,58 @@ func TestRunnerNamesUniqueAndLower(t *testing.T) {
 	}
 }
 
+// setFlag sets a flag as the command line would and restores every
+// flag-bound config when the test ends.
+func setFlag(t *testing.T, name, value string) error {
+	t.Helper()
+	tc, ec, fc, hc, sc := tournament, episodes, frontier, hypothesis, scale
+	clients, modes, workers := scaleClients, scaleModes, scaleWorkers
+	t.Cleanup(func() {
+		tournament, episodes, frontier, hypothesis, scale = tc, ec, fc, hc, sc
+		scaleClients, scaleModes, scaleWorkers = clients, modes, workers
+	})
+	return flag.Set(name, value)
+}
+
+// TestParseHypothesis: the hypothesis flags land in the config, names
+// lower-cased, and its Validate rejects what the runner would.
 func TestParseHypothesis(t *testing.T) {
-	oldIDs, oldTraces, oldSeeds := *hypoIDs, *hypoTraces, *hypoSeeds
-	defer func() { *hypoIDs, *hypoTraces, *hypoSeeds = oldIDs, oldTraces, oldSeeds }()
-
-	cfg, err := parseHypothesis(9)
-	if err != nil {
-		t.Fatalf("parseHypothesis: %v", err)
+	if len(hypothesis.IDs) != 0 || len(hypothesis.Traces) != 0 || hypothesis.Validate() != nil {
+		t.Fatalf("defaults: %+v", hypothesis)
 	}
-	if cfg.BaseSeed != 9 || len(cfg.IDs) != 0 || len(cfg.Traces) != 0 {
-		t.Fatalf("defaults: %+v", cfg)
+	if err := setFlag(t, "hypothesis-ids", "twin-steady, DRIFT-CALM"); err != nil {
+		t.Fatal(err)
 	}
-
-	*hypoIDs = "twin-steady, DRIFT-CALM"
-	*hypoTraces = "big-spike"
-	cfg, err = parseHypothesis(1)
-	if err != nil {
-		t.Fatalf("parseHypothesis: %v", err)
+	if err := setFlag(t, "hypothesis-traces", "big-spike"); err != nil {
+		t.Fatal(err)
 	}
-	if len(cfg.IDs) != 2 || cfg.IDs[1] != "drift-calm" || len(cfg.Traces) != 1 {
-		t.Fatalf("parsed: %+v", cfg)
+	if !slices.Equal(hypothesis.IDs, []string{"twin-steady", "drift-calm"}) || len(hypothesis.Traces) != 1 {
+		t.Fatalf("parsed: %+v", hypothesis)
 	}
-
-	*hypoIDs = "nope"
-	if _, err := parseHypothesis(1); err == nil {
-		t.Error("unknown hypothesis id must be rejected")
+	if err := hypothesis.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	*hypoIDs = ""
-	*hypoTraces = "not-a-trace"
-	if _, err := parseHypothesis(1); err == nil {
-		t.Error("unknown trace must be rejected")
-	}
-	*hypoTraces = ""
-	*hypoSeeds = -1
-	if _, err := parseHypothesis(1); err == nil {
-		t.Error("negative seed count must be rejected")
+	for _, bad := range [][2]string{
+		{"hypothesis-ids", "nope"},
+		{"hypothesis-traces", "not-a-trace"},
+		{"hypothesis-seeds", "-1"},
+	} {
+		if err := setFlag(t, bad[0], bad[1]); err != nil {
+			t.Fatal(err)
+		}
+		if hypothesis.Validate() == nil {
+			t.Errorf("-%s=%s must be rejected", bad[0], bad[1])
+		}
 	}
 }
 
 func TestParseScaleSweepWorkers(t *testing.T) {
-	old := *scaleWorkers
-	defer func() { *scaleWorkers = old }()
-	*scaleWorkers = "1, 2,4"
-	cfgs, err := parseScaleSweep(1)
+	if err := setFlag(t, "scale-workers", "1, 2,4"); err != nil {
+		t.Fatal(err)
+	}
+	cfgs, err := scaleSweep()
 	if err != nil {
-		t.Fatalf("parseScaleSweep: %v", err)
+		t.Fatalf("scaleSweep: %v", err)
 	}
 	// 3 client tiers × 3 modes × 3 worker counts, workers innermost so a
 	// scaling curve reads as consecutive rows of the same cell.
@@ -189,29 +200,34 @@ func TestParseScaleSweepWorkers(t *testing.T) {
 		t.Fatalf("curve rows differ beyond workers: %+v vs %+v", cfgs[0], cfgs[2])
 	}
 	for _, bad := range []string{"0", "-2", "x", " , "} {
-		*scaleWorkers = bad
-		if _, err := parseScaleSweep(1); err == nil {
+		if setFlag(t, "scale-workers", bad) == nil {
 			t.Errorf("-scale-workers=%q must be rejected", bad)
 		}
 	}
 }
 
 // TestUnsetFlagsTakeLibraryDefaults: with every size and list flag at 0 or
-// empty, the parsed configs are the library defaults.
+// empty, the flag-bound configs are the library defaults.
 func TestUnsetFlagsTakeLibraryDefaults(t *testing.T) {
-	tc, err := parseTournament(1)
-	if err != nil || !reflect.DeepEqual(tc, experiment.DefaultTournamentConfig()) {
-		t.Errorf("tournament: %+v, %v", tc, err)
+	tc := tournament
+	tc.Seed = 1
+	if !reflect.DeepEqual(tc.WithDefaults(), experiment.DefaultTournamentConfig()) {
+		t.Errorf("tournament: %+v", tc)
 	}
-	ec, err := parseEpisodes(1)
-	if err != nil || !reflect.DeepEqual(ec, experiment.DefaultEpisodesConfig()) {
-		t.Errorf("episodes: %+v, %v", ec, err)
+	ec := episodes
+	ec.Seed = 1
+	if !reflect.DeepEqual(ec.WithDefaults(), experiment.DefaultEpisodesConfig()) {
+		t.Errorf("episodes: %+v", ec)
 	}
-	fc, err := parseFrontier(1)
-	if err != nil || !reflect.DeepEqual(fc, experiment.DefaultFrontierConfig()) {
-		t.Errorf("frontier: %+v, %v", fc, err)
+	fc := frontier
+	fc.Seed = 1
+	if !reflect.DeepEqual(fc.WithDefaults(), experiment.DefaultFrontierConfig()) {
+		t.Errorf("frontier: %+v", fc)
 	}
-	cfgs, err := parseScaleSweep(1)
+	if !reflect.DeepEqual(hypothesis, experiment.HypothesisConfig{}) {
+		t.Errorf("hypothesis: %+v", hypothesis)
+	}
+	cfgs, err := scaleSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +235,37 @@ func TestUnsetFlagsTakeLibraryDefaults(t *testing.T) {
 	if cfgs[0].Cells != def.Cells || cfgs[0].Duration != def.Duration {
 		t.Errorf("scale: %d cells, %v s; library default %d cells, %v s",
 			cfgs[0].Cells, cfgs[0].Duration, def.Cells, def.Duration)
+	}
+}
+
+// TestCLIFailedWriteFails: a results file the disk refuses fails the
+// run with exit status 1 and names the file, instead of reporting it
+// written.
+func TestCLIFailedWriteFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	const name = "scale_timeline_conscale_10000.csv"
+	if err := os.Symlink("/dev/full", filepath.Join(dir, name)); err != nil {
+		t.Fatal(err)
+	}
+	code, out := cli(t, "-run", "scale", "-scale-clients", "10000", "-scale-modes", "conscale",
+		"-scale-duration", "30", "-out", dir)
+	if code != 1 || !strings.Contains(out, name) || strings.Contains(out, "wrote "+filepath.Join(dir, name)) {
+		t.Fatalf("exit %d, output:\n%s", code, out)
+	}
+}
+
+// TestCLIChecksBeforeRunning: a bad input of any picked runner fails
+// with exit status 2 before the first runner writes a file.
+func TestCLIChecksBeforeRunning(t *testing.T) {
+	dir := t.TempDir()
+	code, out := cli(t, "-run", "fig9,tournament", "-tournament-traces", "nope", "-out", dir)
+	if code != 2 || !strings.Contains(out, "nope") {
+		t.Fatalf("exit %d, output:\n%s", code, out)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("-out holds %d files (%v), want none", len(files), err)
 	}
 }

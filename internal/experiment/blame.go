@@ -58,6 +58,28 @@ func BlameRuns(seed uint64, duration des.Time, users int) []BlameResult {
 	return out
 }
 
+// BlameArtifacts is, per controller, the blame table
+// (blame_<controller>.csv), the audit trail (blame_audit_<controller>.csv)
+// and the slowest sampled requests as a Chrome trace
+// (blame_trace_<controller>.json).
+func BlameArtifacts(results []BlameResult) []Artifact {
+	var arts []Artifact
+	for _, b := range results {
+		name := b.Mode.String()
+		arts = append(arts,
+			Artifact{"blame_" + sanitize(name) + ".csv", func(w io.Writer) error {
+				return trace.WriteBlameCSV(w, name, b.Rows)
+			}},
+			Artifact{"blame_audit_" + sanitize(name) + ".csv", func(w io.Writer) error {
+				return trace.WriteAuditCSV(w, b.Res.Audit)
+			}},
+			Artifact{"blame_trace_" + sanitize(name) + ".json", func(w io.Writer) error {
+				return trace.WriteChromeTrace(w, b.Res.Tracer.Slowest(), b.Res.Audit)
+			}})
+	}
+	return arts
+}
+
 // TransitionWindow returns the blame focus interval around the run's
 // first app-tier scale-out ([t-20s, t+40s), clipped at zero) and whether
 // the run scaled at all. This is the interval where the paper's

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"fmt"
+	"io"
+
 	"conscale/internal/chaos"
 	"conscale/internal/cluster"
 	"conscale/internal/des"
@@ -67,6 +70,17 @@ type ChaosRow struct {
 	// Windows is the number of faults that actually activated (faults
 	// aimed at already-dead targets hit nothing and record no window).
 	Windows int
+}
+
+// ChaosArtifacts is the robustness table, chaos_tail_latency.csv.
+func ChaosArtifacts(rows []ChaosRow) []Artifact {
+	return []Artifact{{"chaos_tail_latency.csv", sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "scenario,controller,p95_ms,p99_ms,error_rate,goodput,fault_windows")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%s,%s,%.0f,%.0f,%.4f,%d,%d\n",
+				r.Scenario, r.Mode, r.P95*1000, r.P99*1000, r.ErrorRate, r.Goodput, r.Windows)
+		}
+	})}}
 }
 
 // ChaosRun executes the Large Variations trace under one fault scenario

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"conscale/internal/chaos"
 	"conscale/internal/cluster"
@@ -322,6 +323,61 @@ func ScoreAttribution(cells []EpisodeCell) AttributionScore {
 		s.Recall = float64(s.Attributed) / float64(s.Overlapped)
 	}
 	return s
+}
+
+// EpisodesArtifacts is the matrix as episodes_summary.csv, one row per
+// episode as episodes_attribution.csv (commas in the top cause's detail
+// become semicolons), each cell's attribution report as
+// episode_report_<trace>_<controller>.json, and episodes_perfetto.json:
+// the slowest traced requests plus the episode annotation track of the
+// first big-spike cell with an episode.
+func EpisodesArtifacts(cells []EpisodeCell) []Artifact {
+	arts := []Artifact{
+		{"episodes_summary.csv", sticky(func(w io.Writer) {
+			fmt.Fprintln(w, "trace,controller,episodes,total_dur_s,mean_depth_ms,max_depth_ms,area_over_slo,fault_overlapped,fault_attributed,fault_top,fault_top_correct")
+			for _, c := range cells {
+				fmt.Fprintf(w, "%s,%s,%d,%.1f,%.1f,%.1f,%.3f,%d,%d,%d,%d\n",
+					c.Trace, c.Controller, c.Episodes, c.TotalDurS, c.MeanDepthMs,
+					c.MaxDepthMs, c.Area, c.FaultOverlapped, c.FaultAttributed,
+					c.FaultTop, c.FaultTopCorrect)
+			}
+		})},
+		{"episodes_attribution.csv", sticky(func(w io.Writer) {
+			fmt.Fprintln(w, "trace,controller,episode,onset_s,onset_hms,recovery_s,duration_s,depth_ms,area_over_slo,top_cause,top_score,top_at_s,top_detail")
+			for _, c := range cells {
+				if c.Report == nil {
+					continue
+				}
+				for i, er := range c.Report.Episodes {
+					ep, top := er.Episode, er.TopCause()
+					fmt.Fprintf(w, "%s,%s,%d,%.3f,%s,%.3f,%.3f,%.1f,%.3f,%s,%.2f,%.3f,%s\n",
+						c.Trace, c.Controller, i+1, float64(ep.Onset),
+						trace.FormatSimTime(ep.Onset), float64(ep.Recovery),
+						float64(ep.Duration()), ep.Depth*1000, ep.AreaOverSLO,
+						top.Kind, top.Score, float64(top.At),
+						strings.ReplaceAll(top.Detail, ",", ";"))
+				}
+			}
+		})},
+	}
+	var perfetto *trace.ChromeTrace
+	for _, c := range cells {
+		if c.Report == nil {
+			continue
+		}
+		arts = append(arts, Artifact{
+			"episode_report_" + sanitize(c.Trace) + "_" + sanitize(c.Controller) + ".json",
+			func(w io.Writer) error { return forensics.WriteJSON(w, c.Report) }})
+		if perfetto == nil && c.Trace == workload.BigSpike && c.Episodes > 0 && c.Res.Tracer != nil {
+			doc := trace.BuildChromeTrace(c.Res.Tracer.Slowest(), c.Res.Audit)
+			forensics.AppendChrome(&doc, c.Report)
+			perfetto = &doc
+		}
+	}
+	if perfetto != nil {
+		arts = append(arts, jsonArtifact("episodes_perfetto.json", perfetto))
+	}
+	return arts
 }
 
 // RenderEpisodes prints the per-cell table plus the attribution score.

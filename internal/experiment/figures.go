@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"io"
+	"math"
 
 	"conscale/internal/cluster"
 	"conscale/internal/des"
@@ -20,6 +22,11 @@ func Fig1(seed uint64) *RunResult {
 	cfg := DefaultRunConfig(scaling.EC2, workload.LargeVariations)
 	cfg.Seed = seed
 	return Run(cfg)
+}
+
+// Fig1Artifacts is Fig. 1's timeline, fig1_ec2_timeline.csv.
+func Fig1Artifacts(res *RunResult) []Artifact {
+	return []Artifact{timelineArtifact("fig1_ec2_timeline.csv", res)}
 }
 
 // Fig3Result holds the three Tomcat profiling sweeps of Figure 3.
@@ -56,6 +63,15 @@ func Fig3(seed uint64) Fig3Result {
 	}
 }
 
+// Fig3Artifacts is one sweep CSV per Fig. 3 panel.
+func Fig3Artifacts(res Fig3Result) []Artifact {
+	return []Artifact{
+		sweepArtifact("fig3a_tomcat_1core.csv", res.OneCore),
+		sweepArtifact("fig3b_tomcat_2core.csv", res.TwoCore),
+		sweepArtifact("fig3c_tomcat_2core_enlarged.csv", res.TwoCoreEnlarged),
+	}
+}
+
 // Fig5Result is the fine-grained MySQL view of Figure 5: the 50 ms
 // concurrency, throughput, and response-time series over the 20-second
 // window after the system scales from 1/1/1 to 1/2/1.
@@ -79,6 +95,22 @@ func Fig5(seed uint64) Fig5Result {
 		}
 	}
 	return Fig5Result{From: from, To: to, Samples: out}
+}
+
+// Fig5Artifacts is Fig. 5's 50 ms window samples,
+// fig5_mysql_finegrained.csv.
+func Fig5Artifacts(res Fig5Result) []Artifact {
+	return []Artifact{{"fig5_mysql_finegrained.csv", sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "time_s,concurrency,throughput_rps,rt_ms,completions,errors")
+		for _, s := range res.Samples {
+			rt := s.RT * 1000
+			if math.IsNaN(rt) {
+				rt = 0
+			}
+			fmt.Fprintf(w, "%.3f,%.2f,%.1f,%.2f,%d,%d\n",
+				float64(s.Start), s.Concurrency, s.Throughput, rt, s.Completions, s.Errors)
+		}
+	})}}
 }
 
 // Fig6Result holds the scatter-correlation analysis of Figure 6.
@@ -107,6 +139,22 @@ func Fig6(seed uint64) Fig6Result {
 		Estimate: est,
 		OK:       ok,
 	}
+}
+
+// Fig6Artifacts is Fig. 6's scatter, fig6_mysql_scatter.csv: one row per
+// throughput point, with the response time at the same index (0 past
+// the end of the RT points).
+func Fig6Artifacts(res Fig6Result) []Artifact {
+	return []Artifact{{"fig6_mysql_scatter.csv", sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "concurrency,throughput_rps,rt_ms")
+		for i, tp := range res.TPPoints {
+			rt := 0.0
+			if i < len(res.RTPoints) {
+				rt = res.RTPoints[i].Value * 1000
+			}
+			fmt.Fprintf(w, "%.2f,%.1f,%.2f\n", tp.Concurrency, tp.Value, rt)
+		}
+	})}}
 }
 
 // Fig7Panel is one of the six scatter-comparison panels of Figure 7.
@@ -157,6 +205,16 @@ func Fig7(seed uint64) []Fig7Panel {
 	return panels
 }
 
+// Fig7Artifacts is one sweep CSV per Fig. 7 panel, named by its letter
+// and label.
+func Fig7Artifacts(panels []Fig7Panel) []Artifact {
+	arts := make([]Artifact, len(panels))
+	for i, p := range panels {
+		arts[i] = sweepArtifact(fmt.Sprintf("fig7%c_%s.csv", 'a'+i, sanitize(p.Label)), p.Sweep)
+	}
+	return arts
+}
+
 // TraceSeries is one Fig. 9 panel: a named user curve sampled at 1 s.
 type TraceSeries struct {
 	Name  string
@@ -170,6 +228,11 @@ func Fig9() []TraceSeries {
 		out = append(out, TraceSeries{Name: tr.Name, Users: tr.Series(des.Second)})
 	}
 	return out
+}
+
+// Fig9Artifacts is the trace curves side by side, fig9_traces.csv.
+func Fig9Artifacts(traces []TraceSeries) []Artifact {
+	return []Artifact{{"fig9_traces.csv", func(w io.Writer) error { return WriteTraceCSV(w, traces) }}}
 }
 
 // CompareResult pairs two runs of the same scenario under different
@@ -188,6 +251,19 @@ func Fig10(seed uint64) CompareResult {
 	c.Seed = seed
 	res := RunMany([]RunConfig{e, c})
 	return CompareResult{Baseline: res[0], ConScale: res[1]}
+}
+
+// Fig10Artifacts is both Fig. 10 timelines, fig10_ec2_timeline.csv and
+// fig10_conscale_timeline.csv.
+func Fig10Artifacts(res CompareResult) []Artifact { return res.artifacts("fig10", "ec2") }
+
+// artifacts names a pair's timelines <fig>_<baseline>_timeline.csv and
+// <fig>_conscale_timeline.csv.
+func (c CompareResult) artifacts(fig, baseline string) []Artifact {
+	return []Artifact{
+		timelineArtifact(fig+"_"+baseline+"_timeline.csv", c.Baseline),
+		timelineArtifact(fig+"_conscale_timeline.csv", c.ConScale),
+	}
 }
 
 // Fig11 reproduces Figure 11: DCM (profile trained on the original
@@ -212,6 +288,10 @@ func Fig11(seed uint64) CompareResult {
 	return CompareResult{Baseline: res[0], ConScale: res[1]}
 }
 
+// Fig11Artifacts is both Fig. 11 timelines, fig11_dcm_timeline.csv and
+// fig11_conscale_timeline.csv.
+func Fig11Artifacts(res CompareResult) []Artifact { return res.artifacts("fig11", "dcm") }
+
 // Table1Row is one row of Table I: tail latencies for one trace.
 type Table1Row struct {
 	Trace                    string
@@ -223,6 +303,17 @@ type Table1Row struct {
 // EC2-AutoScaling vs ConScale under all six bursty traces.
 func Table1(seed uint64) []Table1Row {
 	return table1(seed, DefaultRunConfig)
+}
+
+// Table1Artifacts is Table I in milliseconds, table1_tail_latency.csv.
+func Table1Artifacts(rows []Table1Row) []Artifact {
+	return []Artifact{{"table1_tail_latency.csv", sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "trace,ec2_p95_ms,ec2_p99_ms,conscale_p95_ms,conscale_p99_ms")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%s,%.0f,%.0f,%.0f,%.0f\n",
+				r.Trace, r.EC2P95*1000, r.EC2P99*1000, r.ConScaleP95*1000, r.ConScaleP99*1000)
+		}
+	})}}
 }
 
 // table1 runs the 6×2 (trace, framework) matrix through the worker pool;
@@ -265,9 +356,11 @@ type AblationRow struct {
 // large-variations trace under the study's policy with one design choice
 // changed; the study reports each arm's tails and a detail column.
 type Ablation struct {
-	// Title heads the study's table; File names its CSV artifact.
-	Title, File string
+	// Title heads the study's table.
+	Title string
 
+	// file names the study's CSV artifact.
+	file string
 	mode scaling.Mode
 	// base sets what every arm shares from the seed (nil: nothing).
 	base func(seed uint64, cfg *RunConfig)
@@ -326,7 +419,7 @@ func Ablations() []Ablation {
 	return []Ablation{{
 		// A1: too-coarse windows smear the concurrency signal, too-fine
 		// ones starve bins; the detail is the estimate MySQL gets.
-		Title: "A1: SCT measurement window", File: "ablation_a1_window.csv",
+		Title: "A1: SCT measurement window", file: "ablation_a1_window.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{window(10 * des.Millisecond), window(50 * des.Millisecond),
 			window(250 * des.Millisecond), window(des.Second)},
@@ -340,7 +433,7 @@ func Ablations() []Ablation {
 		// A2: Qlower (the paper's pick) against Qupper as the setting;
 		// both sustain maximum throughput, the upper bound at higher
 		// latency.
-		Title: "A2: Qlower vs Qupper setting", File: "ablation_a2_qupper.csv",
+		Title: "A2: Qlower vs Qupper setting", file: "ablation_a2_qupper.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{
 			frameworkArm("setting=Qlower", unchanged),
@@ -348,13 +441,13 @@ func Ablations() []Ablation {
 		},
 	}, {
 		// A3: leastconn (the paper's deployment) against roundrobin.
-		Title: "A3: load-balancer policy", File: "ablation_a3_lb.csv",
+		Title: "A3: load-balancer policy", file: "ablation_a3_lb.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{balancer(lb.LeastConn), balancer(lb.RoundRobin)},
 	}, {
 		// A4: the "quick start but slow turn off" policy against
 		// aggressive scale-in, and the oscillation that follows.
-		Title: "A4: scale-in cooldown", File: "ablation_a4_cooldown.csv",
+		Title: "A4: scale-in cooldown", file: "ablation_a4_cooldown.csv",
 		mode: scaling.EC2,
 		arms: []ablationArm{
 			frameworkArm("slow-turn-off", unchanged),
@@ -377,7 +470,7 @@ func Ablations() []Ablation {
 		// against vertical (vCPUs added to live VMs, no preparation) —
 		// Section III-C.1's scale-up, whose optimal-concurrency doubling
 		// the SCT model must track online.
-		Title: "A5: horizontal vs vertical DB scaling", File: "ablation_a5_vertical.csv",
+		Title: "A5: horizontal vs vertical DB scaling", file: "ablation_a5_vertical.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{
 			frameworkArm("db=horizontal", unchanged),
@@ -389,7 +482,7 @@ func Ablations() []Ablation {
 	}, {
 		// A6: the optional Memcached tier the paper mentions, and the
 		// load it takes off the DB tier.
-		Title: "A6: optional Memcached cache tier", File: "ablation_a6_cache.csv",
+		Title: "A6: optional Memcached cache tier", file: "ablation_a6_cache.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{cache("cache=off", 0), cache("cache=on(80%hit)", 1)},
 		detail: func(res *RunResult) string {
@@ -400,7 +493,7 @@ func Ablations() []Ablation {
 		// stale, under-allocating profile). The CPU threshold alone
 		// cannot see the under-allocation — hardware idles while
 		// response times burn — but the SLA trigger can.
-		Title: "A7: SLA trigger vs CPU threshold under a stale profile", File: "ablation_a7_sla.csv",
+		Title: "A7: SLA trigger vs CPU threshold under a stale profile", file: "ablation_a7_sla.csv",
 		mode: scaling.DCM,
 		base: func(seed uint64, cfg *RunConfig) {
 			profile := TrainDCM(seed, cluster.DefaultConfig())
@@ -441,4 +534,14 @@ func (a Ablation) Run(seed uint64) []AblationRow {
 		}
 	}
 	return rows
+}
+
+// Artifacts is the study's rows in milliseconds, ablation_<id>.csv.
+func (a Ablation) Artifacts(rows []AblationRow) []Artifact {
+	return []Artifact{{a.file, sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "label,p95_ms,p99_ms,detail")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%s,%.0f,%.0f,%s\n", r.Label, r.P95*1000, r.P99*1000, r.Detail)
+		}
+	})}}
 }

@@ -360,6 +360,15 @@ func WriteFrontierCSV(w io.Writer, res *FrontierResult) {
 	}
 }
 
+// FrontierArtifacts is the factorial as frontier_summary.csv and
+// BENCH_10.json.
+func FrontierArtifacts(res *FrontierResult) []Artifact {
+	return []Artifact{
+		{"frontier_summary.csv", sticky(func(w io.Writer) { WriteFrontierCSV(w, res) })},
+		{"BENCH_10.json", func(w io.Writer) error { return WriteFrontierReport(w, res) }},
+	}
+}
+
 // RenderFrontier prints the factorial as an aligned ASCII table, sorted
 // by trace then controller then p99 — the frontier reads top-down per
 // (trace, controller) block.

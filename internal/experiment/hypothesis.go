@@ -677,77 +677,50 @@ func fmtF(v float64) string {
 // declaration, the verdict, and each checked metric with its CI and
 // bound.
 func RenderHypotheses(w io.Writer, results []HypothesisResult) error {
+	return sticky(func(w io.Writer) {
+		for _, r := range results {
+			gate := ""
+			if r.Gated {
+				gate = "  [CI-gated]"
+			}
+			fmt.Fprintf(w, "== hypothesis %s%s\n   claim:  %s\n   regime: %s\n   verdict: %s — %s\n",
+				r.ID, gate, r.Claim, r.Regime, r.Verdict, r.Detail)
+			for _, m := range r.Metrics {
+				mark := "ok "
+				if !m.Pass {
+					mark = "FAIL"
+				}
+				fmt.Fprintf(w, "   %s  %-34s %10.4f  CI95 [%8.4f, %8.4f]  want %s %g  (n=%d)\n",
+					mark, m.Name, m.Mean, m.Lo, m.Hi, m.Op, m.Bound, m.N)
+			}
+			fmt.Fprintln(w)
+		}
+	})(w)
+}
+
+// HypothesisArtifacts is each hypothesis's per-cell rows as
+// hypothesis_<id>.csv and the one-row-per-metric summary as
+// hypothesis_summary.csv.
+func HypothesisArtifacts(results []HypothesisResult) []Artifact {
+	var arts []Artifact
 	for _, r := range results {
-		gate := ""
-		if r.Gated {
-			gate = "  [CI-gated]"
-		}
-		if _, err := fmt.Fprintf(w, "== hypothesis %s%s\n   claim:  %s\n   regime: %s\n   verdict: %s — %s\n",
-			r.ID, gate, r.Claim, r.Regime, r.Verdict, r.Detail); err != nil {
-			return err
-		}
-		for _, m := range r.Metrics {
-			mark := "ok "
-			if !m.Pass {
-				mark = "FAIL"
+		arts = append(arts, Artifact{"hypothesis_" + sanitize(r.ID) + ".csv", sticky(func(w io.Writer) {
+			fmt.Fprintln(w, strings.Join(r.Columns, ","))
+			for _, row := range r.Rows {
+				fmt.Fprintln(w, strings.Join(row, ","))
 			}
-			if _, err := fmt.Fprintf(w, "   %s  %-34s %10.4f  CI95 [%8.4f, %8.4f]  want %s %g  (n=%d)\n",
-				mark, m.Name, m.Mean, m.Lo, m.Hi, m.Op, m.Bound, m.N); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		})})
 	}
-	return nil
-}
-
-// WriteHypothesisCSV writes one hypothesis's per-cell rows.
-func WriteHypothesisCSV(w io.Writer, r *HypothesisResult) error {
-	if err := writeCSVRow(w, r.Columns); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if err := writeCSVRow(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteHypothesisSummaryCSV writes the one-row-per-metric summary
-// across all hypotheses.
-func WriteHypothesisSummaryCSV(w io.Writer, results []HypothesisResult) error {
-	if err := writeCSVRow(w, []string{"hypothesis", "gated", "verdict", "metric", "mean", "ci_lo", "ci_hi", "op", "bound", "pass", "n"}); err != nil {
-		return err
-	}
-	for _, r := range results {
-		for _, m := range r.Metrics {
-			row := []string{
-				r.ID, strconv.FormatBool(r.Gated), r.Verdict, m.Name,
-				fmtF(m.Mean), fmtF(m.Lo), fmtF(m.Hi), m.Op, fmtF(m.Bound),
-				strconv.FormatBool(m.Pass), strconv.Itoa(m.N),
-			}
-			if err := writeCSVRow(w, row); err != nil {
-				return err
+	return append(arts, Artifact{"hypothesis_summary.csv", sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "hypothesis,gated,verdict,metric,mean,ci_lo,ci_hi,op,bound,pass,n")
+		for _, r := range results {
+			for _, m := range r.Metrics {
+				fmt.Fprintln(w, strings.Join([]string{
+					r.ID, strconv.FormatBool(r.Gated), r.Verdict, m.Name,
+					fmtF(m.Mean), fmtF(m.Lo), fmtF(m.Hi), m.Op, fmtF(m.Bound),
+					strconv.FormatBool(m.Pass), strconv.Itoa(m.N),
+				}, ","))
 			}
 		}
-	}
-	return nil
-}
-
-func writeCSVRow(w io.Writer, fields []string) error {
-	for i, f := range fields {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, f); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
+	})})
 }

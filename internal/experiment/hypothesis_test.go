@@ -87,7 +87,11 @@ func TestHypothesisSmoke(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
-	for _, r := range results {
+	arts := HypothesisArtifacts(results)
+	if len(arts) != len(results)+1 {
+		t.Fatalf("%d artifacts for %d hypotheses, want one each plus the summary", len(arts), len(results))
+	}
+	for i, r := range results {
 		if r.Verdict != VerdictSupported {
 			t.Errorf("%s: %s — %s", r.ID, r.Verdict, r.Detail)
 		}
@@ -95,8 +99,11 @@ func TestHypothesisSmoke(t *testing.T) {
 			t.Errorf("%s: empty rows/metrics", r.ID)
 		}
 		var csv bytes.Buffer
-		if err := WriteHypothesisCSV(&csv, &r); err != nil {
+		if err := arts[i].Write(&csv); err != nil {
 			t.Fatal(err)
+		}
+		if arts[i].Name != "hypothesis_"+r.ID+".csv" {
+			t.Errorf("%s: artifact named %q", r.ID, arts[i].Name)
 		}
 		if got := bytes.Count(csv.Bytes(), []byte("\n")); got != len(r.Rows)+1 {
 			t.Errorf("%s: csv rows = %d, want %d", r.ID, got, len(r.Rows)+1)
@@ -116,7 +123,7 @@ func TestHypothesisSmoke(t *testing.T) {
 		}
 	}
 	var sum bytes.Buffer
-	if err := WriteHypothesisSummaryCSV(&sum, results); err != nil {
+	if err := arts[len(results)].Write(&sum); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sum.String(), "twin-steady,true,SUPPORTED,") {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"conscale/internal/cluster"
 	"conscale/internal/des"
@@ -15,97 +14,99 @@ import (
 // Fig. 1/10/11 timelines): time, users, throughput, mean RT (ms), errors,
 // VM count, app/db tier CPU, and the soft-resource settings.
 func WriteTimelineCSV(w io.Writer, r *RunResult) error {
-	if _, err := fmt.Fprintln(w, "time_s,users,throughput_rps,mean_rt_ms,errors,vms,app_cpu,db_cpu,app_threads,db_conns"); err != nil {
-		return err
-	}
-	for i, p := range r.Timeline {
-		vms, appCPU, dbCPU := 0, 0.0, 0.0
-		threads, conns := 0, 0
-		if i < len(r.VMs) {
-			vms = r.VMs[i]
+	return sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "time_s,users,throughput_rps,mean_rt_ms,errors,vms,app_cpu,db_cpu,app_threads,db_conns")
+		for i, p := range r.Timeline {
+			vms, appCPU, dbCPU := 0, 0.0, 0.0
+			threads, conns := 0, 0
+			if i < len(r.VMs) {
+				vms = r.VMs[i]
+			}
+			if i < len(r.TierCPU[cluster.App]) {
+				appCPU = r.TierCPU[cluster.App][i]
+			}
+			if i < len(r.TierCPU[cluster.DB]) {
+				dbCPU = r.TierCPU[cluster.DB][i]
+			}
+			if i < len(r.SoftHistory) {
+				threads, conns = r.SoftHistory[i][0], r.SoftHistory[i][1]
+			}
+			rt := p.MeanRT * 1000
+			if math.IsNaN(rt) {
+				rt = 0
+			}
+			fmt.Fprintf(w, "%.0f,%d,%.1f,%.1f,%d,%d,%.3f,%.3f,%d,%d\n",
+				float64(p.Time), p.Users, p.Throughput, rt, p.Errors, vms, appCPU, dbCPU, threads, conns)
 		}
-		if i < len(r.TierCPU[cluster.App]) {
-			appCPU = r.TierCPU[cluster.App][i]
-		}
-		if i < len(r.TierCPU[cluster.DB]) {
-			dbCPU = r.TierCPU[cluster.DB][i]
-		}
-		if i < len(r.SoftHistory) {
-			threads, conns = r.SoftHistory[i][0], r.SoftHistory[i][1]
-		}
-		rt := p.MeanRT * 1000
-		if math.IsNaN(rt) {
-			rt = 0
-		}
-		if _, err := fmt.Fprintf(w, "%.0f,%d,%.1f,%.1f,%d,%d,%.3f,%.3f,%d,%d\n",
-			float64(p.Time), p.Users, p.Throughput, rt, p.Errors, vms, appCPU, dbCPU, threads, conns); err != nil {
-			return err
-		}
-	}
-	return nil
+	})(w)
 }
 
 // WriteSweepCSV emits a profiling sweep (Fig. 3/7 panels) as CSV.
 func WriteSweepCSV(w io.Writer, s SweepResult) error {
-	if _, err := fmt.Fprintln(w, "level,concurrency,throughput_rps,mean_rt_ms"); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		if _, err := fmt.Fprintf(w, "%d,%.2f,%.1f,%.2f\n",
-			p.Level, p.Concurrency, p.Throughput, p.MeanRT*1000); err != nil {
-			return err
+	return sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "level,concurrency,throughput_rps,mean_rt_ms")
+		for _, p := range s.Points {
+			fmt.Fprintf(w, "%d,%.2f,%.1f,%.2f\n", p.Level, p.Concurrency, p.Throughput, p.MeanRT*1000)
 		}
-	}
-	return nil
-}
-
-// WriteSamplesCSV emits 50 ms window samples (Fig. 5/6 raw data) as CSV.
-func WriteSamplesCSV(w io.Writer, res Fig5Result) error {
-	if _, err := fmt.Fprintln(w, "time_s,concurrency,throughput_rps,rt_ms,completions,errors"); err != nil {
-		return err
-	}
-	for _, s := range res.Samples {
-		rt := s.RT * 1000
-		if math.IsNaN(rt) {
-			rt = 0
-		}
-		if _, err := fmt.Fprintf(w, "%.3f,%.2f,%.1f,%.2f,%d,%d\n",
-			float64(s.Start), s.Concurrency, s.Throughput, rt, s.Completions, s.Errors); err != nil {
-			return err
-		}
-	}
-	return nil
+	})(w)
 }
 
 // WriteTraceCSV emits the Fig. 9 trace curves side by side.
 func WriteTraceCSV(w io.Writer, traces []TraceSeries) error {
-	header := []string{"time_s"}
-	for _, tr := range traces {
-		header = append(header, tr.Name)
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	maxLen := 0
-	for _, tr := range traces {
-		if len(tr.Users) > maxLen {
-			maxLen = len(tr.Users)
-		}
-	}
-	for i := 0; i < maxLen; i++ {
-		row := []string{fmt.Sprintf("%d", i)}
+	return sticky(func(w io.Writer) {
+		fmt.Fprint(w, "time_s")
+		maxLen := 0
 		for _, tr := range traces {
-			v := 0
-			if i < len(tr.Users) {
-				v = tr.Users[i]
+			fmt.Fprint(w, ",", tr.Name)
+			maxLen = max(maxLen, len(tr.Users))
+		}
+		fmt.Fprintln(w)
+		for i := 0; i < maxLen; i++ {
+			fmt.Fprint(w, i)
+			for _, tr := range traces {
+				v := 0
+				if i < len(tr.Users) {
+					v = tr.Users[i]
+				}
+				fmt.Fprint(w, ",", v)
 			}
-			row = append(row, fmt.Sprintf("%d", v))
+			fmt.Fprintln(w)
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
+	})(w)
+}
+
+// RenderFig1 summarises Fig. 1's run: its worst second, p99 and
+// scaling-event count.
+func RenderFig1(w io.Writer, r *RunResult) {
+	fmt.Fprintf(w, "   maxRT=%.0fms p99=%.0fms, %d scaling events\n", r.MaxRT()*1000, r.P99*1000, len(r.Events))
+}
+
+// RenderFig3 prints the three measured knees beside the paper's.
+func RenderFig3(w io.Writer, r Fig3Result) {
+	fmt.Fprintf(w, "   knees: 1-core=%d, 2-core=%d, 2-core enlarged=%d (paper: 10/20/15)\n",
+		r.OneCore.Qlower, r.TwoCore.Qlower, r.TwoCoreEnlarged.Qlower)
+}
+
+// RenderFig5 prints the window count and span of Fig. 5's series.
+func RenderFig5(w io.Writer, r Fig5Result) {
+	fmt.Fprintf(w, "   %d windows over [%.0fs, %.0fs)\n", len(r.Samples), float64(r.From), float64(r.To))
+}
+
+// RenderFig6 prints the rational concurrency range Fig. 6 derives.
+func RenderFig6(w io.Writer, r Fig6Result) {
+	if !r.OK {
+		fmt.Fprintln(w, "   estimate unavailable")
+		return
 	}
-	return nil
+	fmt.Fprintf(w, "   rational range [%d, %d], plateau %.0f q/s, optimal setting %d\n",
+		r.Estimate.Qlower, r.Estimate.Qupper, r.Estimate.PlateauTP, r.Estimate.Optimal())
+}
+
+// RenderFig7 prints each Fig. 7 panel's knee and peak throughput.
+func RenderFig7(w io.Writer, panels []Fig7Panel) {
+	for _, p := range panels {
+		fmt.Fprintf(w, "   %s: Qlower=%d TPmax=%.0f\n", p.Label, p.Sweep.Qlower, p.Sweep.MaxTP)
+	}
 }
 
 // RenderTable1 formats Table I in the paper's layout.

@@ -19,7 +19,8 @@ type Report struct {
 }
 
 // BuildReport runs the headline experiments at the given seed. This is
-// the expensive all-in-one entry point behind `cmd/experiments -report`.
+// the expensive all-in-one entry point behind `cmd/experiments -run
+// report`.
 func BuildReport(seed uint64) *Report {
 	start := time.Now()
 	r := &Report{Seed: seed}
@@ -35,71 +36,58 @@ func BuildReport(seed uint64) *Report {
 	return r
 }
 
+// ReportArtifacts is the report as markdown, REPORT.md.
+func ReportArtifacts(r *Report) []Artifact {
+	return []Artifact{{"REPORT.md", r.WriteMarkdown}}
+}
+
 // WriteMarkdown renders the report as a standalone markdown document with
 // the paper-vs-measured verdicts spelled out.
 func (r *Report) WriteMarkdown(w io.Writer) error {
-	p := func(format string, args ...interface{}) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	if err := p("# ConScale reproduction report\n\nSeed %d; all runs deterministic. Generated by `cmd/experiments -report` in %.0f s.\n\n",
-		r.Seed, r.Elapsed.Seconds()); err != nil {
-		return err
-	}
+	return sticky(func(w io.Writer) {
+		p := func(format string, args ...interface{}) { fmt.Fprintf(w, format, args...) }
+		p("# ConScale reproduction report\n\nSeed %d; all runs deterministic. Generated by `cmd/experiments -run report` in %.0f s.\n\n",
+			r.Seed, r.Elapsed.Seconds())
 
-	if err := p("## Fig. 3 — optimal concurrency vs pre-profiling conditions\n\n"+
-		"| Condition | Paper knee | Measured knee |\n|---|---|---|\n"+
-		"| Tomcat 1 vCPU | 10 | %d |\n| Tomcat 2 vCPU | 20 | %d |\n| Tomcat 2 vCPU, dataset ×2 | 15 | %d |\n\n",
-		r.Fig3.OneCore.Qlower, r.Fig3.TwoCore.Qlower, r.Fig3.TwoCoreEnlarged.Qlower); err != nil {
-		return err
-	}
-	verdict := "REPRODUCED"
-	if !(r.Fig3.TwoCore.Qlower > r.Fig3.OneCore.Qlower && r.Fig3.TwoCoreEnlarged.Qlower < r.Fig3.TwoCore.Qlower) {
-		verdict = "NOT REPRODUCED"
-	}
-	if err := p("Shape (knee doubles with cores, shrinks with dataset growth): **%s**\n\n", verdict); err != nil {
-		return err
-	}
+		p("## Fig. 3 — optimal concurrency vs pre-profiling conditions\n\n"+
+			"| Condition | Paper knee | Measured knee |\n|---|---|---|\n"+
+			"| Tomcat 1 vCPU | 10 | %d |\n| Tomcat 2 vCPU | 20 | %d |\n| Tomcat 2 vCPU, dataset ×2 | 15 | %d |\n\n",
+			r.Fig3.OneCore.Qlower, r.Fig3.TwoCore.Qlower, r.Fig3.TwoCoreEnlarged.Qlower)
+		verdict := "REPRODUCED"
+		if !(r.Fig3.TwoCore.Qlower > r.Fig3.OneCore.Qlower && r.Fig3.TwoCoreEnlarged.Qlower < r.Fig3.TwoCore.Qlower) {
+			verdict = "NOT REPRODUCED"
+		}
+		p("Shape (knee doubles with cores, shrinks with dataset growth): **%s**\n\n", verdict)
 
-	if err := p("## Table I — tail latencies (ms), EC2-AutoScaling vs ConScale\n\n" +
-		"| Trace | EC2 p95 | EC2 p99 | ConScale p95 | ConScale p99 | ConScale wins |\n|---|---|---|---|---|---|\n"); err != nil {
-		return err
-	}
-	wins := 0
-	for _, row := range r.Table1 {
-		win := row.ConScaleP95 < row.EC2P95 && row.ConScaleP99 < row.EC2P99
-		if win {
-			wins++
+		p("## Table I — tail latencies (ms), EC2-AutoScaling vs ConScale\n\n" +
+			"| Trace | EC2 p95 | EC2 p99 | ConScale p95 | ConScale p99 | ConScale wins |\n|---|---|---|---|---|---|\n")
+		wins := 0
+		for _, row := range r.Table1 {
+			mark := "no"
+			if row.ConScaleP95 < row.EC2P95 && row.ConScaleP99 < row.EC2P99 {
+				wins++
+				mark = "yes"
+			}
+			p("| %s | %.0f | %.0f | %.0f | %.0f | %s |\n",
+				row.Trace, row.EC2P95*1000, row.EC2P99*1000,
+				row.ConScaleP95*1000, row.ConScaleP99*1000, mark)
 		}
-		mark := "no"
-		if win {
-			mark = "yes"
+		verdict = "REPRODUCED"
+		if wins < len(r.Table1) {
+			verdict = fmt.Sprintf("PARTIAL (%d/%d traces)", wins, len(r.Table1))
 		}
-		if err := p("| %s | %.0f | %.0f | %.0f | %.0f | %s |\n",
-			row.Trace, row.EC2P95*1000, row.EC2P99*1000,
-			row.ConScaleP95*1000, row.ConScaleP99*1000, mark); err != nil {
-			return err
-		}
-	}
-	verdict = "REPRODUCED"
-	if wins < len(r.Table1) {
-		verdict = fmt.Sprintf("PARTIAL (%d/%d traces)", wins, len(r.Table1))
-	}
-	if err := p("\nShape (ConScale wins both percentiles on every trace): **%s**\n\n", verdict); err != nil {
-		return err
-	}
+		p("\nShape (ConScale wins both percentiles on every trace): **%s**\n\n", verdict)
 
-	d, c := r.Fig11.Baseline, r.Fig11.ConScale
-	if err := p("## Fig. 11 — stale offline profile (DCM) vs online adaption (ConScale)\n\n"+
-		"| Framework | p95 (ms) | p99 (ms) | goodput |\n|---|---|---|---|\n"+
-		"| DCM (profile trained on the original dataset) | %.0f | %.0f | %d |\n"+
-		"| ConScale | %.0f | %.0f | %d |\n\n",
-		d.P95*1000, d.P99*1000, d.Goodput, c.P95*1000, c.P99*1000, c.Goodput); err != nil {
-		return err
-	}
-	verdict = "REPRODUCED"
-	if c.P95 >= d.P95 {
-		verdict = "NOT REPRODUCED"
-	}
-	return p("Shape (online adaption beats the stale profile after a system-state change): **%s**\n", verdict)
+		d, c := r.Fig11.Baseline, r.Fig11.ConScale
+		p("## Fig. 11 — stale offline profile (DCM) vs online adaption (ConScale)\n\n"+
+			"| Framework | p95 (ms) | p99 (ms) | goodput |\n|---|---|---|---|\n"+
+			"| DCM (profile trained on the original dataset) | %.0f | %.0f | %d |\n"+
+			"| ConScale | %.0f | %.0f | %d |\n\n",
+			d.P95*1000, d.P99*1000, d.Goodput, c.P95*1000, c.P99*1000, c.Goodput)
+		verdict = "REPRODUCED"
+		if c.P95 >= d.P95 {
+			verdict = "NOT REPRODUCED"
+		}
+		p("Shape (online adaption beats the stale profile after a system-state change): **%s**\n", verdict)
+	})(w)
 }

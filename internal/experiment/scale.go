@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -96,6 +97,23 @@ func DefaultScaleConfig(mode scaling.Mode, clients int) ScaleConfig {
 		EdgeDelay:  20 * des.Millisecond,
 		WarmupSkip: 15 * des.Second,
 	}
+}
+
+// Validate reports a non-positive Clients, a negative Cells, Duration or
+// Workers, and an unknown Mode. Zero sizes take the defaults.
+func (cfg ScaleConfig) Validate() error {
+	var errs []error
+	if cfg.Clients <= 0 {
+		errs = append(errs, fmt.Errorf("experiment: scale Clients must be positive, got %d", cfg.Clients))
+	}
+	switch cfg.Mode {
+	case scaling.EC2, scaling.DCM, scaling.ConScale:
+	default:
+		errs = append(errs, fmt.Errorf("experiment: scale Mode %v is not a paper policy", cfg.Mode))
+	}
+	return errors.Join(append(errs, checkSizes(size{"scale Cells", float64(cfg.Cells)},
+		size{"scale Duration", float64(cfg.Duration)},
+		size{"scale Workers", float64(cfg.Workers)}))...)
 }
 
 // ScaleCellConfig returns the per-cell deployment used by the scale
@@ -524,6 +542,27 @@ func WriteScaleReport(w io.Writer, rows []ScaleRow) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
+}
+
+// ScaleArtifacts is the sweep as scale_summary.csv and BENCH_7.json,
+// plus the client timeline of one showcase run (nil: none) as
+// scale_timeline_<mode>_<clients>.csv.
+func ScaleArtifacts(rows []ScaleRow, showcase *ScaleResult) []Artifact {
+	arts := []Artifact{{"scale_summary.csv", sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "mode,clients,cells,workers,duration_s,wall_s,events,events_per_s,peak_heap_mb,requests,goodput,error_rate,p50_ms,p95_ms,p99_ms,vms,scale_actions")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%s,%d,%d,%d,%.0f,%.2f,%d,%.0f,%.1f,%d,%d,%.4f,%.1f,%.1f,%.1f,%d,%d\n",
+				r.Mode, r.Clients, r.Cells, r.Workers, r.DurationSec, r.WallSec, r.Events,
+				r.EventsPerSec, r.PeakHeapMB, r.Requests, r.Goodput, r.ErrorRate,
+				r.P50Ms, r.P95Ms, r.P99Ms, r.VMs, r.ScaleActions)
+		}
+	})}}
+	if showcase != nil {
+		arts = append(arts, Artifact{
+			fmt.Sprintf("scale_timeline_%s_%d.csv", sanitize(showcase.Mode.String()), showcase.Clients),
+			sticky(func(w io.Writer) { WriteScaleTimelineCSV(w, showcase) })})
+	}
+	return append(arts, Artifact{"BENCH_7.json", func(w io.Writer) error { return WriteScaleReport(w, rows) }})
 }
 
 // RenderScale prints the sweep as an aligned ASCII table.

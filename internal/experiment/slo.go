@@ -215,19 +215,21 @@ type SLORun struct {
 }
 
 // SLODetection runs the full comparison at the paper's evaluation size.
-// timeline, if non-nil, names each cell's OpenMetrics sink (see
+// open, if non-nil, receives the headline trace's scrape timelines (see
 // SLORunsSized).
-func SLODetection(seed uint64, timeline func(trace string, mode scaling.Mode) io.Writer) []SLORun {
-	return SLORunsSized(seed, 720*des.Second, 7500, timeline)
+func SLODetection(seed uint64, open func(name string) io.Writer) []SLORun {
+	return SLORunsSized(seed, 720*des.Second, 7500, open)
 }
 
 // SLORunsSized runs every bursty trace under the three controllers with
 // telemetry and tracing armed, fanned out over the worker pool, and scores
 // each run. Traces iterate in canonical order, controllers in blame order,
-// so output ordering is deterministic. timeline, if non-nil, is asked once
-// per cell, before any run starts, for the writer that cell streams its
-// scrape timeline into; a nil func or a nil writer keeps none.
-func SLORunsSized(seed uint64, duration des.Time, users int, timeline func(trace string, mode scaling.Mode) io.Writer) []SLORun {
+// so output ordering is deterministic. open, if non-nil, is asked before
+// any run starts for one writer per controller, named
+// slo_scrape_<controller>.om: the headline (large-variations) trace's run
+// streams its OpenMetrics scrape timeline into it, a file any
+// Prometheus-compatible tool can replay. A nil writer keeps none.
+func SLORunsSized(seed uint64, duration des.Time, users int, open func(name string) io.Writer) []SLORun {
 	profile := AnalyticDCMProfile(cluster.DefaultConfig())
 	traces := workload.Names()
 	var cfgs []RunConfig
@@ -238,8 +240,8 @@ func SLORunsSized(seed uint64, duration des.Time, users int, timeline func(trace
 			cfg.Duration = duration
 			cfg.MaxUsers = users
 			cfg.Telemetry = &TelemetryOptions{}
-			if timeline != nil {
-				cfg.Telemetry.OpenMetrics = timeline(tr, mode)
+			if open != nil && tr == workload.LargeVariations {
+				cfg.Telemetry.OpenMetrics = open("slo_scrape_" + sanitize(mode.String()) + ".om")
 			}
 			// The audit trail carries the CPU triggers and SLO transitions;
 			// light head sampling keeps the span machinery out of the way.
@@ -254,6 +256,26 @@ func SLORunsSized(seed uint64, duration des.Time, users int, timeline func(trace
 		out[i] = SLORun{Trace: res.Trace, Mode: res.Mode, Res: res, Row: EvaluateSLO(res)}
 	}
 	return out
+}
+
+// SLOArtifacts is the detection table, slo_leadtime.csv. Lead times
+// are empty where no episode saw both signals.
+func SLOArtifacts(runs []SLORun) []Artifact {
+	return []Artifact{{"slo_leadtime.csv", sticky(func(w io.Writer) {
+		fmt.Fprintln(w, "trace,controller,episodes,alerts,detected,true_positives,precision,recall,lead_count,mean_lead_s,min_lead_s,max_lead_s,slo_only")
+		for _, r := range runs {
+			lead, lo, hi := "", "", ""
+			if r.Row.LeadCount > 0 {
+				lead = fmt.Sprintf("%.1f", r.Row.MeanLead)
+				lo = fmt.Sprintf("%.1f", r.Row.MinLead)
+				hi = fmt.Sprintf("%.1f", r.Row.MaxLead)
+			}
+			fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d,%.3f,%.3f,%d,%s,%s,%s,%d\n",
+				r.Trace, r.Mode, r.Row.Episodes, r.Row.Alerts, r.Row.Detected,
+				r.Row.TruePositives, r.Row.Precision, r.Row.Recall,
+				r.Row.LeadCount, lead, lo, hi, r.Row.SLOOnly)
+		}
+	})}}
 }
 
 // RenderSLO prints the detection comparison table.

@@ -327,6 +327,15 @@ func WriteTournamentCSV(w io.Writer, res *TournamentResult) {
 	}
 }
 
+// TournamentArtifacts is the factorial as tournament_summary.csv and
+// BENCH_6.json.
+func TournamentArtifacts(res *TournamentResult) []Artifact {
+	return []Artifact{
+		{"tournament_summary.csv", sticky(func(w io.Writer) { WriteTournamentCSV(w, res) })},
+		{"BENCH_6.json", func(w io.Writer) error { return WriteTournamentReport(w, res) }},
+	}
+}
+
 // RenderTournament prints the ranked standings and per-cell table.
 func RenderTournament(w io.Writer, res *TournamentResult) {
 	fmt.Fprintf(w, "%-20s %10s %9s %9s %5s %5s %5s %6s\n",

@@ -4,7 +4,12 @@ import (
 	"fmt"
 	"io"
 
+	"conscale/internal/des"
+	"conscale/internal/forensics"
+	"conscale/internal/scaling"
+	"conscale/internal/trace"
 	"conscale/internal/twin"
+	"conscale/internal/workload"
 )
 
 // WriteTwinCSV writes the run's analytical-twin sample series
@@ -15,4 +20,25 @@ func WriteTwinCSV(w io.Writer, r *RunResult) error {
 		return fmt.Errorf("experiment: run has no twin (RunConfig.Twin was nil)")
 	}
 	return twin.WriteCSV(w, r.Twin.Samples())
+}
+
+// TwinShowcase runs one fully armed steady cell (EC2 on the constant
+// trace, 2 500 users, 300 s) and returns its twin sample series as
+// hypothesis_twin_timeline.csv and, as hypothesis_twin_perfetto.json,
+// its slowest traced requests with the twin annotation track.
+func TwinShowcase(seed uint64) []Artifact {
+	rc := DefaultRunConfig(scaling.EC2, workload.Constant)
+	rc.MaxUsers = 2500
+	rc.Duration = 300 * des.Second
+	rc.Seed = seed
+	rc.Tracing = &trace.Config{}
+	rc.Forensics = &forensics.Config{}
+	rc.Twin = &twin.Config{}
+	res := Run(rc)
+	doc := trace.BuildChromeTrace(res.Tracer.Slowest(), res.Audit)
+	twin.AppendChrome(&doc, res.Twin.Samples(), res.Twin.Drifts())
+	return []Artifact{
+		{"hypothesis_twin_timeline.csv", func(w io.Writer) error { return WriteTwinCSV(w, res) }},
+		jsonArtifact("hypothesis_twin_perfetto.json", &doc),
+	}
 }

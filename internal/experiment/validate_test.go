@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"conscale/internal/des"
+	"conscale/internal/scaling"
 	"conscale/internal/workload"
 )
 
@@ -101,6 +103,28 @@ func TestMatrixDefaultsValidate(t *testing.T) {
 	} {
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestScaleConfigValidate: a scale config's Validate names a
+// non-positive client count, each negative size and an unknown mode,
+// and passes the default sweep point.
+func TestScaleConfigValidate(t *testing.T) {
+	if err := DefaultScaleConfig(scaling.ConScale, 10000).Validate(); err != nil {
+		t.Fatalf("default: %v", err)
+	}
+	for bad, set := range map[string]func(*ScaleConfig){
+		"Clients":  func(c *ScaleConfig) { c.Clients = 0 },
+		"Cells":    func(c *ScaleConfig) { c.Cells = -1 },
+		"Duration": func(c *ScaleConfig) { c.Duration = -des.Second },
+		"Workers":  func(c *ScaleConfig) { c.Workers = -2 },
+		"Mode":     func(c *ScaleConfig) { c.Mode = scaling.Mode(99) },
+	} {
+		cfg := DefaultScaleConfig(scaling.EC2, 10000)
+		set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("bad %s: error %v", bad, err)
 		}
 	}
 }
