@@ -14,6 +14,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,11 +36,11 @@ import (
 	"conscale/internal/workload"
 )
 
-// A runner prints an experiment's summary and returns its artifacts,
-// which main writes under -out.
+// A runner prints an experiment's summary and hands its artifacts to
+// emit as each stage finishes, so a later failure keeps what is done.
 type runner struct {
 	name, desc string
-	run        func(seed uint64) ([]experiment.Artifact, error)
+	run        func(seed uint64) error
 	// check validates the runner's flags without running (nil: it has
 	// none). Every picked runner's check passes before the first runs;
 	// -check calls them all.
@@ -84,15 +85,15 @@ var runners = []runner{
 }
 
 // show is the runner of an experiment that computes one result at a
-// seed: it prints the result's summary (nil: none) and returns its
+// seed: it prints the result's summary (nil: none) and emits its
 // artifacts.
-func show[T any](run func(seed uint64) T, summary func(w io.Writer, res T), artifacts func(T) []experiment.Artifact) func(uint64) ([]experiment.Artifact, error) {
-	return func(seed uint64) ([]experiment.Artifact, error) {
+func show[T any](run func(seed uint64) T, summary func(w io.Writer, res T), artifacts func(T) []experiment.Artifact) func(uint64) error {
+	return func(seed uint64) error {
 		res := run(seed)
 		if summary != nil {
 			summary(os.Stdout, res)
 		}
-		return artifacts(res), nil
+		return emit(artifacts(res))
 	}
 }
 
@@ -140,15 +141,17 @@ func selectRunners(spec string) ([]runner, error) {
 
 // The heavy runners' flags write straight into these configs: a 0 or
 // empty value leaves a field zero, the library default, and durations
-// bind as seconds (des.Second == 1). -scale-clients and -scale-modes
-// name the sweep itself and have no library default.
+// bind as seconds (des.Second == 1). -seed binds through seedConfigs.
+// -scale-clients and -scale-modes name the sweep itself and have no
+// library default.
 var (
 	tournament experiment.TournamentConfig
 	episodes   experiment.EpisodesConfig
 	frontier   experiment.FrontierConfig
 	hypothesis experiment.HypothesisConfig
 
-	// scale holds the Cells and Duration every scale sweep point shares.
+	// scale holds the Seed, Cells and Duration every scale sweep point
+	// shares.
 	scale        experiment.ScaleConfig
 	scaleClients = []int{10000, 100000, 1000000}
 	scaleModes   = []string{"ec2", "dcm", "conscale"}
@@ -256,6 +259,7 @@ func main() {
 		check      = flag.Bool("check", false, "validate flags and -run ids, then exit without running (doc-drift guard)")
 	)
 	flag.Parse()
+	seedConfigs(*seed)
 
 	picked, err := selectRunners(*run)
 	if *list && !*check {
@@ -285,6 +289,7 @@ func main() {
 	var prof *file
 	if *cpuprofile != "" {
 		prof = create(*cpuprofile)
+		exitOn(prof.Err, 1)
 		exitOn(pprof.StartCPUProfile(prof), 1)
 	}
 	err = runAll(picked, *seed)
@@ -301,6 +306,11 @@ func main() {
 	exitOn(err, 1)
 }
 
+// seedConfigs sets the seed of every flag-bound config.
+func seedConfigs(seed uint64) {
+	scale.Seed, tournament.Seed, episodes.Seed, frontier.Seed, hypothesis.BaseSeed = seed, seed, seed, seed, seed
+}
+
 // exitOn exits with code after printing err, if there is one.
 func exitOn(err error, code int) {
 	if err != nil {
@@ -309,20 +319,14 @@ func exitOn(err error, code int) {
 	}
 }
 
-// runAll runs the picked runners in order, writing each one's artifacts
-// under -out before the next starts (a failed runner's too), and stops
-// at the first failure.
+// runAll runs the picked runners in order and stops at the first
+// failure.
 func runAll(picked []runner, seed uint64) error {
 	total := time.Now()
 	for _, r := range picked {
 		fmt.Printf("== %s: %s\n", r.name, r.desc)
 		start := time.Now()
-		arts, err := r.run(seed)
-		var werr error
-		for i := 0; werr == nil && i < len(arts); i++ {
-			werr = writeFile(filepath.Join(*out, arts[i].Name), arts[i].Write)
-		}
-		if err = errors.Join(err, werr); err != nil {
+		if err := r.run(seed); err != nil {
 			return fmt.Errorf("%s failed: %w", r.name, err)
 		}
 		fmt.Printf("   (%.1fs)\n\n", time.Since(start).Seconds())
@@ -332,75 +336,78 @@ func runAll(picked []runner, seed uint64) error {
 	return nil
 }
 
-// file is an output file of the command. It keeps the first error from
-// creating, writing or closing the file, so a failed write is reported
-// by close rather than lost.
+// file is an output file of the command. Its ErrWriter keeps the first
+// error from creating, writing or closing the file, so a failed write is
+// reported by close rather than lost.
 type file struct {
+	experiment.ErrWriter
 	path string
 	f    *os.File
-	err  error
 }
 
 // create is the only place the command creates a file.
 func create(path string) *file {
 	f, err := os.Create(path)
-	return &file{path: path, f: f, err: err}
-}
-
-func (f *file) Write(p []byte) (n int, err error) {
-	if f.err == nil {
-		n, f.err = f.f.Write(p)
-	}
-	return n, f.err
+	return &file{experiment.ErrWriter{W: f, Err: err}, path, f}
 }
 
 // close closes the file and returns the first error it met, printing
 // the path once the file is safely written.
 func (f *file) close() error {
 	if f.f != nil {
-		if err := f.f.Close(); f.err == nil {
-			f.err = err
+		if err := f.f.Close(); f.Err == nil {
+			f.Err = err
 		}
 	}
-	if f.err == nil {
+	if f.Err == nil {
 		fmt.Printf("   wrote %s\n", f.path)
 	}
-	return f.err
+	return f.Err
 }
 
 // writeFile creates path and fills it with write.
 func writeFile(path string, write func(io.Writer) error) error {
 	f := create(path)
-	if err := write(f); err != nil && f.err == nil {
-		f.err = fmt.Errorf("%s: %w", path, err)
+	if err := write(f); err != nil && f.Err == nil {
+		f.Err = fmt.Errorf("%s: %w", path, err)
 	}
 	return f.close()
 }
 
-func runAblations(seed uint64) ([]experiment.Artifact, error) {
-	var arts []experiment.Artifact
+// emit writes artifacts under -out, stopping at the first failure.
+func emit(arts []experiment.Artifact) error {
+	for _, a := range arts {
+		if err := writeFile(filepath.Join(*out, a.Name), a.Write); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func runAblations(seed uint64) error {
 	for _, study := range experiment.Ablations() {
 		rows := study.Run(seed)
 		experiment.RenderAblation(os.Stdout, study.Title, rows)
-		arts = append(arts, study.Artifacts(rows)...)
+		if err := emit(study.Artifacts(rows)); err != nil {
+			return err
+		}
 	}
-	return arts, nil
+	return nil
 }
 
-func runChaos(seed uint64) ([]experiment.Artifact, error) {
+func runChaos(seed uint64) error {
 	rows := experiment.ChaosTable(seed, 0)
 	experiment.RenderChaosTable(os.Stdout, rows)
 	// Timeline overlays for the interference scenario, where the three
 	// controllers separate most visibly.
 	for _, res := range experiment.ChaosTimelines(seed, "interference", 0) {
 		fmt.Println()
-		experiment.RenderChaosTimeline(os.Stdout,
-			fmt.Sprintf("chaos/interference: %s", res.Mode), res)
+		experiment.RenderChaosTimeline(os.Stdout, fmt.Sprintf("chaos/interference: %s", res.Mode), res)
 	}
-	return experiment.ChaosArtifacts(rows), nil
+	return emit(experiment.ChaosArtifacts(rows))
 }
 
-func runBlame(seed uint64) ([]experiment.Artifact, error) {
+func runBlame(seed uint64) error {
 	results := experiment.Blame(seed)
 	experiment.RenderBlame(os.Stdout, results)
 	// Waterfall of the single slowest sampled request per controller.
@@ -408,17 +415,17 @@ func runBlame(seed uint64) ([]experiment.Artifact, error) {
 		if slowest := b.Res.Tracer.Slowest(); len(slowest) > 0 {
 			fmt.Printf("\n   slowest sampled request, %s (rt=%.0fms):\n", b.Mode, slowest[0].RT()*1000)
 			if err := trace.WriteWaterfall(os.Stdout, slowest[0]); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	fmt.Printf("\n%s\n", trace.WaterfallLegend)
-	return experiment.BlameArtifacts(results), nil
+	return emit(experiment.BlameArtifacts(results))
 }
 
 // runSLO streams the headline trace's scrape timelines to their files as
-// the runs scrape, then returns the detection table.
-func runSLO(seed uint64) ([]experiment.Artifact, error) {
+// the runs scrape, then emits the detection table.
+func runSLO(seed uint64) error {
 	var scrapes []*file
 	runs := experiment.SLODetection(seed, func(name string) io.Writer {
 		f := create(filepath.Join(*out, name))
@@ -430,7 +437,7 @@ func runSLO(seed uint64) ([]experiment.Artifact, error) {
 		err = errors.Join(err, f.close())
 	}
 	experiment.RenderSLO(os.Stdout, runs)
-	return experiment.SLOArtifacts(runs), err
+	return errors.Join(err, emit(experiment.SLOArtifacts(runs)))
 }
 
 // scaleSweep expands the scale flags into the run configurations of the
@@ -456,12 +463,9 @@ func scaleSweep() ([]experiment.ScaleConfig, error) {
 			}
 			for _, w := range workers {
 				cfg := experiment.DefaultScaleConfig(m, n)
-				if scale.Cells != 0 {
-					cfg.Cells = scale.Cells
-				}
-				if scale.Duration != 0 {
-					cfg.Duration = scale.Duration
-				}
+				cfg.Cells = cmp.Or(scale.Cells, cfg.Cells)
+				cfg.Duration = cmp.Or(scale.Duration, cfg.Duration)
+				cfg.Seed = scale.Seed
 				cfg.Workers = w
 				cfg.Telemetry = true
 				if err := cfg.Validate(); err != nil {
@@ -477,15 +481,14 @@ func scaleSweep() ([]experiment.ScaleConfig, error) {
 // runScale executes the {clients} × {modes} × {workers} sweep and prints
 // the summary table; its artifacts carry the largest ConScale run's
 // client timeline.
-func runScale(seed uint64) ([]experiment.Artifact, error) {
+func runScale(uint64) error {
 	cfgs, err := scaleSweep()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rows := make([]experiment.ScaleRow, 0, len(cfgs))
 	var biggest *experiment.ScaleResult
 	for _, cfg := range cfgs {
-		cfg.Seed = seed
 		workers := "auto"
 		if cfg.Workers > 0 {
 			workers = strconv.Itoa(cfg.Workers)
@@ -503,32 +506,28 @@ func runScale(seed uint64) ([]experiment.Artifact, error) {
 	}
 	fmt.Println()
 	experiment.RenderScale(os.Stdout, rows)
-	return experiment.ScaleArtifacts(rows, biggest), nil
+	return emit(experiment.ScaleArtifacts(rows, biggest))
 }
 
 // runTournament executes the factorial and prints the ranked standings.
-func runTournament(seed uint64) ([]experiment.Artifact, error) {
-	cfg := tournament
-	cfg.Seed = seed
-	slices.Sort(cfg.Tiers)
-	cfg = cfg.WithDefaults()
+func runTournament(uint64) error {
+	slices.Sort(tournament.Tiers)
+	cfg := tournament.WithDefaults()
 	fmt.Printf("   %d controllers × %d traces × %d tiers = %d cells (%.0fs each)\n",
 		len(cfg.Controllers), len(cfg.Traces), len(cfg.Tiers),
 		len(cfg.Controllers)*len(cfg.Traces)*len(cfg.Tiers), float64(cfg.Duration))
 	res, err := experiment.RunTournament(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	experiment.RenderTournament(os.Stdout, res)
-	return experiment.TournamentArtifacts(res), nil
+	return emit(experiment.TournamentArtifacts(res))
 }
 
 // runFrontier executes the admission factorial and prints the per-cell
 // frontier table.
-func runFrontier(seed uint64) ([]experiment.Artifact, error) {
-	cfg := frontier
-	cfg.Seed = seed
-	cfg = cfg.WithDefaults()
+func runFrontier(uint64) error {
+	cfg := frontier.WithDefaults()
 	fmt.Printf("   %d policies × %d controllers × %d traces = %d runs (%d clients, %.0fs each)\n",
 		len(cfg.Policies), len(cfg.Controllers), len(cfg.Traces),
 		len(cfg.Policies)*len(cfg.Controllers)*len(cfg.Traces),
@@ -540,7 +539,7 @@ func runFrontier(seed uint64) ([]experiment.Artifact, error) {
 	}
 	res, err := experiment.RunFrontier(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Println()
 	experiment.RenderFrontier(os.Stdout, res)
@@ -548,22 +547,20 @@ func runFrontier(seed uint64) ([]experiment.Artifact, error) {
 		fmt.Printf("\n   best tail cut within 10%% goodput loss: %s/%s/%s Δp99=%.1f%% Δgoodput=%.2f%%\n",
 			best.Trace, best.Controller, best.Policy, best.P99DeltaPct, best.GoodputDeltaPct)
 	}
-	return experiment.FrontierArtifacts(res), nil
+	return emit(experiment.FrontierArtifacts(res))
 }
 
 // runEpisodes executes the forensics matrix and prints the per-cell
 // table, the controller ranking, and the headline trace's ASCII episode
 // reports (every cell's would drown the summary tables).
-func runEpisodes(seed uint64) ([]experiment.Artifact, error) {
-	cfg := episodes
-	cfg.Seed = seed
-	cfg = cfg.WithDefaults()
+func runEpisodes(uint64) error {
+	cfg := episodes.WithDefaults()
 	fmt.Printf("   %d controllers × %d traces = %d cells (%.0fs each, chaos=%v)\n",
 		len(cfg.Controllers), len(cfg.Traces),
 		len(cfg.Controllers)*len(cfg.Traces), float64(cfg.Duration), cfg.Chaos)
 	cells, err := experiment.RunEpisodes(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	experiment.RenderEpisodes(os.Stdout, cells)
 	fmt.Println()
@@ -572,29 +569,32 @@ func runEpisodes(seed uint64) ([]experiment.Artifact, error) {
 		if c.Report != nil && c.Trace == workload.BigSpike && c.Episodes > 0 {
 			fmt.Printf("\n   episode reports, %s / %s:\n", c.Trace, c.Controller)
 			if err := forensics.WriteASCII(os.Stdout, c.Report); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return experiment.EpisodesArtifacts(cells), nil
+	return emit(experiment.EpisodesArtifacts(cells))
 }
 
 // runHypothesis executes the declared hypotheses, prints the FINDINGS
-// table, adds the twin showcase to their artifacts, and fails (after the
-// artifacts are written) when a gated hypothesis is not SUPPORTED.
-func runHypothesis(seed uint64) ([]experiment.Artifact, error) {
-	cfg := hypothesis
-	cfg.BaseSeed = seed
-	results, err := experiment.RunHypotheses(cfg)
+// table, emits their artifacts and the twin showcase's, and fails
+// (after both are written) when a gated hypothesis is not SUPPORTED.
+func runHypothesis(seed uint64) error {
+	results, err := experiment.RunHypotheses(hypothesis)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := experiment.RenderHypotheses(os.Stdout, results); err != nil {
-		return nil, err
+		return err
 	}
-	arts := append(experiment.HypothesisArtifacts(results), experiment.TwinShowcase(seed)...)
+	if err := emit(experiment.HypothesisArtifacts(results)); err != nil {
+		return err
+	}
+	if err := emit(experiment.TwinShowcase(seed)); err != nil {
+		return err
+	}
 	if fails := experiment.GatedFailures(results); len(fails) != 0 {
-		err = fmt.Errorf("gated hypothesis failed:\n  %s", strings.Join(fails, "\n  "))
+		return fmt.Errorf("gated hypothesis failed:\n  %s", strings.Join(fails, "\n  "))
 	}
-	return arts, err
+	return nil
 }

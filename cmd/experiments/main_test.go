@@ -62,6 +62,7 @@ func TestSelectRunnersHeavyExplicit(t *testing.T) {
 }
 
 func TestParseScaleSweep(t *testing.T) {
+	seedFlag(t, 7)
 	cfgs, err := scaleSweep()
 	if err != nil {
 		t.Fatalf("scaleSweep: %v", err)
@@ -74,7 +75,7 @@ func TestParseScaleSweep(t *testing.T) {
 		t.Fatalf("sweep not ascending: first=%d last=%d", cfgs[0].Clients, cfgs[len(cfgs)-1].Clients)
 	}
 	for _, cfg := range cfgs {
-		if cfg.Cells <= 0 || cfg.Duration <= 0 || !cfg.Telemetry {
+		if cfg.Seed != 7 || cfg.Cells <= 0 || cfg.Duration <= 0 || !cfg.Telemetry {
 			t.Fatalf("bad sweep point: %+v", cfg)
 		}
 	}
@@ -135,23 +136,33 @@ func TestRunnerNamesUniqueAndLower(t *testing.T) {
 	}
 }
 
-// setFlag sets a flag as the command line would and restores every
-// flag-bound config when the test ends.
-func setFlag(t *testing.T, name, value string) error {
-	t.Helper()
+// restoreConfigs restores every flag-bound config when the test ends.
+func restoreConfigs(t *testing.T) {
 	tc, ec, fc, hc, sc := tournament, episodes, frontier, hypothesis, scale
 	clients, modes, workers := scaleClients, scaleModes, scaleWorkers
 	t.Cleanup(func() {
 		tournament, episodes, frontier, hypothesis, scale = tc, ec, fc, hc, sc
 		scaleClients, scaleModes, scaleWorkers = clients, modes, workers
 	})
+}
+
+// setFlag sets a flag as the command line would, until the test ends.
+func setFlag(t *testing.T, name, value string) error {
+	restoreConfigs(t)
 	return flag.Set(name, value)
+}
+
+// seedFlag binds -seed as main does, until the test ends.
+func seedFlag(t *testing.T, seed uint64) {
+	restoreConfigs(t)
+	seedConfigs(seed)
 }
 
 // TestParseHypothesis: the hypothesis flags land in the config, names
 // lower-cased, and its Validate rejects what the runner would.
 func TestParseHypothesis(t *testing.T) {
-	if len(hypothesis.IDs) != 0 || len(hypothesis.Traces) != 0 || hypothesis.Validate() != nil {
+	seedFlag(t, 9)
+	if hypothesis.BaseSeed != 9 || len(hypothesis.IDs) != 0 || len(hypothesis.Traces) != 0 || hypothesis.Validate() != nil {
 		t.Fatalf("defaults: %+v", hypothesis)
 	}
 	if err := setFlag(t, "hypothesis-ids", "twin-steady, DRIFT-CALM"); err != nil {
@@ -207,24 +218,19 @@ func TestParseScaleSweepWorkers(t *testing.T) {
 }
 
 // TestUnsetFlagsTakeLibraryDefaults: with every size and list flag at 0 or
-// empty, the flag-bound configs are the library defaults.
+// empty and -seed 1, the flag-bound configs are the library defaults.
 func TestUnsetFlagsTakeLibraryDefaults(t *testing.T) {
-	tc := tournament
-	tc.Seed = 1
-	if !reflect.DeepEqual(tc.WithDefaults(), experiment.DefaultTournamentConfig()) {
+	seedFlag(t, 1)
+	if tc := tournament.WithDefaults(); !reflect.DeepEqual(tc, experiment.DefaultTournamentConfig()) {
 		t.Errorf("tournament: %+v", tc)
 	}
-	ec := episodes
-	ec.Seed = 1
-	if !reflect.DeepEqual(ec.WithDefaults(), experiment.DefaultEpisodesConfig()) {
+	if ec := episodes.WithDefaults(); !reflect.DeepEqual(ec, experiment.DefaultEpisodesConfig()) {
 		t.Errorf("episodes: %+v", ec)
 	}
-	fc := frontier
-	fc.Seed = 1
-	if !reflect.DeepEqual(fc.WithDefaults(), experiment.DefaultFrontierConfig()) {
+	if fc := frontier.WithDefaults(); !reflect.DeepEqual(fc, experiment.DefaultFrontierConfig()) {
 		t.Errorf("frontier: %+v", fc)
 	}
-	if !reflect.DeepEqual(hypothesis, experiment.HypothesisConfig{}) {
+	if !reflect.DeepEqual(hypothesis, experiment.HypothesisConfig{BaseSeed: 1}) {
 		t.Errorf("hypothesis: %+v", hypothesis)
 	}
 	cfgs, err := scaleSweep()
@@ -232,7 +238,7 @@ func TestUnsetFlagsTakeLibraryDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := experiment.DefaultScaleConfig(cfgs[0].Mode, cfgs[0].Clients)
-	if cfgs[0].Cells != def.Cells || cfgs[0].Duration != def.Duration {
+	if cfgs[0].Seed != def.Seed || cfgs[0].Cells != def.Cells || cfgs[0].Duration != def.Duration {
 		t.Errorf("scale: %d cells, %v s; library default %d cells, %v s",
 			cfgs[0].Cells, cfgs[0].Duration, def.Cells, def.Duration)
 	}
@@ -258,14 +264,24 @@ func TestCLIFailedWriteFails(t *testing.T) {
 }
 
 // TestCLIChecksBeforeRunning: a bad input of any picked runner fails
-// with exit status 2 before the first runner writes a file.
+// with exit status 2, and a -cpuprofile that cannot be created with
+// exit status 1, before the first runner writes a file.
 func TestCLIChecksBeforeRunning(t *testing.T) {
-	dir := t.TempDir()
-	code, out := cli(t, "-run", "fig9,tournament", "-tournament-traces", "nope", "-out", dir)
-	if code != 2 || !strings.Contains(out, "nope") {
-		t.Fatalf("exit %d, output:\n%s", code, out)
-	}
-	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
-		t.Fatalf("-out holds %d files (%v), want none", len(files), err)
+	for _, tc := range []struct {
+		code int
+		want string
+		args []string
+	}{
+		{2, "nope", []string{"-run", "fig9,tournament", "-tournament-traces", "nope"}},
+		{1, "no-such-dir", []string{"-run", "fig9", "-cpuprofile", filepath.Join(t.TempDir(), "no-such-dir", "cpu.pprof")}},
+	} {
+		dir := t.TempDir()
+		code, out := cli(t, append(tc.args, "-out", dir)...)
+		if code != tc.code || !strings.Contains(out, tc.want) {
+			t.Fatalf("%v: exit %d, output:\n%s", tc.args, code, out)
+		}
+		if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+			t.Fatalf("%v: -out holds %d files (%v), want none", tc.args, len(files), err)
+		}
 	}
 }

@@ -15,30 +15,29 @@ type Artifact struct {
 	Write func(w io.Writer) error
 }
 
-// errWriter passes writes through until the first error, then keeps it
-// and drops every later write, so a formatter can print line after line
-// unchecked and report once.
-type errWriter struct {
-	w   io.Writer
-	err error
+// ErrWriter passes writes through to W until the first error, then
+// keeps it in Err and drops every later write, so a formatter can print
+// line after line unchecked and report once. cmd/experiments builds its
+// output files on it.
+type ErrWriter struct {
+	W   io.Writer
+	Err error
 }
 
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
-		return 0, e.err
+func (e *ErrWriter) Write(p []byte) (n int, err error) {
+	if e.Err == nil {
+		n, e.Err = e.W.Write(p)
 	}
-	n, err := e.w.Write(p)
-	e.err = err
-	return n, err
+	return n, e.Err
 }
 
 // sticky turns a formatter that ignores write errors into an Artifact's
 // Write, which returns the first one.
 func sticky(write func(w io.Writer)) func(io.Writer) error {
 	return func(w io.Writer) error {
-		ew := &errWriter{w: w}
+		ew := &ErrWriter{W: w}
 		write(ew)
-		return ew.err
+		return ew.Err
 	}
 }
 
