@@ -4,9 +4,10 @@
 // documents (the standard godoc convention, so `go doc` output reads as
 // prose). It also fails on an orphan: an internal/ package that no
 // non-test .go file outside the package imports, so code nothing reaches
-// is deleted rather than documented. It is the documentation half of
-// the CI docs gate; the other half, cmd/doccheck, keeps the prose
-// documents runnable.
+// is deleted rather than documented, and on an unreached facade symbol:
+// an exported name of the root package that nothing outside it uses. It
+// is the documentation half of the CI docs gate; the other half,
+// cmd/doccheck, keeps the prose documents runnable.
 //
 // Usage:
 //
@@ -14,7 +15,8 @@
 //
 // With no package arguments it audits the default set: the conscale
 // facade package plus internal/{des,workload,cluster,sct,scaling}. The
-// orphan check always covers every package under DIR/internal.
+// orphan check always covers every package under DIR/internal, and the
+// reach check always covers the root package DIR.
 // Violations are printed one per line as path:line: message and the
 // process exits 1; a clean audit exits 0.
 //
@@ -33,6 +35,10 @@
 //   - _test.go files are exempt, and do not count as importers.
 //   - Every package under internal/ is imported by some non-test .go
 //     file outside its own directory (cmd/, examples/ and bench/ count).
+//   - Every exported top-level name the root package's non-test files
+//     declare is reached: some .go file outside the package (tests and
+//     the root's external _test package included) names it as pkg.Name,
+//     or a reached declaration of the root package names it.
 package main
 
 import (
@@ -87,6 +93,12 @@ func main() {
 		os.Exit(2)
 	}
 	violations = append(violations, vs...)
+	vs, err = unreachedFacade(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		os.Exit(2)
+	}
+	violations = append(violations, vs...)
 	sort.Strings(violations)
 	for _, v := range violations {
 		fmt.Println(v)
@@ -118,8 +130,7 @@ func lintPackage(dir string) ([]string, error) {
 }
 
 // orphans reports every package under root/internal that no non-test
-// .go file outside the package's own directory imports. Hidden and
-// testdata directories are skipped.
+// .go file outside the package's own directory imports.
 func orphans(root string) ([]string, error) {
 	mod, err := modulePath(root)
 	if err != nil {
@@ -128,17 +139,8 @@ func orphans(root string) ([]string, error) {
 	fset := token.NewFileSet()
 	internal := map[string]bool{} // package import path -> has non-test files
 	imported := map[string]bool{} // import path -> imported from outside itself
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	err = walkGo(root, func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		rel, err := filepath.Rel(root, filepath.Dir(path))
@@ -171,6 +173,134 @@ func orphans(root string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// unreachedFacade reports every exported top-level const, var, type and
+// func of the root package that no .go file outside the package names as
+// pkg.Name, unless a reached root declaration names it itself (an alias in
+// a kept function's signature, say).
+func unreachedFacade(root string) ([]string, error) {
+	mod, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, root, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return nil, fmt.Errorf("parse %s: %w", root, err)
+	}
+	if len(pkgs) != 1 {
+		return nil, nil // no root package to audit
+	}
+	var pkgName string
+	decls := map[string]ast.Node{} // exported name -> declaring node
+	for name, pkg := range pkgs {
+		pkgName = name
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.IsExported() {
+						decls[d.Name.Name] = d
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								decls[s.Name.Name] = s
+							}
+						case *ast.ValueSpec:
+							for _, name := range exportedNames(s.Names) {
+								decls[name] = s
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	reached := map[string]bool{}
+	var queue []string
+	reach := func(name string) {
+		if _, ok := decls[name]; ok && !reached[name] {
+			reached[name] = true
+			queue = append(queue, name)
+		}
+	}
+	err = walkGo(root, func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		if filepath.Dir(path) == filepath.Clean(root) && f.Name.Name == pkgName {
+			return nil // inside the package
+		}
+		for _, imp := range f.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err != nil || p != mod {
+				continue
+			}
+			local := pkgName
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+						reach(sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for len(queue) > 0 {
+		name := queue[0]
+		queue = queue[1:]
+		ast.Inspect(decls[name], func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				reach(id.Name)
+			}
+			return true
+		})
+	}
+
+	var out []string
+	for name, node := range decls {
+		if !reached[name] {
+			p := fset.Position(node.Pos())
+			out = append(out, fmt.Sprintf("%s:%d: unreached facade symbol %s: no file outside package %s names %s.%s",
+				p.Filename, p.Line, name, pkgName, pkgName, name))
+		}
+	}
+	return out, nil
+}
+
+// walkGo calls fn with every .go file under root, skipping hidden and
+// testdata directories.
+func walkGo(root string, fn func(path string) error) error {
+	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		return fn(path)
+	})
 }
 
 // modulePath reads the module path from root/go.mod.

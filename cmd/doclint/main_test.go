@@ -150,6 +150,39 @@ func TestOrphanInternalPackageFails(t *testing.T) {
 	}
 }
 
+func TestUnreachedFacadeSymbolFails(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"m.go": `package m
+
+import "m/internal/impl"
+
+// Used is named by the example.
+type Used = impl.T
+
+// InSignature is reached only through Make's signature.
+type InSignature = impl.T
+
+// Unused is named by nothing outside the package.
+type Unused = impl.T
+
+// Make builds a value.
+func Make(InSignature) Used { return Used{} }
+`,
+		"internal/impl/impl.go": "package impl\n\n// T is a value.\ntype T struct{}\n",
+		"examples/demo/main.go": "package main\n\nimport \"m\"\n\nfunc main() { _ = m.Make }\n",
+		// An external test package counts; an internal one does not.
+		"m_test.go":        "package m_test\n\nimport alias \"m\"\n\nvar _ alias.Used\n",
+		"internal_test.go": "package m\n\nvar _ Unused\n",
+	})
+	vs, err := unreachedFacade(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 1 || !strings.Contains(vs[0], "unreached facade symbol Unused") {
+		t.Fatalf("want exactly Unused flagged, got:\n%s", strings.Join(vs, "\n"))
+	}
+}
+
 // TestAuditedPackagesStayClean is the real gate: the default package
 // set must lint clean so CI fails the moment a new exported identifier
 // lands without documentation.
@@ -170,5 +203,12 @@ func TestAuditedPackagesStayClean(t *testing.T) {
 	}
 	if len(vs) != 0 {
 		t.Errorf("orphan packages:\n%s", strings.Join(vs, "\n"))
+	}
+	vs, err = unreachedFacade(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 0 {
+		t.Errorf("unreached facade symbols:\n%s", strings.Join(vs, "\n"))
 	}
 }

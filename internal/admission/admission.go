@@ -246,7 +246,7 @@ func Parse(spec string) (Config, error) {
 }
 
 // Spec renders the config back into Parse's string form, with defaults
-// applied — the mgmt get-side of the policy toggle.
+// applied.
 func (cfg Config) Spec() string {
 	cfg = cfg.withDefaults()
 	switch cfg.Policy {

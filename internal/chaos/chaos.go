@@ -130,13 +130,6 @@ func NewSchedule(faults ...Fault) *Schedule {
 // Add appends faults to the schedule.
 func (s *Schedule) Add(faults ...Fault) { s.faults = append(s.faults, faults...) }
 
-// Merge appends every fault of other (composing scenarios).
-func (s *Schedule) Merge(other *Schedule) {
-	if other != nil {
-		s.faults = append(s.faults, other.faults...)
-	}
-}
-
 // Len returns the number of scheduled faults.
 func (s *Schedule) Len() int {
 	if s == nil {

@@ -274,34 +274,3 @@ func TestInterferenceBurstsGenerator(t *testing.T) {
 		}
 	}
 }
-
-func TestGenerateComposesComponents(t *testing.T) {
-	cfg := Config{
-		Duration:             600 * des.Second,
-		CrashesPerMinute:     0.5,
-		CrashTiers:           []cluster.Tier{cluster.App},
-		InterferenceBursts:   3,
-		InterferenceMeanLen:  30 * des.Second,
-		InterferenceSlowdown: 2,
-		InterferenceTier:     cluster.App,
-		JitterBursts:         2,
-		JitterMeanLen:        20 * des.Second,
-		JitterDelay:          50 * des.Millisecond,
-		JitterTier:           cluster.DB,
-		SlowBootFactor:       4,
-	}
-	s := Generate(9, cfg)
-	counts := map[Kind]int{}
-	for _, f := range s.Faults() {
-		counts[f.Kind]++
-	}
-	if counts[CPUInterference] != 3 || counts[NetDelay] != 2 || counts[SlowBoot] != 1 {
-		t.Fatalf("component counts = %v", counts)
-	}
-	if counts[VMCrash] == 0 {
-		t.Fatal("no crashes generated")
-	}
-	if Generate(9, Config{}).Len() != 0 {
-		t.Fatal("zero config generated faults")
-	}
-}

@@ -59,53 +59,3 @@ func JitterBursts(seed uint64, n int, duration, meanLen des.Time, tier cluster.T
 	}
 	return s
 }
-
-// Config parameterizes a composite fault scenario for Generate: every
-// enabled component contributes its events to one merged schedule. Zero
-// values disable a component, so the zero Config generates an empty
-// schedule.
-type Config struct {
-	// Duration bounds all generated events.
-	Duration des.Time
-
-	// CrashesPerMinute drives a Poisson crash process over CrashTiers.
-	CrashesPerMinute float64
-	CrashTiers       []cluster.Tier
-
-	// InterferenceBursts noisy-neighbor windows on InterferenceTier, mean
-	// length InterferenceMeanLen, slowing a random VM by
-	// InterferenceSlowdown.
-	InterferenceBursts   int
-	InterferenceMeanLen  des.Time
-	InterferenceSlowdown float64
-	InterferenceTier     cluster.Tier
-
-	// JitterBursts delay windows on the edge into JitterTier, mean length
-	// JitterMeanLen, adding JitterDelay per call.
-	JitterBursts  int
-	JitterMeanLen des.Time
-	JitterDelay   des.Time
-	JitterTier    cluster.Tier
-
-	// SlowBootFactor > 1 stretches every VM boot for the whole run.
-	SlowBootFactor float64
-}
-
-// Generate builds the merged schedule for the scenario. Each component
-// draws from its own split of the seed, so enabling one never perturbs
-// another's event times.
-func Generate(seed uint64, cfg Config) *Schedule {
-	root := rng.New(seed)
-	crashSeed := root.Split().Uint64()
-	interfSeed := root.Split().Uint64()
-	jitterSeed := root.Split().Uint64()
-
-	s := NewSchedule()
-	s.Merge(RandomCrashes(crashSeed, cfg.CrashesPerMinute, cfg.Duration, cfg.CrashTiers...))
-	s.Merge(InterferenceBursts(interfSeed, cfg.InterferenceBursts, cfg.Duration, cfg.InterferenceMeanLen, cfg.InterferenceTier, cfg.InterferenceSlowdown))
-	s.Merge(JitterBursts(jitterSeed, cfg.JitterBursts, cfg.Duration, cfg.JitterMeanLen, cfg.JitterTier, cfg.JitterDelay))
-	if cfg.SlowBootFactor > 1 && cfg.Duration > 0 {
-		s.Add(Stragglers(0, cfg.Duration, cfg.SlowBootFactor))
-	}
-	return s
-}

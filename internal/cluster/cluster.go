@@ -500,14 +500,6 @@ func (c *Cluster) SoftResources() (web, app, db int) {
 	return c.webThreads, c.appThreads, c.dbConns
 }
 
-// SetWebThreads adjusts the web tier's thread pools at runtime.
-func (c *Cluster) SetWebThreads(n int) {
-	c.webThreads = n
-	for _, v := range c.vms[Web] {
-		v.srv.SetThreadLimit(n)
-	}
-}
-
 // SetAppThreads adjusts the app tier's thread pools at runtime (the
 // Tomcat thread pool actuator).
 func (c *Cluster) SetAppThreads(n int) {
@@ -527,44 +519,6 @@ func (c *Cluster) SetDBConns(n int) {
 			p.SetLimit(n)
 		}
 	}
-}
-
-// SetAdmission installs (cfg non-nil) or removes (cfg nil) the tier's
-// admission policy at runtime: every current VM gets a fresh policy
-// instance and future VMs inherit the config. The mgmt admission.*
-// toggles route here.
-func (c *Cluster) SetAdmission(t Tier, cfg *admission.Config) error {
-	if cfg == nil {
-		delete(c.admission, t)
-		for _, v := range c.vms[t] {
-			v.srv.SetAdmission(nil)
-		}
-		return nil
-	}
-	if _, err := admission.New(*cfg); err != nil {
-		return err
-	}
-	c.admission[t] = *cfg
-	for _, v := range c.vms[t] {
-		p, err := admission.New(*cfg)
-		if err != nil {
-			return err
-		}
-		v.srv.SetAdmission(p)
-		if c.telReg != nil {
-			// Re-arm so the shed instruments exist (registration is
-			// idempotent on name+labels).
-			c.armServer(t, v.srv)
-		}
-	}
-	return nil
-}
-
-// AdmissionConfig returns the tier's active admission config and
-// whether one is installed.
-func (c *Cluster) AdmissionConfig(t Tier) (admission.Config, bool) {
-	cfg, ok := c.admission[t]
-	return cfg, ok
 }
 
 // SetShedObserver installs a read-only callback invoked on every

@@ -279,10 +279,6 @@ func TestRenderersDoNotPanic(t *testing.T) {
 	RenderCompare(&buf, CompareResult{Baseline: res, ConScale: res})
 	RenderTable1(&buf, []Table1Row{{Trace: "x", EC2P95: 1, EC2P99: 2, ConScaleP95: 0.5, ConScaleP99: 1}})
 	RenderAblation(&buf, "t", []AblationRow{{Label: "a", P95: 1, P99: 2}})
-	cfg := DefaultSweepConfig(TargetApp)
-	cfg.Levels = []int{5}
-	cfg.Measure = des.Second
-	RenderSweep(&buf, "s", Sweep(cfg))
 	if buf.Len() == 0 {
 		t.Fatal("renderers produced nothing")
 	}

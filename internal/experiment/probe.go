@@ -17,9 +17,9 @@ import (
 // truth — and fans the stream out to every layer that watches it: the
 // client-RT histogram and the SLO monitor, the forensics detector, the
 // twin, in that order, the order their audit events are pinned in. Every
-// consumer is nil-safe and checks its own live switch, so the probe calls
-// them all unconditionally and a layer mgmt disables mid-run simply stops
-// counting; the probe's own records depend on none of them. A new
+// consumer is nil-safe, so the probe calls them all unconditionally and an
+// unarmed layer costs one nil check; the probe's own records depend on
+// none of them. A new
 // client-stream observer is one more field and one more line here; it
 // never wraps the Submitter.
 //

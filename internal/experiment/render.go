@@ -118,19 +118,6 @@ func RenderTable1(w io.Writer, rows []Table1Row) {
 	}
 }
 
-// RenderSweep prints a sweep as an aligned table with the knee marked.
-func RenderSweep(w io.Writer, label string, s SweepResult) {
-	fmt.Fprintf(w, "%s (Qlower=%d, TPmax=%.0f req/s)\n", label, s.Qlower, s.MaxTP)
-	fmt.Fprintf(w, "  %6s %12s %10s\n", "conc", "throughput", "rt")
-	for _, p := range s.Points {
-		marker := " "
-		if p.Level == s.Qlower {
-			marker = "*"
-		}
-		fmt.Fprintf(w, "%s %6d %10.0f/s %8.2fms\n", marker, p.Level, p.Throughput, p.MeanRT*1000)
-	}
-}
-
 // RenderAblation prints ablation rows.
 func RenderAblation(w io.Writer, title string, rows []AblationRow) {
 	fmt.Fprintln(w, title)

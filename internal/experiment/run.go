@@ -8,6 +8,7 @@ package experiment
 
 import (
 	"io"
+	"maps"
 	"math"
 
 	"conscale/internal/admission"
@@ -135,11 +136,6 @@ func DefaultRunConfig(mode scaling.Mode, traceName string) RunConfig {
 		Seed:      1,
 		ThinkTime: 3,
 	}
-}
-
-// TierSeries is a per-second series for one tier.
-type TierSeries struct {
-	CPU []float64 // mean utilization (0..1) per second
 }
 
 // RunResult captures everything the figures and tables need from one run.
@@ -275,6 +271,19 @@ func shortHorizonSCT(fcfg *scaling.Config, window des.Time) {
 	fcfg.SCT.MinDistinctBins = 3
 }
 
+// mergeAdmission lays a run's per-tier admission entries over the cluster
+// config's own, the run's winning per tier. With no run entries it returns
+// base itself; cluster.New copies whatever it is given.
+func mergeAdmission(base, run map[cluster.Tier]admission.Config) map[cluster.Tier]admission.Config {
+	if len(run) == 0 {
+		return base
+	}
+	merged := make(map[cluster.Tier]admission.Config, len(base)+len(run))
+	maps.Copy(merged, base)
+	maps.Copy(merged, run)
+	return merged
+}
+
 // Run executes one full scaling experiment.
 func Run(cfg RunConfig) *RunResult {
 	ccfg := cluster.DefaultConfig()
@@ -282,16 +291,7 @@ func Run(cfg RunConfig) *RunResult {
 		ccfg = *cfg.Cluster
 	}
 	ccfg.Seed = cfg.Seed
-	if len(cfg.Admission) > 0 {
-		merged := make(map[cluster.Tier]admission.Config, len(cfg.Admission)+len(ccfg.Admission))
-		for t, a := range ccfg.Admission {
-			merged[t] = a
-		}
-		for t, a := range cfg.Admission {
-			merged[t] = a
-		}
-		ccfg.Admission = merged
-	}
+	ccfg.Admission = mergeAdmission(ccfg.Admission, cfg.Admission)
 	c := cluster.New(ccfg)
 
 	fcfg := scaling.DefaultConfig(cfg.Mode)

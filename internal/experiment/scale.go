@@ -35,7 +35,8 @@ type ScaleConfig struct {
 	// every cell — same contract as RunConfig.Controller.
 	Controller string
 	// Admission optionally installs per-tier admission policies on every
-	// cell (each cell's cluster.Config copies the entries). Empty — or an
+	// cell, merged over CellConfig's own Admission map with the entries
+	// here winning per tier, as RunConfig.Admission does. Empty — or an
 	// explicit always-admit policy — leaves the trajectory byte-identical
 	// to the pre-admission code path.
 	Admission map[cluster.Tier]admission.Config
@@ -243,9 +244,7 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 	if cfg.CellConfig != nil {
 		ccfg = *cfg.CellConfig
 	}
-	if len(cfg.Admission) > 0 {
-		ccfg.Admission = cfg.Admission // cluster.New copies the entries
-	}
+	ccfg.Admission = mergeAdmission(ccfg.Admission, cfg.Admission)
 	fcfg := profiledConfig(cfg.Mode, AnalyticDCMProfile(ccfg))
 	// A 2-minute scale run must estimate from sub-minute windows or
 	// ConScale never acts.

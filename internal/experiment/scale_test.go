@@ -195,6 +195,27 @@ func scaleEdgeCell(workers int) ScaleConfig {
 	}
 }
 
+// TestScaleMergesCellAdmission pins that RunScale lays ScaleConfig's
+// admission entries over CellConfig's own, as Run does with
+// RunConfig.Admission: a one-slot web queue cap set on the cell survives
+// an always-admit DB entry on the run, and sheds.
+func TestScaleMergesCellAdmission(t *testing.T) {
+	parse := func(spec string) admission.Config {
+		acfg, err := admission.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acfg
+	}
+	cfg := scaleEdgeCell(1)
+	cfg.Duration = 20 * des.Second
+	cfg.CellConfig.Admission = map[cluster.Tier]admission.Config{cluster.Web: parse("queue-cap:cap=1")}
+	cfg.Admission = map[cluster.Tier]admission.Config{cluster.DB: parse("always")}
+	if res := RunScale(cfg); res.Sheds == 0 {
+		t.Fatal("the cell's web queue cap shed nothing: RunScale dropped CellConfig.Admission")
+	}
+}
+
 // scaleLedger renders what the timeline CSV rounds away.
 func scaleLedger(r *ScaleResult) string {
 	var b strings.Builder

@@ -145,12 +145,11 @@ func (e Episode) Duration() des.Time { return e.Recovery - e.Onset }
 
 // Detector segments the client request stream's windowed tail latency
 // into fluctuation episodes. Observe and Tick run on the simulation
-// goroutine; the counters are atomics so telemetry and management agents
-// can read them live. A nil *Detector is a valid, inert receiver, and
-// Observe is a zero-allocation no-op while disabled.
+// goroutine; the counters are atomics so telemetry can read them live. A
+// nil *Detector is a valid, inert receiver, and Observe on it is a
+// zero-allocation no-op.
 type Detector struct {
-	cfg     DetectorConfig
-	enabled atomic.Bool
+	cfg DetectorConfig
 
 	tail     *sla.WindowTail
 	baseline float64
@@ -168,33 +167,21 @@ type Detector struct {
 	inFlag atomic.Bool
 }
 
-// NewDetector builds an enabled detector with defaulted config.
+// NewDetector builds a detector with defaulted config.
 func NewDetector(cfg DetectorConfig) *Detector {
 	cfg = cfg.withDefaults()
-	d := &Detector{
+	return &Detector{
 		cfg:    cfg,
 		tail:   sla.NewWindowTail(cfg.Window),
 		series: newRing[TickPoint](cfg.SeriesCap),
 	}
-	d.enabled.Store(true)
-	return d
 }
-
-// SetEnabled flips detection live (safe from any goroutine).
-func (d *Detector) SetEnabled(on bool) {
-	if d != nil {
-		d.enabled.Store(on)
-	}
-}
-
-// Enabled reports the live switch.
-func (d *Detector) Enabled() bool { return d != nil && d.enabled.Load() }
 
 // Observe ingests one completed client request (failed requests carry no
 // response-time signal and are skipped; the SLO monitor owns the error
-// story). No-op when nil or disabled.
+// story). No-op when nil.
 func (d *Detector) Observe(now des.Time, rt float64, ok bool) {
-	if d == nil || !d.enabled.Load() || !ok {
+	if d == nil || !ok {
 		return
 	}
 	d.tail.Add(now, rt)
@@ -205,7 +192,7 @@ func (d *Detector) Observe(now des.Time, rt float64, ok bool) {
 // crossing, track peak and area inside one, close on the hysteresis
 // clearing. Call it on a fixed cadence (DetectorConfig.Tick).
 func (d *Detector) Tick(now des.Time) {
-	if d == nil || !d.enabled.Load() {
+	if d == nil {
 		return
 	}
 	dt := d.cfg.Tick

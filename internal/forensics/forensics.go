@@ -24,7 +24,7 @@
 // reads simulation state — it draws no randomness and schedules nothing
 // besides its own read-only tick — so an armed run's trajectory is
 // byte-identical to a bare one. A nil receiver is valid everywhere, and
-// the disabled hot path performs zero allocations (AllocsPerRun-pinned).
+// the nil hot path performs zero allocations (AllocsPerRun-pinned).
 package forensics
 
 import (
@@ -35,8 +35,8 @@ import (
 )
 
 // ring is a fixed-capacity overwrite-oldest buffer. The push count is
-// atomic so management agents can poll sizes live; the backing slice is
-// only touched from the simulation goroutine.
+// atomic so Recorder.Counts may be polled from any goroutine; the backing
+// slice is only touched from the simulation goroutine.
 type ring[T any] struct {
 	buf []T
 	n   atomic.Uint64
@@ -212,12 +212,10 @@ func (cfg Config) withDefaults() Config {
 }
 
 // Recorder is the flight recorder: bounded rings of the recent past,
-// written on the simulation goroutine. The enable switch and the push
-// counters are atomics so a management agent can toggle and poll it live;
-// a nil *Recorder is a valid, inert receiver, and every feed method is a
-// zero-allocation no-op while disabled.
+// written on the simulation goroutine. The push counters are atomics so
+// Counts may be polled from any goroutine; a nil *Recorder is a valid,
+// inert receiver, and every feed method on it is a zero-allocation no-op.
 type Recorder struct {
-	enabled   atomic.Bool
 	snaps     ring[TierSnapshot]
 	decisions ring[trace.AuditEvent]
 	faults    ring[FaultRec]
@@ -230,10 +228,10 @@ type Recorder struct {
 	comp [trace.NumTiers][trace.NumSegKinds]float64
 }
 
-// NewRecorder builds an enabled recorder with the configured capacities.
+// NewRecorder builds a recorder with the configured capacities.
 func NewRecorder(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
-	r := &Recorder{
+	return &Recorder{
 		snaps:     newRing[TierSnapshot](cfg.SnapshotCap),
 		decisions: newRing[trace.AuditEvent](cfg.DecisionCap),
 		faults:    newRing[FaultRec](cfg.FaultCap),
@@ -241,23 +239,11 @@ func NewRecorder(cfg Config) *Recorder {
 		spans:     newRing[SpanSummary](cfg.SpanCap),
 		sheds:     newRing[ShedRec](cfg.ShedCap),
 	}
-	r.enabled.Store(true)
-	return r
 }
 
-// SetEnabled flips recording live (safe from any goroutine).
-func (r *Recorder) SetEnabled(on bool) {
-	if r != nil {
-		r.enabled.Store(on)
-	}
-}
-
-// Enabled reports the live switch.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled.Load() }
-
-// RecordSnapshot pushes one occupancy reading (no-op when nil/disabled).
+// RecordSnapshot pushes one occupancy reading (no-op when nil).
 func (r *Recorder) RecordSnapshot(s TierSnapshot) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	r.snaps.push(s)
@@ -267,7 +253,7 @@ func (r *Recorder) RecordSnapshot(s TierSnapshot) {
 // activations land in the fault ring, SCT refreshes in the SCT ring, and
 // every other controller action in the decision ring.
 func (r *Recorder) ObserveAudit(e trace.AuditEvent) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	switch e.Kind {
@@ -297,7 +283,7 @@ func (r *Recorder) ObserveAudit(e trace.AuditEvent) {
 // by tier and class, so attribution can tell "the p99 improved because
 // we were dropping load" apart from organic recovery. Allocation-free.
 func (r *Recorder) ObserveShed(s ShedRec) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	r.sheds.push(s)
@@ -307,7 +293,7 @@ func (r *Recorder) ObserveShed(s ShedRec) {
 // it digests the closed span tree into a by-value summary and pushes it,
 // leaving the pooled tree to the tracer.
 func (r *Recorder) ObserveSpan(root *trace.Span) {
-	if r == nil || !r.enabled.Load() || root == nil {
+	if r == nil || root == nil {
 		return
 	}
 	r.comp = [trace.NumTiers][trace.NumSegKinds]float64{}
@@ -421,7 +407,7 @@ type Forensics struct {
 	cfg Config
 }
 
-// New builds the layer, enabled, with defaulted Config.
+// New builds the layer with defaulted Config.
 func New(cfg Config) *Forensics {
 	cfg = cfg.withDefaults()
 	return &Forensics{
@@ -430,19 +416,6 @@ func New(cfg Config) *Forensics {
 		cfg: cfg,
 	}
 }
-
-// SetEnabled flips recorder and detector together (safe from any
-// goroutine).
-func (f *Forensics) SetEnabled(on bool) {
-	if f == nil {
-		return
-	}
-	f.Rec.SetEnabled(on)
-	f.Det.SetEnabled(on)
-}
-
-// Enabled reports whether the layer is recording.
-func (f *Forensics) Enabled() bool { return f != nil && f.Rec.Enabled() }
 
 // Config returns the defaulted configuration the layer runs with.
 func (f *Forensics) Config() Config {

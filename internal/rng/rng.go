@@ -153,19 +153,6 @@ func (s *Source) LogNormalLn(lnMean, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.Norm())
 }
 
-// Perm fills a permutation of [0, n) using Fisher-Yates.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Pick returns an index in [0, len(weights)) with probability proportional
 // to weights[i]. Zero or negative total weight picks uniformly.
 func (s *Source) Pick(weights []float64) int {

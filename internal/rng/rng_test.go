@@ -209,18 +209,6 @@ func TestLogNormalZeroMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(29)
-	p := s.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestPickRespectsWeights(t *testing.T) {
 	s := New(31)
 	weights := []float64{1, 0, 3}

@@ -1,8 +1,6 @@
 // Package stats provides the statistical primitives shared by the metrics
-// pipeline and the SCT model: percentiles, online accumulators, binning of
-// (concurrency, throughput) samples, smoothing, and the statistical
-// intervention analysis (Malkowski et al., DSOM 2007) that the paper extends
-// for rational-concurrency-range estimation.
+// pipeline and the SCT model: percentiles, online accumulators, and binning
+// of (concurrency, throughput) samples.
 package stats
 
 import (
@@ -185,200 +183,4 @@ func (b *BinSet) Sorted() []*Bin {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
-}
-
-// MovingAverage smooths values with a centred window of the given radius
-// (window = 2*radius+1, truncated at the edges). radius 0 copies the input.
-func MovingAverage(values []float64, radius int) []float64 {
-	if radius < 0 {
-		panic("stats: negative radius")
-	}
-	out := make([]float64, len(values))
-	for i := range values {
-		lo, hi := i-radius, i+radius
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(values) {
-			hi = len(values) - 1
-		}
-		sum := 0.0
-		for j := lo; j <= hi; j++ {
-			sum += values[j]
-		}
-		out[i] = sum / float64(hi-lo+1)
-	}
-	return out
-}
-
-// Bezier returns n points of the Bezier curve through the given control
-// points — the same smoothing gnuplot's `smooth bezier` applies to the
-// paper's scatter plots. xs and ys must be equal length.
-func Bezier(xs, ys []float64, n int) (outX, outY []float64) {
-	if len(xs) != len(ys) {
-		panic("stats: Bezier input length mismatch")
-	}
-	if len(xs) == 0 || n <= 0 {
-		return nil, nil
-	}
-	outX = make([]float64, n)
-	outY = make([]float64, n)
-	for i := 0; i < n; i++ {
-		t := 0.0
-		if n > 1 {
-			t = float64(i) / float64(n-1)
-		}
-		outX[i], outY[i] = bezierPoint(xs, ys, t)
-	}
-	return outX, outY
-}
-
-// bezierPoint evaluates the Bezier curve at parameter t via de Casteljau,
-// which is numerically stable for the modest control counts we use.
-func bezierPoint(xs, ys []float64, t float64) (float64, float64) {
-	bx := make([]float64, len(xs))
-	by := make([]float64, len(ys))
-	copy(bx, xs)
-	copy(by, ys)
-	for k := len(bx) - 1; k > 0; k-- {
-		for i := 0; i < k; i++ {
-			bx[i] = bx[i]*(1-t) + bx[i+1]*t
-			by[i] = by[i]*(1-t) + by[i+1]*t
-		}
-	}
-	return bx[0], by[0]
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys,
-// NaN when undefined (fewer than two points or zero variance).
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: correlation length mismatch")
-	}
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	var mx, my Online
-	for i := range xs {
-		mx.Add(xs[i])
-		my.Add(ys[i])
-	}
-	cov := 0.0
-	for i := range xs {
-		cov += (xs[i] - mx.Mean()) * (ys[i] - my.Mean())
-	}
-	cov /= float64(len(xs))
-	denom := mx.StdDev() * my.StdDev()
-	if denom == 0 {
-		return math.NaN()
-	}
-	return cov / denom
-}
-
-// InterventionResult is the outcome of intervention analysis over a binned
-// throughput curve: the plateau level and the first/last keys whose mean
-// throughput is statistically indistinguishable from the plateau.
-type InterventionResult struct {
-	PlateauTP  float64 // estimated maximum sustainable throughput
-	LowerKey   int     // first key reaching the plateau (Qlower)
-	UpperKey   int     // last key holding the plateau (Qupper)
-	PeakKey    int     // key of the single highest mean throughput
-	Confidence float64 // fraction of plateau bins with >= MinSamples support
-	// MaxEligibleKey is the largest well-supported key observed; when it
-	// exceeds UpperKey the descending stage was actually witnessed.
-	MaxEligibleKey int
-	// BelowRangeTP is the mean throughput of the eligible bin just below
-	// LowerKey (NaN when LowerKey is the lowest eligible bin). The ratio
-	// PlateauTP/BelowRangeTP measures how steeply the curve was still
-	// climbing when it entered the claimed plateau.
-	BelowRangeTP float64
-}
-
-// InterventionConfig tunes the analysis.
-type InterventionConfig struct {
-	// Tolerance is the fractional throughput drop from the plateau that
-	// still counts as "at the plateau" (the paper's "ΔTP → 0" condition
-	// operationalised). Typical: 0.05.
-	Tolerance float64
-	// MinSamples is the minimum observations a bin needs to participate.
-	// Thin bins at the extremes of the observed concurrency range are
-	// noise and must not set the plateau.
-	MinSamples int
-}
-
-// DefaultIntervention matches the constants used throughout the paper's
-// evaluation: a 5 % plateau tolerance and at least 3 samples per bin.
-func DefaultIntervention() InterventionConfig {
-	return InterventionConfig{Tolerance: 0.05, MinSamples: 3}
-}
-
-// Intervention runs statistical intervention analysis on binned throughput
-// means: it finds the plateau (maximum mean throughput over well-supported
-// bins) and the contiguous key range whose throughput stays within
-// Tolerance of it. It returns ok=false when no bin has enough samples.
-func Intervention(bins []*Bin, cfg InterventionConfig) (InterventionResult, bool) {
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 0.05
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 1
-	}
-	var eligible []*Bin
-	for _, b := range bins {
-		if b.TP.Count() >= cfg.MinSamples {
-			eligible = append(eligible, b)
-		}
-	}
-	if len(eligible) == 0 {
-		return InterventionResult{}, false
-	}
-	sort.Slice(eligible, func(i, j int) bool { return eligible[i].Key < eligible[j].Key })
-
-	peak := eligible[0]
-	for _, b := range eligible[1:] {
-		if b.TP.Mean() > peak.TP.Mean() {
-			peak = b
-		}
-	}
-	plateau := peak.TP.Mean()
-	floor := plateau * (1 - cfg.Tolerance)
-
-	// Walk outward from the peak so the range is contiguous: a noisy dip
-	// inside the stable stage must not split it, but once throughput falls
-	// below the floor on either side the range ends.
-	peakIdx := 0
-	for i, b := range eligible {
-		if b == peak {
-			peakIdx = i
-			break
-		}
-	}
-	lo := peakIdx
-	for lo > 0 && eligible[lo-1].TP.Mean() >= floor {
-		lo--
-	}
-	hi := peakIdx
-	for hi < len(eligible)-1 && eligible[hi+1].TP.Mean() >= floor {
-		hi++
-	}
-
-	supported := 0
-	for i := lo; i <= hi; i++ {
-		if eligible[i].TP.Count() >= cfg.MinSamples {
-			supported++
-		}
-	}
-	res := InterventionResult{
-		PlateauTP:      plateau,
-		LowerKey:       eligible[lo].Key,
-		UpperKey:       eligible[hi].Key,
-		PeakKey:        peak.Key,
-		Confidence:     float64(supported) / float64(hi-lo+1),
-		MaxEligibleKey: eligible[len(eligible)-1].Key,
-		BelowRangeTP:   math.NaN(),
-	}
-	if lo > 0 {
-		res.BelowRangeTP = eligible[lo-1].TP.Mean()
-	}
-	return res, true
 }

@@ -176,190 +176,6 @@ func TestBinSet(t *testing.T) {
 	}
 }
 
-func TestMovingAverageIdentityRadiusZero(t *testing.T) {
-	in := []float64{1, 2, 3}
-	out := MovingAverage(in, 0)
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("radius-0 changed values: %v", out)
-		}
-	}
-}
-
-func TestMovingAverageSmooths(t *testing.T) {
-	in := []float64{0, 10, 0, 10, 0}
-	out := MovingAverage(in, 1)
-	want := []float64{5, 10.0 / 3, 20.0 / 3, 10.0 / 3, 5}
-	for i := range want {
-		if !almost(out[i], want[i], 1e-9) {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestMovingAverageNegativeRadiusPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MovingAverage([]float64{1}, -1)
-}
-
-func TestBezierEndpoints(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{0, 5, 5, 0}
-	ox, oy := Bezier(xs, ys, 11)
-	if len(ox) != 11 || len(oy) != 11 {
-		t.Fatalf("lengths = %d/%d", len(ox), len(oy))
-	}
-	if !almost(ox[0], 0, 1e-12) || !almost(oy[0], 0, 1e-12) {
-		t.Fatalf("start = (%v, %v)", ox[0], oy[0])
-	}
-	if !almost(ox[10], 3, 1e-12) || !almost(oy[10], 0, 1e-12) {
-		t.Fatalf("end = (%v, %v)", ox[10], oy[10])
-	}
-}
-
-func TestBezierLineIsExact(t *testing.T) {
-	// Bezier of collinear points stays on the line.
-	xs := []float64{0, 1, 2}
-	ys := []float64{0, 2, 4}
-	ox, oy := Bezier(xs, ys, 7)
-	for i := range ox {
-		if !almost(oy[i], 2*ox[i], 1e-9) {
-			t.Fatalf("point %d = (%v, %v) off the line", i, ox[i], oy[i])
-		}
-	}
-}
-
-func TestBezierEmptyAndMismatch(t *testing.T) {
-	if x, y := Bezier(nil, nil, 5); x != nil || y != nil {
-		t.Fatal("empty Bezier should return nil")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	Bezier([]float64{1}, []float64{1, 2}, 3)
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := Correlation(xs, []float64{2, 4, 6, 8}); !almost(got, 1, 1e-9) {
-		t.Fatalf("perfect positive correlation = %v", got)
-	}
-	if got := Correlation(xs, []float64{8, 6, 4, 2}); !almost(got, -1, 1e-9) {
-		t.Fatalf("perfect negative correlation = %v", got)
-	}
-	if got := Correlation(xs, []float64{5, 5, 5, 5}); !math.IsNaN(got) {
-		t.Fatalf("zero-variance correlation = %v, want NaN", got)
-	}
-	if got := Correlation([]float64{1}, []float64{1}); !math.IsNaN(got) {
-		t.Fatalf("single-point correlation = %v, want NaN", got)
-	}
-}
-
-// syntheticCurve builds bins following the paper's three-stage shape:
-// linear ascent to the plateau at Qlower, flat until Qupper, then decline.
-func syntheticCurve(qlower, qupper, maxKey int, plateau float64, samples int) []*Bin {
-	bs := NewBinSet()
-	for k := 1; k <= maxKey; k++ {
-		var tp float64
-		switch {
-		case k < qlower:
-			tp = plateau * float64(k) / float64(qlower)
-		case k <= qupper:
-			tp = plateau
-		default:
-			tp = plateau * math.Max(0.2, 1-0.03*float64(k-qupper))
-		}
-		for s := 0; s < samples; s++ {
-			bs.Add(k, tp, 10+float64(k))
-		}
-	}
-	return bs.Sorted()
-}
-
-func TestInterventionFindsRange(t *testing.T) {
-	bins := syntheticCurve(10, 30, 60, 5000, 5)
-	res, ok := Intervention(bins, DefaultIntervention())
-	if !ok {
-		t.Fatal("Intervention failed")
-	}
-	// The 5% tolerance admits the last ascending bin just below the
-	// plateau, so allow ±1 around the true knee.
-	if res.LowerKey < 9 || res.LowerKey > 11 {
-		t.Fatalf("LowerKey = %d, want ~10", res.LowerKey)
-	}
-	if res.UpperKey < 29 || res.UpperKey > 32 {
-		t.Fatalf("UpperKey = %d, want ~30", res.UpperKey)
-	}
-	if !almost(res.PlateauTP, 5000, 1) {
-		t.Fatalf("PlateauTP = %v", res.PlateauTP)
-	}
-	if res.Confidence != 1 {
-		t.Fatalf("Confidence = %v, want 1", res.Confidence)
-	}
-}
-
-func TestInterventionIgnoresThinBins(t *testing.T) {
-	bins := syntheticCurve(10, 30, 60, 5000, 5)
-	// Add a single-sample outlier bin with absurd throughput; MinSamples=3
-	// must exclude it from setting the plateau.
-	bs := NewBinSet()
-	for _, b := range bins {
-		for i := 0; i < b.TP.Count(); i++ {
-			bs.Add(b.Key, b.TP.Mean(), b.RT.Mean())
-		}
-	}
-	bs.Add(70, 50000, 1)
-	res, ok := Intervention(bs.Sorted(), DefaultIntervention())
-	if !ok {
-		t.Fatal("Intervention failed")
-	}
-	if res.PlateauTP > 6000 {
-		t.Fatalf("outlier set the plateau: %v", res.PlateauTP)
-	}
-}
-
-func TestInterventionNoEligibleBins(t *testing.T) {
-	bs := NewBinSet()
-	bs.Add(1, 100, 5) // single sample < MinSamples(3)
-	if _, ok := Intervention(bs.Sorted(), DefaultIntervention()); ok {
-		t.Fatal("Intervention succeeded with no eligible bins")
-	}
-}
-
-func TestInterventionMonotoneAscentOnly(t *testing.T) {
-	// Curve that never plateaus within the observed range: the range
-	// should collapse near the top observed key.
-	bs := NewBinSet()
-	for k := 1; k <= 20; k++ {
-		for s := 0; s < 4; s++ {
-			bs.Add(k, float64(100*k), 10)
-		}
-	}
-	res, ok := Intervention(bs.Sorted(), DefaultIntervention())
-	if !ok {
-		t.Fatal("failed")
-	}
-	if res.PeakKey != 20 || res.UpperKey != 20 {
-		t.Fatalf("peak/upper = %d/%d, want 20/20", res.PeakKey, res.UpperKey)
-	}
-	if res.LowerKey < 19 {
-		t.Fatalf("LowerKey = %d; ascending curve should pin the range at the top", res.LowerKey)
-	}
-}
-
-func TestInterventionDefaults(t *testing.T) {
-	cfg := DefaultIntervention()
-	if cfg.Tolerance != 0.05 || cfg.MinSamples != 3 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
-	}
-}
-
 // Property: percentile output is always within [min, max] of the input.
 func TestQuickPercentileBounded(t *testing.T) {
 	f := func(raw []float64, pRaw uint8) bool {
@@ -405,28 +221,6 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 }
 
-// Property: Intervention (when it succeeds) returns LowerKey <= PeakKey <=
-// UpperKey, all within the observed key range.
-func TestQuickInterventionOrdering(t *testing.T) {
-	f := func(tps []uint16) bool {
-		bs := NewBinSet()
-		for i, tp := range tps {
-			for s := 0; s < 3; s++ {
-				bs.Add(i+1, float64(tp), 1)
-			}
-		}
-		res, ok := Intervention(bs.Sorted(), DefaultIntervention())
-		if !ok {
-			return len(tps) == 0
-		}
-		return res.LowerKey <= res.PeakKey && res.PeakKey <= res.UpperKey &&
-			res.LowerKey >= 1 && res.UpperKey <= len(tps)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkPercentile(b *testing.B) {
 	vals := make([]float64, 10000)
 	for i := range vals {
@@ -435,13 +229,5 @@ func BenchmarkPercentile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Percentile(vals, 99)
-	}
-}
-
-func BenchmarkIntervention(b *testing.B) {
-	bins := syntheticCurve(10, 30, 80, 5000, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = Intervention(bins, DefaultIntervention())
 	}
 }

@@ -12,7 +12,7 @@ import (
 // sample lines, histograms as cumulative le-buckets (non-empty buckets
 // only, +Inf always) plus _sum and _count. Output order is deterministic:
 // families in registration order, static series in registration order, then
-// collector emissions. A disabled registry renders nothing.
+// collector emissions. A nil registry renders nothing.
 func (r *Registry) WriteProm(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	r.writeText(bw, 0, false, true)
@@ -25,7 +25,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 // the writer's buffer, names and labels written piecewise, so rendering
 // builds no string per sample; the caller flushes.
 func (r *Registry) writeText(bw *bufio.Writer, tsMillis int64, withTS, withMeta bool) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	x := expositor{bw: bw, ts: tsMillis, withTS: withTS}

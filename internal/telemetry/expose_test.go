@@ -167,18 +167,6 @@ func TestHandlerServesProm(t *testing.T) {
 	checkExposition(t, string(body), false)
 }
 
-func TestDisabledRegistryRendersNothing(t *testing.T) {
-	reg := buildTestRegistry()
-	reg.SetEnabled(false)
-	var sb strings.Builder
-	if err := reg.WriteProm(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.Len() != 0 {
-		t.Fatalf("disabled registry rendered %d bytes", sb.Len())
-	}
-}
-
 func TestParserRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"metric{le=\"0.1\" 3\n",         // unterminated label set... actually missing }

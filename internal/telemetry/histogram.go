@@ -23,11 +23,9 @@ const (
 
 // Histogram is a fixed-size log-linear histogram for response-time
 // distributions. Observe is lock-free (atomic bucket increments into a
-// pre-allocated array) and allocation-free whether the registry is enabled
-// or not; a nil receiver is a valid no-op, so disabled instrumentation
-// costs two loads per call site.
+// pre-allocated array) and allocation-free; a nil receiver is a valid
+// no-op, so unarmed instrumentation costs one compare per call site.
 type Histogram struct {
-	reg     *Registry
 	count   atomic.Uint64
 	sumBits atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
@@ -35,7 +33,7 @@ type Histogram struct {
 
 // Observe records one value (seconds).
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !h.reg.enabled.Load() {
+	if h == nil {
 		return
 	}
 	h.count.Add(1)

@@ -6,13 +6,13 @@
 // multi-window SLO burn-rate monitor over the paper's p99 < 300 ms target.
 //
 // The package follows the same observation discipline as internal/trace:
-// every hot-path method is nil-receiver safe and allocation-free when the
-// registry is disabled (pinned by an AllocsPerRun test), instrumentation
-// only ever *reads* simulation state — it never draws randomness and never
-// mutates scheduling — so an enabled-telemetry run is byte-identical to a
-// disabled one on the timeline CSV. The registry itself is dual-clock: in
-// simulation mode the Scraper snapshots it on virtual time; in live mode
-// Handler serves the identical registry over real HTTP.
+// every hot-path method is nil-receiver safe and allocation-free (pinned
+// by an AllocsPerRun test), instrumentation only ever *reads* simulation
+// state — it never draws randomness and never mutates scheduling — so an
+// armed-telemetry run is byte-identical to an unarmed one on the timeline
+// CSV. The registry itself is dual-clock: in simulation mode the Scraper
+// snapshots it on virtual time; in live mode Handler serves the identical
+// registry over real HTTP.
 package telemetry
 
 import (
@@ -76,35 +76,19 @@ type family struct {
 // idempotent: asking for an existing (name, labels) instrument returns the
 // original, so per-VM instruments survive re-registration.
 type Registry struct {
-	enabled atomic.Bool
-
 	mu     sync.RWMutex
 	fams   []*family
 	byName map[string]*family
 	byKey  map[string]*series
 }
 
-// NewRegistry returns an empty, enabled registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		byName: make(map[string]*family),
 		byKey:  make(map[string]*series),
 	}
-	r.enabled.Store(true)
-	return r
 }
-
-// SetEnabled flips the registry live (safe from any goroutine). While
-// disabled every hot-path update is dropped without allocating and the
-// exposition output is empty.
-func (r *Registry) SetEnabled(on bool) {
-	if r != nil {
-		r.enabled.Store(on)
-	}
-}
-
-// Enabled reports the live switch.
-func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
 
 // labelKey renders variadic key/value pairs into a canonical (sorted)
 // Prometheus label string.
@@ -198,7 +182,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	}
 	s := r.register(name, help, KindCounter, labels)
 	if s.ctr == nil {
-		s.ctr = &Counter{reg: r}
+		s.ctr = &Counter{}
 	}
 	return s.ctr
 }
@@ -210,7 +194,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	}
 	s := r.register(name, help, KindGauge, labels)
 	if s.gauge == nil {
-		s.gauge = &Gauge{reg: r}
+		s.gauge = &Gauge{}
 	}
 	return s.gauge
 }
@@ -222,7 +206,7 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	}
 	s := r.register(name, help, KindHistogram, labels)
 	if s.hist == nil {
-		s.hist = &Histogram{reg: r}
+		s.hist = &Histogram{}
 	}
 	return s.hist
 }
@@ -271,11 +255,10 @@ func (r *Registry) Families() int {
 	return len(r.fams)
 }
 
-// Counter is a monotonically increasing counter. Nil receivers and disabled
-// registries make every method an allocation-free no-op.
+// Counter is a monotonically increasing counter. A nil receiver makes
+// every method an allocation-free no-op.
 type Counter struct {
-	reg *Registry
-	n   atomic.Uint64
+	n atomic.Uint64
 }
 
 // Inc adds one.
@@ -283,7 +266,7 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds delta.
 func (c *Counter) Add(delta uint64) {
-	if c == nil || !c.reg.enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.n.Add(delta)
@@ -297,16 +280,15 @@ func (c *Counter) Value() uint64 {
 	return c.n.Load()
 }
 
-// Gauge is a settable instantaneous value. Nil receivers and disabled
-// registries make every method an allocation-free no-op.
+// Gauge is a settable instantaneous value. A nil receiver makes every
+// method an allocation-free no-op.
 type Gauge struct {
-	reg  *Registry
 	bits atomic.Uint64
 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !g.reg.enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
@@ -314,7 +296,7 @@ func (g *Gauge) Set(v float64) {
 
 // Add offsets the gauge by delta (lock-free).
 func (g *Gauge) Add(delta float64) {
-	if g == nil || !g.reg.enabled.Load() {
+	if g == nil {
 		return
 	}
 	for {

@@ -7,9 +7,9 @@ import (
 )
 
 // TestHotPathZeroAlloc pins the allocation discipline the package promises:
-// instrument updates never allocate, whether the registry is disabled,
-// enabled, or the instrument is a nil no-op. This is the same pin
-// internal/trace carries for span recording.
+// instrument updates never allocate, whether the instrument is live or a
+// nil no-op (a nil registry hands out nil instruments). This is the
+// same pin internal/trace carries for span recording.
 func TestHotPathZeroAlloc(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("t_ctr", "test counter")
@@ -33,34 +33,10 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		{"nil-gauge", func() { nilG.Set(1) }},
 		{"nil-hist", func() { nilH.Observe(1) }},
 	}
-	for _, enabled := range []bool{true, false} {
-		reg.SetEnabled(enabled)
-		for _, tc := range cases {
-			if n := testing.AllocsPerRun(200, tc.fn); n != 0 {
-				t.Errorf("enabled=%v %s: %v allocs/op, want 0", enabled, tc.name, n)
-			}
+	for _, tc := range cases {
+		if n := testing.AllocsPerRun(200, tc.fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
 		}
-	}
-	reg.SetEnabled(true)
-}
-
-func TestDisabledDropsUpdates(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("t_ctr", "c")
-	g := reg.Gauge("t_gauge", "g")
-	h := reg.Histogram("t_hist", "h")
-	reg.SetEnabled(false)
-	c.Inc()
-	g.Set(7)
-	h.Observe(0.1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("disabled registry recorded updates: ctr=%d gauge=%v hist=%d",
-			c.Value(), g.Value(), h.Count())
-	}
-	reg.SetEnabled(true)
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatalf("re-enabled counter = %d, want 1", c.Value())
 	}
 }
 
@@ -109,9 +85,6 @@ func TestNilRegistryConstructors(t *testing.T) {
 	}
 	reg.GaugeFunc("x", "h", func() float64 { return 1 })
 	reg.Collect("y", "h", KindGauge, func(emit func(float64, ...string)) {})
-	if reg.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	var sb strings.Builder
 	if err := reg.WriteProm(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil registry exposition: err=%v len=%d", err, sb.Len())

@@ -21,17 +21,14 @@ import (
 // A scrape only reads registry state (instrument values, gauge callbacks,
 // collectors), draws no randomness, and mutates nothing the simulation can
 // observe, so arming a scraper cannot perturb a run: the timeline CSV of an
-// enabled-telemetry run is byte-identical to a disabled run's.
+// armed-telemetry run is byte-identical to an unarmed run's.
 type Scraper struct {
 	reg *Registry
 	eng *des.Engine
 
-	// intervalBits holds the des.Time interval as float64 bits so a
-	// management agent can retune the cadence live; the new interval takes
-	// effect when the next tick schedules its successor.
-	intervalBits atomic.Uint64
-	scrapes      atomic.Uint64
-	started      bool
+	every   des.Time // scrape cadence, fixed at construction
+	scrapes atomic.Uint64
+	started bool
 	// chain numbers the armed tick chain. Stop moves it on, so a tick an
 	// earlier chain left pending finds another number when it fires and
 	// ends there, whether or not Start has armed a new chain meanwhile.
@@ -77,26 +74,7 @@ func newScraper(eng *des.Engine, reg *Registry, every des.Time) *Scraper {
 	if every <= 0 {
 		every = 5 * des.Second
 	}
-	s := &Scraper{reg: reg, eng: eng}
-	s.intervalBits.Store(math.Float64bits(float64(every)))
-	return s
-}
-
-// Interval returns the live scrape cadence.
-func (s *Scraper) Interval() des.Time {
-	if s == nil {
-		return 0
-	}
-	return des.Time(math.Float64frombits(s.intervalBits.Load()))
-}
-
-// SetInterval retunes the cadence (safe from any goroutine; non-positive
-// values are ignored). The running tick chain picks it up at its next fire.
-func (s *Scraper) SetInterval(d des.Time) {
-	if s == nil || d <= 0 {
-		return
-	}
-	s.intervalBits.Store(math.Float64bits(float64(d)))
+	return &Scraper{reg: reg, eng: eng, every: every}
 }
 
 // Start arms the scrape chain. The first scrape fires one interval from
@@ -128,7 +106,7 @@ func (s *Scraper) Stop() {
 
 func (s *Scraper) schedule() {
 	chain := s.chain
-	s.eng.After(s.Interval(), func() {
+	s.eng.After(s.every, func() {
 		if s.chain != chain {
 			return
 		}
@@ -139,9 +117,6 @@ func (s *Scraper) schedule() {
 
 // scrapeOnce appends one timestamped exposition block to the timeline.
 func (s *Scraper) scrapeOnce() {
-	if !s.reg.Enabled() {
-		return // paused via telemetry.enabled; the chain keeps ticking
-	}
 	ts := int64(math.Round(float64(s.eng.Now()) * 1000))
 	first := s.scrapes.Load() == 0
 	s.reg.writeText(s.bw, ts, true, first)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"conscale/internal/des"
-	"conscale/internal/mgmt"
 )
 
 // TestScraperTimeline runs a scraper over a toy simulation and checks the
@@ -64,69 +63,6 @@ func TestScraperTimeline(t *testing.T) {
 	}
 }
 
-// TestScraperIntervalRetune changes the cadence mid-run through the mgmt
-// store, as a live operator would.
-func TestScraperIntervalRetune(t *testing.T) {
-	eng := des.New()
-	reg := NewRegistry()
-	reg.Counter("test_ticks_total", "h").Inc()
-	s := NewScraper(eng, reg, 10*des.Second)
-
-	st := mgmt.NewStore()
-	reg.RegisterMgmt(st)
-	s.RegisterMgmt(st)
-
-	if v, err := st.Get("telemetry.scrape_interval"); err != nil || v != "10" {
-		t.Fatalf("scrape_interval = %q, %v; want \"10\"", v, err)
-	}
-	s.Start()
-	eng.RunUntil(20 * des.Second) // two scrapes at 10 s cadence
-	if err := st.Set("telemetry.scrape_interval", "2"); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(40 * des.Second) // next tick at 30 s, then every 2 s
-	s.Stop()
-	// 10, 20, 30, 32, 34, 36, 38, 40 = 8 scrapes.
-	if s.Scrapes() != 8 {
-		t.Fatalf("scrapes = %d, want 8", s.Scrapes())
-	}
-	if err := st.Set("telemetry.scrape_interval", "-3"); err == nil {
-		t.Fatal("negative interval accepted")
-	}
-}
-
-// TestMgmtEnabledToggle pauses scraping through telemetry.enabled while the
-// tick chain keeps running.
-func TestMgmtEnabledToggle(t *testing.T) {
-	eng := des.New()
-	reg := NewRegistry()
-	reg.Counter("test_ticks_total", "h")
-	s := NewScraper(eng, reg, des.Second)
-	st := mgmt.NewStore()
-	reg.RegisterMgmt(st)
-
-	s.Start()
-	eng.RunUntil(3 * des.Second)
-	if err := st.Set("telemetry.enabled", "false"); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(6 * des.Second)
-	if err := st.Set("telemetry.enabled", "true"); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(8 * des.Second)
-	s.Stop()
-	if s.Scrapes() != 5 { // 1,2,3 then paused, then 7,8
-		t.Fatalf("scrapes = %d, want 5", s.Scrapes())
-	}
-	if v, _ := st.Get("telemetry.enabled"); v != "true" {
-		t.Fatalf("telemetry.enabled = %q, want true", v)
-	}
-	if err := st.Set("telemetry.enabled", "maybe"); err == nil {
-		t.Fatal("non-boolean enabled value accepted")
-	}
-}
-
 // TestScraperRestartLeavesOneChain is the regression test for Stop
 // followed by Start while the stopped chain's tick is still pending: the
 // old tick must not scrape or re-arm beside the new chain. 1 s cadence:
@@ -150,30 +86,6 @@ func TestScraperRestartLeavesOneChain(t *testing.T) {
 	eng.RunUntil(20 * des.Second)
 	if s.Scrapes() != 9 {
 		t.Fatalf("scrapes after the final Stop = %d, want 9", s.Scrapes())
-	}
-}
-
-// TestScraperSetIntervalMidChain retunes the cadence directly while a
-// tick is pending: the pending tick keeps its time, its successors use
-// the new interval, and a restart in between starts from the new one.
-func TestScraperSetIntervalMidChain(t *testing.T) {
-	eng := des.New()
-	reg := NewRegistry()
-	reg.Counter("test_ticks_total", "h").Inc()
-	s := NewScraper(eng, reg, des.Second)
-	s.Start()
-	eng.RunUntil(2.5 * des.Second) // scrapes at 1, 2; next pending at 3
-	s.SetInterval(2 * des.Second)
-	eng.RunUntil(8 * des.Second) // 3, then 5, 7
-	if s.Scrapes() != 5 {
-		t.Fatalf("scrapes = %d, want 5", s.Scrapes())
-	}
-	s.Stop()
-	s.SetInterval(des.Second / 2)
-	s.Start()
-	eng.RunUntil(10.25 * des.Second) // 8.5, 9, 9.5, 10; the tick left at 9 is dead
-	if s.Scrapes() != 9 {
-		t.Fatalf("scrapes after the restart = %d, want 9", s.Scrapes())
 	}
 }
 

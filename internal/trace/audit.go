@@ -126,32 +126,16 @@ func (e AuditEvent) String() string {
 }
 
 // Audit is the append-only controller decision trail. Record runs on the
-// simulation goroutine; the enable switch and the event counter are
-// atomics so a management agent can toggle and poll it live. A nil *Audit
-// is a valid, inert receiver.
+// simulation goroutine; the event counter is an atomic so Len may be
+// polled from any goroutine. A nil *Audit is a valid, inert receiver.
 type Audit struct {
-	enabled  atomic.Bool
 	count    atomic.Uint64
 	events   []AuditEvent
 	observer func(AuditEvent)
 }
 
-// NewAudit returns an enabled, empty trail.
-func NewAudit() *Audit {
-	a := &Audit{}
-	a.enabled.Store(true)
-	return a
-}
-
-// SetEnabled flips recording live (safe from any goroutine).
-func (a *Audit) SetEnabled(on bool) {
-	if a != nil {
-		a.enabled.Store(on)
-	}
-}
-
-// Enabled reports the live switch.
-func (a *Audit) Enabled() bool { return a != nil && a.enabled.Load() }
+// NewAudit returns an empty trail.
+func NewAudit() *Audit { return &Audit{} }
 
 // SetObserver installs a tap called synchronously from Record with every
 // event that lands on the trail (simulation goroutine only — set it
@@ -164,9 +148,9 @@ func (a *Audit) SetObserver(fn func(AuditEvent)) {
 	}
 }
 
-// Record appends one event (no-op when nil or disabled).
+// Record appends one event (no-op when nil).
 func (a *Audit) Record(e AuditEvent) {
-	if a == nil || !a.enabled.Load() {
+	if a == nil {
 		return
 	}
 	a.events = append(a.events, e)

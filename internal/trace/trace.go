@@ -16,13 +16,12 @@
 // Discipline: the tracer owns a private rng stream, so arming it never
 // perturbs the simulation's random draws — a traced run is byte-identical
 // to an untraced run. A nil *Tracer and a nil *Span are valid receivers
-// for every method (the disabled fast path), and that path performs zero
+// for every method (the unarmed fast path), and that path performs zero
 // allocations; span storage is pooled so steady-state sampling recycles
 // trees instead of growing the heap.
 package trace
 
 import (
-	"math"
 	"sync/atomic"
 
 	"conscale/internal/des"
@@ -187,7 +186,7 @@ type Segment struct {
 // Span is one tier visit of a sampled request. The root span is the whole
 // client-observed request (its Server is the web VM that served it);
 // children are downstream calls, in issue order. All methods are safe on a
-// nil receiver — the disabled/unsampled fast path.
+// nil receiver — the unarmed/unsampled fast path.
 type Span struct {
 	tr *Tracer
 
@@ -344,11 +343,10 @@ type Config struct {
 
 // Tracer samples requests into span trees and aggregates them into the
 // blame table and the slowest-request reservoir. Start/End run on the
-// simulation goroutine; the enable switch and sample rate are atomics so a
-// management agent can flip them live from another goroutine.
+// simulation goroutine; the lifetime counters are atomics so Stats may be
+// polled from any goroutine.
 type Tracer struct {
-	enabled  atomic.Bool
-	rateBits atomic.Uint64
+	rate float64 // head-sampling probability, fixed at New
 
 	started   atomic.Uint64 // requests offered
 	sampled   atomic.Uint64 // requests traced
@@ -367,7 +365,7 @@ type Tracer struct {
 	onEnd func(root *Span)
 }
 
-// New builds a tracer, enabled, with its audit trail armed.
+// New builds a tracer with its audit trail armed.
 func New(cfg Config) *Tracer {
 	if cfg.SampleRate <= 0 {
 		cfg.SampleRate = 1.0 / 64
@@ -384,15 +382,13 @@ func New(cfg Config) *Tracer {
 	if cfg.BlameWindow <= 0 {
 		cfg.BlameWindow = 10 * des.Second
 	}
-	t := &Tracer{
+	return &Tracer{
+		rate:    cfg.SampleRate,
 		rnd:     rng.New(cfg.Seed ^ 0x7ace5eed),
 		resvMax: cfg.Reservoir,
 		blame:   blameAgg{window: cfg.BlameWindow},
 		audit:   NewAudit(),
 	}
-	t.rateBits.Store(math.Float64bits(cfg.SampleRate))
-	t.enabled.Store(true)
-	return t
 }
 
 // Audit returns the tracer's controller audit trail (never nil on a
@@ -402,39 +398,6 @@ func (t *Tracer) Audit() *Audit {
 		return nil
 	}
 	return t.audit
-}
-
-// SetEnabled flips tracing live (safe from any goroutine).
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
-
-// Enabled reports the live switch.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetSampleRate changes the head-sampling probability live (clamped to
-// [0, 1]; safe from any goroutine).
-func (t *Tracer) SetSampleRate(r float64) {
-	if t == nil {
-		return
-	}
-	if r < 0 || math.IsNaN(r) {
-		r = 0
-	}
-	if r > 1 {
-		r = 1
-	}
-	t.rateBits.Store(math.Float64bits(r))
-}
-
-// SampleRate returns the live head-sampling probability.
-func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
-	return math.Float64frombits(t.rateBits.Load())
 }
 
 // Stats returns the lifetime counters: requests offered, sampled, and —
@@ -447,17 +410,14 @@ func (t *Tracer) Stats() (started, sampled, completed, failed uint64) {
 }
 
 // StartRequest offers one client request to the head sampler. It returns
-// the root span, or nil when the tracer is nil, disabled, or the request
-// was not drawn — the nil span then makes every downstream hook a no-op.
+// the root span, or nil when the tracer is nil or the request was not
+// drawn — the nil span then makes every downstream hook a no-op.
 func (t *Tracer) StartRequest(op string, now des.Time) *Span {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return nil
 	}
 	t.started.Add(1)
-	rate := math.Float64frombits(t.rateBits.Load())
-	// The draw is unconditional past the enable gate so the sampling
-	// stream stays aligned across live rate changes.
-	if t.rnd.Float64() >= rate {
+	if t.rnd.Float64() >= t.rate {
 		return nil
 	}
 	t.sampled.Add(1)
@@ -496,7 +456,7 @@ func (t *Tracer) EndRequest(root *Span, now des.Time, ok bool) {
 // fully closed span tree, before the tree is offered to the reservoir or
 // recycled (simulation goroutine only — set it before the run starts).
 // The callback must not retain the tree: spans are pooled, so anything it
-// wants to keep has to be summarized by value. The unsampled/disabled
+// wants to keep has to be summarized by value. The unsampled
 // path never reaches the hook, so the nil-span fast path stays
 // allocation-free.
 func (t *Tracer) SetOnEnd(fn func(root *Span)) {

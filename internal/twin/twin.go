@@ -14,8 +14,8 @@
 // model-bug candidate).
 //
 // The twin follows the house observer discipline: a nil *Observer is a
-// valid inert receiver, the disabled hot path allocates nothing
-// (pinned by TestTwinDisabledZeroAlloc), and an armed twin only reads
+// valid inert receiver, the nil hot path allocates nothing
+// (pinned by TestTwinNilZeroAlloc), and an armed twin only reads
 // simulation state — armed runs are byte-identical to bare ones
 // (TestTwinRunByteIdentical).
 //
@@ -227,14 +227,12 @@ type EpisodeSource interface {
 }
 
 // Observer is the analytical-twin observer. The Observe* hot-path taps
-// and Tick run on the simulation goroutine; the enable switch, the
-// counters, and the last-residual gauges are atomics so telemetry and
-// management agents can read them live. A nil *Observer is a valid,
-// inert receiver.
+// and Tick run on the simulation goroutine; the counters and the
+// last-residual gauges are atomics so telemetry can read them live. A nil
+// *Observer is a valid, inert receiver.
 type Observer struct {
-	cfg     Config
-	model   Model
-	enabled atomic.Bool
+	cfg   Config
+	model Model
 
 	audit    *trace.Audit
 	episodes EpisodeSource
@@ -270,25 +268,14 @@ type Observer struct {
 	littleBits atomic.Uint64
 }
 
-// New builds an enabled observer with defaulted config. The model's
+// New builds an observer with defaulted config. The model's
 // Workload getter must be non-nil before the first Tick.
 func New(cfg Config, model Model) *Observer {
 	o := &Observer{cfg: cfg.withDefaults(), model: model}
 	o.relErrBits.Store(math.Float64bits(math.NaN()))
 	o.littleBits.Store(math.Float64bits(math.NaN()))
-	o.enabled.Store(true)
 	return o
 }
-
-// SetEnabled flips the observer live (safe from any goroutine).
-func (o *Observer) SetEnabled(on bool) {
-	if o != nil {
-		o.enabled.Store(on)
-	}
-}
-
-// Enabled reports the live switch.
-func (o *Observer) Enabled() bool { return o != nil && o.enabled.Load() }
 
 // Config returns the defaulted configuration.
 func (o *Observer) Config() Config {
@@ -316,19 +303,19 @@ func (o *Observer) SetEpisodeSource(src EpisodeSource) {
 }
 
 // ObserveArrival counts one request submission into the current window
-// (the arrivals side of the flow-conservation probe). No-op when nil or
-// disabled; zero allocations either way.
+// (the arrivals side of the flow-conservation probe). No-op when nil;
+// zero allocations either way.
 func (o *Observer) ObserveArrival() {
-	if o == nil || !o.enabled.Load() {
+	if o == nil {
 		return
 	}
 	o.winArrivals++
 }
 
 // Observe ingests one completed client request into the current window.
-// No-op when nil or disabled; zero allocations either way.
+// No-op when nil; zero allocations either way.
 func (o *Observer) Observe(now des.Time, rt float64, ok bool) {
-	if o == nil || !o.enabled.Load() {
+	if o == nil {
 		return
 	}
 	if ok {
@@ -350,7 +337,7 @@ func (o *Observer) inapplicable(s *Sample, reason string) {
 // compute residuals, and advance the drift state machine. Call it on a
 // fixed cadence (Config.Interval) from the simulation goroutine.
 func (o *Observer) Tick(obs Observation) {
-	if o == nil || !o.enabled.Load() {
+	if o == nil {
 		return
 	}
 	o.ticks.Add(1)

@@ -304,20 +304,11 @@ func TestDriftRaisesClassifiesAndClears(t *testing.T) {
 	}
 }
 
-// TestTwinDisabledZeroAlloc pins the house rule: the disabled (and nil)
-// hot path allocates nothing.
-func TestTwinDisabledZeroAlloc(t *testing.T) {
-	o := New(Config{}, testModel())
-	o.SetEnabled(false)
+// TestTwinNilZeroAlloc pins the house rule: the unarmed (nil) hot path
+// allocates nothing.
+func TestTwinNilZeroAlloc(t *testing.T) {
 	obs := Observation{Time: 1, Clients: 10,
 		Web: TierObs{Ready: 1}, App: TierObs{Ready: 1}, DB: TierObs{Ready: 1}}
-	if n := testing.AllocsPerRun(1000, func() {
-		o.ObserveArrival()
-		o.Observe(1, 0.05, true)
-		o.Tick(obs)
-	}); n != 0 {
-		t.Fatalf("disabled twin: %v allocs/op", n)
-	}
 	var nilO *Observer
 	if n := testing.AllocsPerRun(1000, func() {
 		nilO.ObserveArrival()
@@ -390,9 +381,8 @@ func TestExportCSVAndChrome(t *testing.T) {
 	AppendChrome(nil, o.Samples(), o.Drifts()) // nil doc is a no-op
 }
 
-func BenchmarkTwinObserveDisabled(b *testing.B) {
-	o := New(Config{}, testModel())
-	o.SetEnabled(false)
+func BenchmarkTwinObserveNil(b *testing.B) {
+	var o *Observer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o.ObserveArrival()

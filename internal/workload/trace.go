@@ -173,20 +173,6 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// NewCustomTrace builds a trace from an arbitrary normalised shape
-// function mapping u in [0,1] (fraction of the duration) to load in
-// [0,1] (fraction of maxUsers) — the hook external trace files attach
-// through.
-func NewCustomTrace(name string, maxUsers int, duration des.Time, shape func(u float64) float64) *Trace {
-	if maxUsers <= 0 || duration <= 0 {
-		panic("workload: non-positive trace parameters")
-	}
-	if shape == nil {
-		panic("workload: nil shape")
-	}
-	return &Trace{Name: name, Duration: duration, MaxUsers: maxUsers, shape: shape}
-}
-
 // NewConstantTrace returns a flat trace holding the given user count for
 // the duration — the profiling sweeps' "fixed number of threads" load.
 func NewConstantTrace(users int, duration des.Time) *Trace {
