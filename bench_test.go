@@ -10,11 +10,11 @@
 package conscale
 
 import (
+	"slices"
 	"testing"
 
 	"conscale/internal/cluster"
 	"conscale/internal/experiment"
-	"conscale/internal/scaling"
 	"conscale/internal/sct"
 	"conscale/internal/workload"
 )
@@ -23,7 +23,7 @@ import (
 // fluctuations of the 3-tier system under hardware-only EC2-AutoScaling.
 func BenchmarkFig01_EC2Fluctuation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiment.Fig1(1)
+		res := experiment.Fig1Study(1).Run(nil)[0]
 		b.ReportMetric(res.MaxRT()*1000, "maxRT_ms")
 		b.ReportMetric(res.P99*1000, "p99_ms")
 		b.ReportMetric(float64(maxVMs(res)), "peak_VMs")
@@ -56,7 +56,7 @@ func BenchmarkFig03_TomcatConcurrencySweep(b *testing.B) {
 // series over the 20 s after the 1/1/1 -> 1/2/1 scale-out.
 func BenchmarkFig05_FineGrainedMySQL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiment.Fig5(1)
+		res := experiment.Fig5Window(experiment.Fig5Study(1).Run(nil)[0])
 		maxConc, maxTP := 0.0, 0.0
 		for _, s := range res.Samples {
 			if s.Concurrency > maxConc {
@@ -77,7 +77,7 @@ func BenchmarkFig05_FineGrainedMySQL(b *testing.B) {
 // rational range the SCT model extracts from it.
 func BenchmarkFig06_ScatterCorrelation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiment.Fig6(1)
+		res := experiment.Fig6Scatter(experiment.Fig6Study(1).Run(nil)[0])
 		if res.OK {
 			b.ReportMetric(float64(res.Estimate.Qlower), "Qlower")
 			b.ReportMetric(float64(res.Estimate.Qupper), "Qupper")
@@ -121,25 +121,26 @@ func BenchmarkFig09_Traces(b *testing.B) {
 // comparison on the Large Variations trace.
 func BenchmarkFig10_EC2vsConScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiment.Fig10(1)
-		b.ReportMetric(res.Baseline.P99*1000, "ec2_p99_ms")
-		b.ReportMetric(res.ConScale.P99*1000, "conscale_p99_ms")
-		b.ReportMetric(float64(res.ConScale.Goodput-res.Baseline.Goodput), "goodput_gain")
+		res := experiment.Fig10Study(1).Run(nil)
+		ec2, conscale := res[0], res[1]
+		b.ReportMetric(ec2.P99*1000, "ec2_p99_ms")
+		b.ReportMetric(conscale.P99*1000, "conscale_p99_ms")
+		b.ReportMetric(float64(conscale.Goodput-ec2.Goodput), "goodput_gain")
 	}
 }
 
 // BenchmarkTable1_TailLatency regenerates Table I: 95th/99th percentile
 // response times for all six traces under both frameworks. One trace per
-// sub-benchmark keeps the output aligned with the paper's columns.
+// sub-benchmark, the study's two cells keyed by it, keeps the output
+// aligned with the paper's columns.
 func BenchmarkTable1_TailLatency(b *testing.B) {
+	study := experiment.Table1Study(1)
 	for _, tr := range workload.Names() {
-		tr := tr
+		trace := only(study, tr)
 		b.Run(tr, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e := experiment.DefaultRunConfig(scaling.EC2, tr)
-				c := experiment.DefaultRunConfig(scaling.ConScale, tr)
-				er := experiment.Run(e)
-				cr := experiment.Run(c)
+				res := trace.Run(nil)
+				er, cr := res[0], res[1]
 				b.ReportMetric(er.P95*1000, "ec2_p95_ms")
 				b.ReportMetric(er.P99*1000, "ec2_p99_ms")
 				b.ReportMetric(cr.P95*1000, "conscale_p95_ms")
@@ -153,23 +154,23 @@ func BenchmarkTable1_TailLatency(b *testing.B) {
 // whose offline profile went stale after a system-state (dataset) change.
 func BenchmarkFig11_DCMvsConScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiment.Fig11(1)
-		b.ReportMetric(res.Baseline.P99*1000, "dcm_p99_ms")
-		b.ReportMetric(res.ConScale.P99*1000, "conscale_p99_ms")
+		res := experiment.Fig11Study(1).Run(nil)
+		b.ReportMetric(res[0].P99*1000, "dcm_p99_ms")
+		b.ReportMetric(res[1].P99*1000, "conscale_p99_ms")
 	}
 }
 
 // benchAblation replays study i of experiment.Ablations (A1 is 0) and
-// reports each arm's p95 or p99.
+// reports each arm's p95 or p99 under the arm's label.
 func benchAblation(b *testing.B, i int, tail string) {
-	study := experiment.Ablations()[i]
+	study := experiment.Ablations(1)[i]
 	for n := 0; n < b.N; n++ {
-		for _, r := range study.Run(1) {
+		for j, r := range study.Run(nil) {
 			v := r.P99
 			if tail == "p95" {
 				v = r.P95
 			}
-			b.ReportMetric(v*1000, r.Label+"_"+tail+"_ms")
+			b.ReportMetric(v*1000, study.Cells[j].Key+"_"+tail+"_ms")
 		}
 	}
 }
@@ -201,16 +202,23 @@ func BenchmarkAblation_CacheTier(b *testing.B) { benchAblation(b, 5, "p99") }
 // under-allocation regime a stale DCM profile creates.
 func BenchmarkAblation_SLATrigger(b *testing.B) { benchAblation(b, 6, "p99") }
 
-// benchChaosScenario runs one canonical fault scenario across the three
-// controllers and reports each one's p99 — the robustness rows of the
-// chaos evaluation (EXPERIMENTS.md "Chaos scenarios").
+// benchChaosScenario runs one canonical fault scenario's cells of the
+// chaos study across the three controllers and reports each one's p99 —
+// the robustness rows of the chaos evaluation (EXPERIMENTS.md "Chaos
+// scenarios").
 func benchChaosScenario(b *testing.B, name string) {
+	scenario := only(experiment.ChaosStudy(1), name)
 	for i := 0; i < b.N; i++ {
-		rows := experiment.ChaosScenarioTable(1, name, 0)
-		for _, r := range rows {
+		for _, r := range scenario.Run(nil) {
 			b.ReportMetric(r.P99*1000, r.Mode.String()+"_p99_ms")
 		}
 	}
+}
+
+// only is s with just the cells keyed key.
+func only(s experiment.Study, key string) experiment.Study {
+	s.Cells = slices.DeleteFunc(slices.Clone(s.Cells), func(c experiment.Cell) bool { return c.Key != key })
+	return s
 }
 
 // BenchmarkChaos_Crashes: Poisson VM crashes across the app and DB tiers.
@@ -254,7 +262,7 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 // 3-minute window of 50 ms samples (3600 tuples) — the controller runs
 // this every few seconds per server, so it must be cheap.
 func BenchmarkSCTEstimate(b *testing.B) {
-	res := experiment.Fig5(1) // reuse a real fine-grained sample set
+	res := experiment.Fig5Window(experiment.Fig5Study(1).Run(nil)[0]) // reuse a real fine-grained sample set
 	est := sct.New(sct.Config{MinTotalSamples: 10, MinDistinctBins: 2})
 	b.ReportAllocs()
 	b.ResetTimer()

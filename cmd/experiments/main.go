@@ -30,71 +30,69 @@ import (
 	"time"
 
 	"conscale/internal/experiment"
-	"conscale/internal/forensics"
 	"conscale/internal/scaling"
-	"conscale/internal/trace"
-	"conscale/internal/workload"
 )
 
-// A runner prints an experiment's summary and hands its artifacts to
-// emit as each stage finishes, so a later failure keeps what is done.
+// A runner is one -run id. It prints its summary and writes its
+// artifacts as each stage finishes, so a later failure keeps what is
+// done.
 type runner struct {
 	name, desc string
-	run        func(seed uint64) error
-	// check validates the runner's flags without running (nil: it has
-	// none). Every picked runner's check passes before the first runs;
-	// -check calls them all.
-	check func() error
+	// prepare checks the runner's inputs and returns its job. Preparing
+	// runs nothing (for a study runner it builds the studies), so every
+	// picked runner is prepared before the first job starts, and -check
+	// prepares them all.
+	prepare func(seed uint64) (job func() error, err error)
 }
 
 var runners = []runner{
-	{"fig1", "EC2-AutoScaling RT fluctuations under the Large Variations trace",
-		show(experiment.Fig1, experiment.RenderFig1, experiment.Fig1Artifacts), nil},
-	{"fig3", "Tomcat concurrency sweeps: 1-core / 2-core / enlarged dataset",
-		show(experiment.Fig3, experiment.RenderFig3, experiment.Fig3Artifacts), nil},
-	{"fig5", "MySQL fine-grained 50 ms series during the 1/1/1 -> 1/2/1 scaling",
-		show(experiment.Fig5, experiment.RenderFig5, experiment.Fig5Artifacts), nil},
-	{"fig6", "MySQL scatter correlation and rational concurrency range",
-		show(experiment.Fig6, experiment.RenderFig6, experiment.Fig6Artifacts), nil},
-	{"fig7", "Optimal-concurrency shifts: cores, dataset size, workload type",
-		show(experiment.Fig7, experiment.RenderFig7, experiment.Fig7Artifacts), nil},
-	{"fig9", "The six bursty workload traces",
-		show(func(uint64) []experiment.TraceSeries { return experiment.Fig9() }, nil, experiment.Fig9Artifacts), nil},
-	{"fig10", "EC2-AutoScaling vs ConScale full timelines",
-		show(experiment.Fig10, experiment.RenderCompare, experiment.Fig10Artifacts), nil},
-	{"table1", "Tail latencies, EC2 vs ConScale, all six traces",
-		show(experiment.Table1, experiment.RenderTable1, experiment.Table1Artifacts), nil},
-	{"fig11", "DCM (stale profile) vs ConScale after a system-state change",
-		show(experiment.Fig11, experiment.RenderCompare, experiment.Fig11Artifacts), nil},
-	{"ablations", "A1–A7: SCT window, Qupper, LB policy, cooldown, vertical DB, cache tier, SLA trigger", runAblations, nil},
-	{"chaos", "Controller robustness under injected cloud faults", runChaos, nil},
-	{"blame", "Latency-blame attribution: traced EC2 vs DCM vs ConScale", runBlame, nil},
-	{"slo", "SLO burn-rate detection lead time: EC2 vs DCM vs ConScale", runSLO, nil},
-	{"report", "All-in-one reproduction report (Table I + Fig. 3 + Fig. 11)",
-		show(experiment.BuildReport, nil, experiment.ReportArtifacts), nil},
-	{"scale", "Million-client scale mode: streaming population over striped cells", runScale,
-		func() error { _, err := scaleSweep(); return err }},
-	{"tournament", "Full-factorial controller tournament: every controller × trace × tier", runTournament,
-		func() error { return tournament.Validate() }},
-	{"episodes", "Fluctuation forensics: episode detection + causal attribution per controller", runEpisodes,
-		func() error { return episodes.Validate() }},
-	{"hypothesis", "Declared-hypothesis validation: DES≡MVA steady-state, calm-regime drift, blame conservation, SCT tail dominance", runHypothesis,
-		func() error { return hypothesis.Validate() }},
-	{"frontier", "Admission frontier: admission policy × controller × trace on the p99-vs-goodput plane", runFrontier,
-		func() error { return frontier.Validate() }},
+	{"fig1", "EC2-AutoScaling RT fluctuations under the Large Variations trace", study(experiment.Fig1Study)},
+	{"fig3", "Tomcat concurrency sweeps: 1-core / 2-core / enlarged dataset", outcome(experiment.Fig3Outcome)},
+	{"fig5", "MySQL fine-grained 50 ms series during the 1/1/1 -> 1/2/1 scaling", study(experiment.Fig5Study)},
+	{"fig6", "MySQL scatter correlation and rational concurrency range", study(experiment.Fig6Study)},
+	{"fig7", "Optimal-concurrency shifts: cores, dataset size, workload type", outcome(experiment.Fig7Outcome)},
+	{"fig9", "The six bursty workload traces", outcome(func(uint64) experiment.Outcome { return experiment.Fig9Outcome() })},
+	{"fig10", "EC2-AutoScaling vs ConScale full timelines", study(experiment.Fig10Study)},
+	{"table1", "Tail latencies, EC2 vs ConScale, all six traces", study(experiment.Table1Study)},
+	{"fig11", "DCM (stale profile) vs ConScale after a system-state change", study(experiment.Fig11Study)},
+	{"ablations", "A1–A7: SCT window, Qupper, LB policy, cooldown, vertical DB, cache tier, SLA trigger",
+		func(seed uint64) (func() error, error) { return runStudies(experiment.Ablations(seed)...), nil }},
+	{"chaos", "Controller robustness under injected cloud faults", study(experiment.ChaosStudy)},
+	{"blame", "Latency-blame attribution: traced EC2 vs DCM vs ConScale", study(experiment.BlameStudy)},
+	{"slo", "SLO burn-rate detection lead time: EC2 vs DCM vs ConScale", study(experiment.SLOStudy)},
+	{"report", "All-in-one reproduction report (Table I + Fig. 3 + Fig. 11)", outcome(experiment.ReportOutcome)},
+	{"scale", "Million-client scale mode: streaming population over striped cells",
+		func(uint64) (func() error, error) {
+			cfgs, err := scaleSweep()
+			return func() error { return runScale(cfgs) }, err
+		}},
+	{"tournament", "Full-factorial controller tournament: every controller × trace × tier",
+		func(uint64) (func() error, error) { return checked(experiment.TournamentStudy(tournament)) }},
+	{"episodes", "Fluctuation forensics: episode detection + causal attribution per controller",
+		func(uint64) (func() error, error) { return checked(experiment.EpisodesStudy(episodes)) }},
+	// The twin showcase goes first, so a gated hypothesis that fails
+	// exits once both have written their files.
+	{"hypothesis", "Declared-hypothesis validation: DES≡MVA steady-state, calm-regime drift, blame conservation, SCT tail dominance",
+		func(seed uint64) (func() error, error) {
+			s, err := experiment.HypothesisStudy(hypothesis)
+			return runStudies(experiment.TwinStudy(seed), s), err
+		}},
+	{"frontier", "Admission frontier: admission policy × controller × trace on the p99-vs-goodput plane",
+		func(uint64) (func() error, error) { return runFrontier, frontier.Validate() }},
 }
 
-// show is the runner of an experiment that computes one result at a
-// seed: it prints the result's summary (nil: none) and emits its
-// artifacts.
-func show[T any](run func(seed uint64) T, summary func(w io.Writer, res T), artifacts func(T) []experiment.Artifact) func(uint64) error {
-	return func(seed uint64) error {
-		res := run(seed)
-		if summary != nil {
-			summary(os.Stdout, res)
-		}
-		return emit(artifacts(res))
-	}
+// study prepares a runner that is one study.
+func study(build func(seed uint64) experiment.Study) func(uint64) (func() error, error) {
+	return func(seed uint64) (func() error, error) { return runStudies(build(seed)), nil }
+}
+
+// checked prepares a runner that is one study whose build checks its
+// config.
+func checked(s experiment.Study, err error) (func() error, error) { return runStudies(s), err }
+
+// outcome prepares a runner that is not a study.
+func outcome(run func(seed uint64) experiment.Outcome) func(uint64) (func() error, error) {
+	return func(seed uint64) (func() error, error) { return func() error { return finish(run(seed)) }, nil }
 }
 
 // heavyRunners are excluded from `-run all` and must be requested by id:
@@ -268,15 +266,16 @@ func main() {
 		}
 		return
 	}
-	// Every check of the picked runners (all of them under -check)
-	// passes before the first runner starts.
+	// Every picked runner (all of them under -check) is prepared, and
+	// so checked, before the first job starts.
 	if *check {
 		picked = runners
 	}
-	for _, r := range picked {
-		if r.check != nil {
-			err = errors.Join(err, r.check())
-		}
+	jobs := make([]func() error, len(picked))
+	for i, r := range picked {
+		var e error
+		jobs[i], e = r.prepare(*seed)
+		err = errors.Join(err, e)
 	}
 	exitOn(err, 2)
 	if *check {
@@ -292,7 +291,7 @@ func main() {
 		exitOn(prof.Err, 1)
 		exitOn(pprof.StartCPUProfile(prof), 1)
 	}
-	err = runAll(picked, *seed)
+	err = runAll(picked, jobs)
 	if prof != nil {
 		pprof.StopCPUProfile()
 		err = errors.Join(err, prof.close())
@@ -319,14 +318,14 @@ func exitOn(err error, code int) {
 	}
 }
 
-// runAll runs the picked runners in order and stops at the first
+// runAll runs the picked runners' jobs in order and stops at the first
 // failure.
-func runAll(picked []runner, seed uint64) error {
+func runAll(picked []runner, jobs []func() error) error {
 	total := time.Now()
-	for _, r := range picked {
+	for i, r := range picked {
 		fmt.Printf("== %s: %s\n", r.name, r.desc)
 		start := time.Now()
-		if err := r.run(seed); err != nil {
+		if err := jobs[i](); err != nil {
 			return fmt.Errorf("%s failed: %w", r.name, err)
 		}
 		fmt.Printf("   (%.1fs)\n\n", time.Since(start).Seconds())
@@ -374,70 +373,45 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.close()
 }
 
-// emit writes artifacts under -out, stopping at the first failure.
-func emit(arts []experiment.Artifact) error {
-	for _, a := range arts {
+// runStudies is the job that runs each study in turn, streaming its
+// scrape timelines to their files under -out as the cells run, then
+// finishes it.
+func runStudies(studies ...experiment.Study) func() error {
+	return func() error {
+		for _, s := range studies {
+			fmt.Printf("   cells: %d\n", len(s.Cells))
+			var streams []*file
+			results := s.Run(func(name string) io.Writer {
+				streams = append(streams, create(filepath.Join(*out, name)))
+				return streams[len(streams)-1]
+			})
+			var err error
+			for _, f := range streams {
+				err = errors.Join(err, f.close())
+			}
+			if err = errors.Join(err, finish(s.Fold(s.Cells, results))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// finish prints an outcome's summary, writes its artifacts under -out,
+// stopping at the first failure, and returns the failure the outcome
+// shows.
+func finish(o experiment.Outcome) error {
+	if o.Summary != nil {
+		if err := o.Summary(os.Stdout); err != nil {
+			return err
+		}
+	}
+	for _, a := range o.Artifacts {
 		if err := writeFile(filepath.Join(*out, a.Name), a.Write); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func runAblations(seed uint64) error {
-	for _, study := range experiment.Ablations() {
-		rows := study.Run(seed)
-		experiment.RenderAblation(os.Stdout, study.Title, rows)
-		if err := emit(study.Artifacts(rows)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runChaos(seed uint64) error {
-	rows := experiment.ChaosTable(seed, 0)
-	experiment.RenderChaosTable(os.Stdout, rows)
-	// Timeline overlays for the interference scenario, where the three
-	// controllers separate most visibly.
-	for _, res := range experiment.ChaosTimelines(seed, "interference", 0) {
-		fmt.Println()
-		experiment.RenderChaosTimeline(os.Stdout, fmt.Sprintf("chaos/interference: %s", res.Mode), res)
-	}
-	return emit(experiment.ChaosArtifacts(rows))
-}
-
-func runBlame(seed uint64) error {
-	results := experiment.Blame(seed)
-	experiment.RenderBlame(os.Stdout, results)
-	// Waterfall of the single slowest sampled request per controller.
-	for _, b := range results {
-		if slowest := b.Res.Tracer.Slowest(); len(slowest) > 0 {
-			fmt.Printf("\n   slowest sampled request, %s (rt=%.0fms):\n", b.Mode, slowest[0].RT()*1000)
-			if err := trace.WriteWaterfall(os.Stdout, slowest[0]); err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Printf("\n%s\n", trace.WaterfallLegend)
-	return emit(experiment.BlameArtifacts(results))
-}
-
-// runSLO streams the headline trace's scrape timelines to their files as
-// the runs scrape, then emits the detection table.
-func runSLO(seed uint64) error {
-	var scrapes []*file
-	runs := experiment.SLODetection(seed, func(name string) io.Writer {
-		f := create(filepath.Join(*out, name))
-		scrapes = append(scrapes, f)
-		return f
-	})
-	var err error
-	for _, f := range scrapes {
-		err = errors.Join(err, f.close())
-	}
-	experiment.RenderSLO(os.Stdout, runs)
-	return errors.Join(err, emit(experiment.SLOArtifacts(runs)))
+	return o.Err
 }
 
 // scaleSweep expands the scale flags into the run configurations of the
@@ -481,11 +455,7 @@ func scaleSweep() ([]experiment.ScaleConfig, error) {
 // runScale executes the {clients} × {modes} × {workers} sweep and prints
 // the summary table; its artifacts carry the largest ConScale run's
 // client timeline.
-func runScale(uint64) error {
-	cfgs, err := scaleSweep()
-	if err != nil {
-		return err
-	}
+func runScale(cfgs []experiment.ScaleConfig) error {
 	rows := make([]experiment.ScaleRow, 0, len(cfgs))
 	var biggest *experiment.ScaleResult
 	for _, cfg := range cfgs {
@@ -505,28 +475,12 @@ func runScale(uint64) error {
 		}
 	}
 	fmt.Println()
-	experiment.RenderScale(os.Stdout, rows)
-	return emit(experiment.ScaleArtifacts(rows, biggest))
-}
-
-// runTournament executes the factorial and prints the ranked standings.
-func runTournament(uint64) error {
-	slices.Sort(tournament.Tiers)
-	cfg := tournament.WithDefaults()
-	fmt.Printf("   %d controllers × %d traces × %d tiers = %d cells (%.0fs each)\n",
-		len(cfg.Controllers), len(cfg.Traces), len(cfg.Tiers),
-		len(cfg.Controllers)*len(cfg.Traces)*len(cfg.Tiers), float64(cfg.Duration))
-	res, err := experiment.RunTournament(cfg)
-	if err != nil {
-		return err
-	}
-	experiment.RenderTournament(os.Stdout, res)
-	return emit(experiment.TournamentArtifacts(res))
+	return finish(experiment.ScaleOutcome(rows, biggest))
 }
 
 // runFrontier executes the admission factorial and prints the per-cell
 // frontier table.
-func runFrontier(uint64) error {
+func runFrontier() error {
 	cfg := frontier.WithDefaults()
 	fmt.Printf("   %d policies × %d controllers × %d traces = %d runs (%d clients, %.0fs each)\n",
 		len(cfg.Policies), len(cfg.Controllers), len(cfg.Traces),
@@ -542,59 +496,5 @@ func runFrontier(uint64) error {
 		return err
 	}
 	fmt.Println()
-	experiment.RenderFrontier(os.Stdout, res)
-	if best, ok := res.BestTailCut(10); ok {
-		fmt.Printf("\n   best tail cut within 10%% goodput loss: %s/%s/%s Δp99=%.1f%% Δgoodput=%.2f%%\n",
-			best.Trace, best.Controller, best.Policy, best.P99DeltaPct, best.GoodputDeltaPct)
-	}
-	return emit(experiment.FrontierArtifacts(res))
-}
-
-// runEpisodes executes the forensics matrix and prints the per-cell
-// table, the controller ranking, and the headline trace's ASCII episode
-// reports (every cell's would drown the summary tables).
-func runEpisodes(uint64) error {
-	cfg := episodes.WithDefaults()
-	fmt.Printf("   %d controllers × %d traces = %d cells (%.0fs each, chaos=%v)\n",
-		len(cfg.Controllers), len(cfg.Traces),
-		len(cfg.Controllers)*len(cfg.Traces), float64(cfg.Duration), cfg.Chaos)
-	cells, err := experiment.RunEpisodes(cfg)
-	if err != nil {
-		return err
-	}
-	experiment.RenderEpisodes(os.Stdout, cells)
-	fmt.Println()
-	experiment.RenderEpisodeRanking(os.Stdout, experiment.RankEpisodes(cells))
-	for _, c := range cells {
-		if c.Report != nil && c.Trace == workload.BigSpike && c.Episodes > 0 {
-			fmt.Printf("\n   episode reports, %s / %s:\n", c.Trace, c.Controller)
-			if err := forensics.WriteASCII(os.Stdout, c.Report); err != nil {
-				return err
-			}
-		}
-	}
-	return emit(experiment.EpisodesArtifacts(cells))
-}
-
-// runHypothesis executes the declared hypotheses, prints the FINDINGS
-// table, emits their artifacts and the twin showcase's, and fails
-// (after both are written) when a gated hypothesis is not SUPPORTED.
-func runHypothesis(seed uint64) error {
-	results, err := experiment.RunHypotheses(hypothesis)
-	if err != nil {
-		return err
-	}
-	if err := experiment.RenderHypotheses(os.Stdout, results); err != nil {
-		return err
-	}
-	if err := emit(experiment.HypothesisArtifacts(results)); err != nil {
-		return err
-	}
-	if err := emit(experiment.TwinShowcase(seed)); err != nil {
-		return err
-	}
-	if fails := experiment.GatedFailures(results); len(fails) != 0 {
-		return fmt.Errorf("gated hypothesis failed:\n  %s", strings.Join(fails, "\n  "))
-	}
-	return nil
+	return finish(experiment.FrontierOutcome(res))
 }

@@ -52,9 +52,9 @@ func timelineArtifact(name string, r *RunResult) Artifact {
 	return Artifact{name, func(w io.Writer) error { return WriteTimelineCSV(w, r) }}
 }
 
-// sweepArtifact is a profiling sweep as WriteSweepCSV writes it.
+// sweepArtifact is a profiling sweep as writeSweepCSV writes it.
 func sweepArtifact(name string, s SweepResult) Artifact {
-	return Artifact{name, func(w io.Writer) error { return WriteSweepCSV(w, s) }}
+	return Artifact{name, func(w io.Writer) error { return writeSweepCSV(w, s) }}
 }
 
 // sanitize turns a label into a file-name fragment: lower case, spaces

@@ -30,13 +30,19 @@ func (f *fullWriter) Write(p []byte) (int, error) {
 func TestArtifactsReportWriteErrors(t *testing.T) {
 	scale := &ScaleResult{Mode: scaling.ConScale, Clients: 10,
 		Timeline: []workload.TimelinePoint{{Time: 1, Users: 10}, {Time: 2, Users: 10}}}
+	tournament, err := TournamentStudy(TournamentConfig{Controllers: []string{"ec2"},
+		Traces: []string{workload.BigSpike}, Tiers: []int{10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := []*RunResult{{}}
 	var arts []Artifact
 	for _, set := range [][]Artifact{
-		Table1Artifacts([]Table1Row{{Trace: workload.BigSpike}}),
-		ChaosArtifacts([]ChaosRow{{Scenario: "crash"}}),
-		ScaleArtifacts([]ScaleRow{{Mode: "conscale"}}, scale),
-		TournamentArtifacts(&TournamentResult{Cells: []TournamentCell{{Controller: "ec2"}}}),
-		FrontierArtifacts(&FrontierResult{Rows: []FrontierRow{{Trace: workload.BigSpike}}}),
+		foldTable1([]Cell{{Key: workload.BigSpike}, {Key: workload.BigSpike}}, []*RunResult{{}, {}}).Artifacts,
+		foldChaos([]Cell{{Key: "crash"}}, one).Artifacts,
+		ScaleOutcome([]ScaleRow{{Mode: "conscale"}}, scale).Artifacts,
+		tournament.Fold(tournament.Cells, one).Artifacts,
+		FrontierOutcome(&FrontierResult{Rows: []FrontierRow{{Trace: workload.BigSpike}}}).Artifacts,
 	} {
 		arts = append(arts, set...)
 	}

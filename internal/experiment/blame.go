@@ -20,51 +20,44 @@ type BlameResult struct {
 	Rows []trace.BlameRow
 }
 
-// blameModes is the canonical controller order of the blame comparison.
-var blameModes = []scaling.Mode{scaling.EC2, scaling.DCM, scaling.ConScale}
-
-// Blame replays the Large Variations trace under EC2, DCM, and ConScale
-// with per-request tracing armed, producing the latency-blame comparison:
-// where response time is spent (tier × wait type) as each controller
-// rides the same load burst. The canonical setup is the paper's (7500
-// users, 720 s).
-func Blame(seed uint64) []BlameResult {
-	return BlameRuns(seed, 720*des.Second, 7500)
-}
-
-// BlameRuns is Blame with the run size exposed (short CI and test runs).
-// The three runs fan out over the worker pool; the DCM profile comes from
-// the analytic queueing model so every controller's run shares one
-// deterministic setup.
-func BlameRuns(seed uint64, duration des.Time, users int) []BlameResult {
+// BlameStudy replays the Large Variations trace under EC2, DCM, and
+// ConScale with per-request tracing armed, at the paper's size (7500
+// users, 720 s): where response time is spent (tier × wait type) as each
+// controller rides the same load burst. Every cell runs the DCM profile
+// of the analytic queueing model, so the three share one deterministic
+// setup. Per controller it writes the blame table
+// (blame_<controller>.csv), the audit trail (blame_audit_<controller>.csv)
+// and the slowest sampled requests as a Chrome trace
+// (blame_trace_<controller>.json).
+func BlameStudy(seed uint64) Study {
 	profile := AnalyticDCMProfile(cluster.DefaultConfig())
-	cfgs := make([]RunConfig, len(blameModes))
-	for i, mode := range blameModes {
-		cfg := DefaultRunConfig(mode, workload.LargeVariations)
-		cfg.Seed = seed
-		cfg.Duration = duration
-		cfg.MaxUsers = users
+	cells := make([]Cell, len(paperModes))
+	for i, mode := range paperModes {
+		cfg := paperRun(mode, workload.LargeVariations, seed)
 		// 1/16 head sampling keeps tens of thousands of blame records per
 		// run while exercising the sampled path, not the firehose.
 		cfg.Tracing = &trace.Config{SampleRate: 1.0 / 16, Reservoir: 8}
 		cfg.Framework = profiledConfig(mode, profile)
-		cfgs[i] = cfg
+		cells[i] = Cell{Key: mode.String(), Config: cfg}
 	}
-	results := RunMany(cfgs)
-	out := make([]BlameResult, len(blameModes))
+	return Study{Cells: cells, Fold: foldBlame}
+}
+
+// blameResults pairs each finished run with its windowed blame table.
+func blameResults(results []*RunResult) []BlameResult {
+	out := make([]BlameResult, len(results))
 	for i, res := range results {
-		out[i] = BlameResult{Mode: blameModes[i], Res: res, Rows: res.Tracer.BlameTable()}
+		out[i] = BlameResult{Mode: res.Mode, Res: res, Rows: res.Tracer.BlameTable()}
 	}
 	return out
 }
 
-// BlameArtifacts is, per controller, the blame table
-// (blame_<controller>.csv), the audit trail (blame_audit_<controller>.csv)
-// and the slowest sampled requests as a Chrome trace
-// (blame_trace_<controller>.json).
-func BlameArtifacts(results []BlameResult) []Artifact {
+// foldBlame prints the comparison and the waterfall of each controller's
+// slowest sampled request.
+func foldBlame(_ []Cell, results []*RunResult) Outcome {
+	blames := blameResults(results)
 	var arts []Artifact
-	for _, b := range results {
+	for _, b := range blames {
 		name := b.Mode.String()
 		arts = append(arts,
 			Artifact{"blame_" + sanitize(name) + ".csv", func(w io.Writer) error {
@@ -77,7 +70,23 @@ func BlameArtifacts(results []BlameResult) []Artifact {
 				return trace.WriteChromeTrace(w, b.Res.Tracer.Slowest(), b.Res.Audit)
 			}})
 	}
-	return arts
+	return Outcome{
+		Summary: func(w io.Writer) error {
+			ew := &ErrWriter{W: w}
+			renderBlame(ew, blames)
+			for _, b := range blames {
+				if slowest := b.Res.Tracer.Slowest(); len(slowest) > 0 {
+					fmt.Fprintf(ew, "\n   slowest sampled request, %s (rt=%.0fms):\n", b.Mode, slowest[0].RT()*1000)
+					if err := trace.WriteWaterfall(ew, slowest[0]); err != nil {
+						return err
+					}
+				}
+			}
+			fmt.Fprintf(ew, "\n%s\n", trace.WaterfallLegend)
+			return ew.Err
+		},
+		Artifacts: arts,
+	}
 }
 
 // TransitionWindow returns the blame focus interval around the run's
@@ -112,10 +121,10 @@ var blameFocusComponents = []struct {
 	{"cpu service", trace.TierApp, trace.SegCPU},
 }
 
-// RenderBlame prints the per-controller blame comparison: overall and
+// renderBlame prints the per-controller blame comparison: overall and
 // transition-window decompositions of the p95 class, one line per
 // controller, plus each run's audit-trail volume.
-func RenderBlame(w io.Writer, results []BlameResult) {
+func renderBlame(w io.Writer, results []BlameResult) {
 	fmt.Fprintln(w, "latency blame, Large Variations (p95 class, mean ms per request)")
 	header := fmt.Sprintf("  %-16s %9s %9s", "controller", "p95 rt", "windows")
 	for _, c := range blameFocusComponents {

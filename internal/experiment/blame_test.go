@@ -179,7 +179,7 @@ func TestAuditTrailLinesUpWithClusterState(t *testing.T) {
 }
 
 func TestBlameRunsShort(t *testing.T) {
-	results := BlameRuns(1, ShortDuration, 5000)
+	results := blameResults(shrink(BlameStudy(1), ShortDuration, 5000).Run(nil))
 	if len(results) != 3 {
 		t.Fatalf("blame compares %d controllers", len(results))
 	}
@@ -201,7 +201,7 @@ func TestBlameRunsShort(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	RenderBlame(&buf, results)
+	renderBlame(&buf, results)
 	out := buf.String()
 	for _, want := range []string{"latency blame", "ec2-autoscaling", "conscale", "app pool-wait", "audit events"} {
 		if !strings.Contains(out, want) {

@@ -72,114 +72,72 @@ type ChaosRow struct {
 	Windows int
 }
 
-// ChaosArtifacts is the robustness table, chaos_tail_latency.csv.
-func ChaosArtifacts(rows []ChaosRow) []Artifact {
-	return []Artifact{{"chaos_tail_latency.csv", sticky(func(w io.Writer) {
-		fmt.Fprintln(w, "scenario,controller,p95_ms,p99_ms,error_rate,goodput,fault_windows")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s,%s,%.0f,%.0f,%.4f,%d,%d\n",
-				r.Scenario, r.Mode, r.P95*1000, r.P99*1000, r.ErrorRate, r.Goodput, r.Windows)
+// ChaosStudy is the robustness evaluation: every canonical scenario on
+// the Large Variations trace under EC2, DCM and ConScale, keyed by
+// scenario. Within a scenario all three controllers face the identical
+// schedule. Every cell runs DCM's profile trained under clean conditions
+// (faults are exactly what an offline profile cannot anticipate). Runs
+// last the canonical 720 s. It prints the table and the
+// interference scenario's timelines, and writes chaos_tail_latency.csv.
+func ChaosStudy(seed uint64) Study { return chaosStudy(seed, 720*des.Second) }
+
+// chaosStudy is ChaosStudy with every run, and so every schedule,
+// duration long.
+func chaosStudy(seed uint64, duration des.Time) Study {
+	var cells []Cell
+	for _, sc := range ChaosScenarios() {
+		for _, mode := range paperModes {
+			cfg := paperRun(mode, workload.LargeVariations, seed)
+			cfg.Duration = duration
+			cfg.Chaos = sc.Build(seed, duration)
+			cells = append(cells, Cell{Key: sc.Name, Config: cfg, Train: true})
 		}
-	})}}
-}
-
-// ChaosRun executes the Large Variations trace under one fault scenario
-// for one controller. duration 0 takes the canonical 720 s; the DCM
-// profile is trained under clean conditions (faults are exactly what an
-// offline profile cannot anticipate).
-func ChaosRun(mode scaling.Mode, seed uint64, duration des.Time, sched *chaos.Schedule, profile scaling.DCMProfile) *RunResult {
-	cfg := DefaultRunConfig(mode, workload.LargeVariations)
-	cfg.Seed = seed
-	if duration > 0 {
-		cfg.Duration = duration
 	}
-	cfg.Chaos = sched
-	cfg.Framework = profiledConfig(mode, profile)
-	return Run(cfg)
+	return Study{Cells: cells, Fold: foldChaos}
 }
 
-// ChaosTable runs every canonical scenario for EC2, DCM, and ConScale and
-// returns the tail-latency matrix — the robustness evaluation headline.
-// Within a scenario all three controllers face the identical schedule.
-// The full scenario×controller matrix fans out over the worker pool (the
-// DCM profile is trained once, up front); rows come back grouped by
-// scenario in canonical order, exactly as the sequential path emitted
-// them.
-func ChaosTable(seed uint64, duration des.Time) []ChaosRow {
-	profile := TrainDCM(seed, cluster.DefaultConfig())
-	scenarios := ChaosScenarios()
-	perScenario := len(chaosModes)
-	rows := make([]ChaosRow, len(scenarios)*perScenario)
-	ParallelFor(len(rows), func(i int) {
-		sc := scenarios[i/perScenario]
-		rows[i] = chaosCell(sc, chaosModes[i%perScenario], seed, duration, profile)
-	})
+// paperModes is the canonical controller order of the chaos, blame and
+// SLO comparisons.
+var paperModes = []scaling.Mode{scaling.EC2, scaling.DCM, scaling.ConScale}
+
+// chaosRows folds each finished cell into its table row.
+func chaosRows(cells []Cell, results []*RunResult) []ChaosRow {
+	rows := make([]ChaosRow, len(cells))
+	for i, res := range results {
+		rows[i] = ChaosRow{
+			Scenario:  cells[i].Key,
+			Mode:      res.Mode,
+			P95:       res.P95,
+			P99:       res.P99,
+			ErrorRate: res.ErrorRate,
+			Goodput:   res.Goodput,
+			Windows:   len(res.FaultWindows),
+		}
+	}
 	return rows
 }
 
-// chaosModes is the canonical controller order of every chaos table.
-var chaosModes = []scaling.Mode{scaling.EC2, scaling.DCM, scaling.ConScale}
-
-// ChaosScenarioTable runs a single named scenario across the three
-// controllers (benchmarks, smoke tests). Unknown names return nil.
-func ChaosScenarioTable(seed uint64, name string, duration des.Time) []ChaosRow {
-	for _, sc := range ChaosScenarios() {
-		if sc.Name == name {
-			profile := TrainDCM(seed, cluster.DefaultConfig())
-			return chaosScenarioRows(sc, seed, duration, profile)
-		}
-	}
-	return nil
-}
-
-// ChaosTimelines runs the named scenario across all three controllers and
-// returns the full results, for timeline rendering with fault overlays.
-// Unknown names return nil.
-func ChaosTimelines(seed uint64, name string, duration des.Time) []*RunResult {
-	for _, sc := range ChaosScenarios() {
-		if sc.Name != name {
-			continue
-		}
-		dur := duration
-		if dur <= 0 {
-			dur = 720 * des.Second
-		}
-		profile := TrainDCM(seed, cluster.DefaultConfig())
-		out := make([]*RunResult, len(chaosModes))
-		ParallelFor(len(chaosModes), func(i int) {
-			// Each run gets its own freshly-built schedule: Build is pure
-			// in (seed, dur), so all controllers face identical faults
-			// without sharing mutable schedule state across goroutines.
-			out[i] = ChaosRun(chaosModes[i], seed, duration, sc.Build(seed, dur), profile)
-		})
-		return out
-	}
-	return nil
-}
-
-func chaosScenarioRows(sc ChaosScenario, seed uint64, duration des.Time, profile scaling.DCMProfile) []ChaosRow {
-	rows := make([]ChaosRow, len(chaosModes))
-	ParallelFor(len(chaosModes), func(i int) {
-		rows[i] = chaosCell(sc, chaosModes[i], seed, duration, profile)
-	})
-	return rows
-}
-
-// chaosCell runs one (scenario, controller) pair and folds the result into
-// its table row.
-func chaosCell(sc ChaosScenario, mode scaling.Mode, seed uint64, duration des.Time, profile scaling.DCMProfile) ChaosRow {
-	dur := duration
-	if dur <= 0 {
-		dur = 720 * des.Second
-	}
-	res := ChaosRun(mode, seed, duration, sc.Build(seed, dur), profile)
-	return ChaosRow{
-		Scenario:  sc.Name,
-		Mode:      mode,
-		P95:       res.P95,
-		P99:       res.P99,
-		ErrorRate: res.ErrorRate,
-		Goodput:   res.Goodput,
-		Windows:   len(res.FaultWindows),
+// foldChaos prints the table and, from the same runs, the timelines of
+// the interference scenario, where the three controllers separate most
+// visibly.
+func foldChaos(cells []Cell, results []*RunResult) Outcome {
+	rows := chaosRows(cells, results)
+	return Outcome{
+		Summary: sticky(func(w io.Writer) {
+			renderChaosTable(w, rows)
+			for i, res := range results {
+				if cells[i].Key == "interference" {
+					fmt.Fprintln(w)
+					renderChaosTimeline(w, "chaos/interference: "+res.Mode.String(), res)
+				}
+			}
+		}),
+		Artifacts: []Artifact{{"chaos_tail_latency.csv", sticky(func(w io.Writer) {
+			fmt.Fprintln(w, "scenario,controller,p95_ms,p99_ms,error_rate,goodput,fault_windows")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%s,%s,%.0f,%.0f,%.4f,%d,%d\n",
+					r.Scenario, r.Mode, r.P95*1000, r.P99*1000, r.ErrorRate, r.Goodput, r.Windows)
+			}
+		})}},
 	}
 }

@@ -100,7 +100,8 @@ func TestChaosCrashRecovery(t *testing.T) {
 // TestChaosScenarioTableShape: one scenario yields one row per controller
 // with activated faults and sane statistics.
 func TestChaosScenarioTableShape(t *testing.T) {
-	rows := ChaosScenarioTable(1, "stragglers", ShortDuration)
+	s := only(chaosStudy(1, ShortDuration), "stragglers")
+	rows := chaosRows(s.Cells, s.Run(nil))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3 controllers", len(rows))
 	}
@@ -119,8 +120,8 @@ func TestChaosScenarioTableShape(t *testing.T) {
 			t.Fatalf("row %d: tails p95=%v p99=%v", i, r.P95, r.P99)
 		}
 	}
-	if ChaosScenarioTable(1, "no-such-scenario", ShortDuration) != nil {
-		t.Fatal("unknown scenario returned rows")
+	if len(only(chaosStudy(1, ShortDuration), "no-such-scenario").Cells) != 0 {
+		t.Fatal("unknown scenario returned cells")
 	}
 }
 
@@ -146,7 +147,7 @@ func TestRenderChaosOutputs(t *testing.T) {
 		{Scenario: "crashes", Mode: scaling.ConScale, P95: 0.2, P99: 0.4, ErrorRate: 0.01, Goodput: 12000, Windows: 3},
 	}
 	var buf bytes.Buffer
-	RenderChaosTable(&buf, rows)
+	renderChaosTable(&buf, rows)
 	out := buf.String()
 	for _, want := range []string{"crashes", "ec2-autoscaling", "conscale", "1200ms"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
@@ -159,7 +160,7 @@ func TestRenderChaosOutputs(t *testing.T) {
 	cfg.Chaos = chaos.NewSchedule(chaos.Jitter(10, 20, cluster.DB, 50*des.Millisecond))
 	res := Run(cfg)
 	buf.Reset()
-	RenderChaosTimeline(&buf, "smoke", res)
+	renderChaosTimeline(&buf, "smoke", res)
 	if !bytes.Contains(buf.Bytes(), []byte("#")) {
 		t.Fatalf("timeline missing fault overlay:\n%s", buf.String())
 	}

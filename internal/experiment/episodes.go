@@ -199,20 +199,23 @@ func overlappingFaults(windows []chaos.Window, ep forensics.Episode, lag des.Tim
 	return out
 }
 
-// RunEpisodes executes the matrix: every (trace, controller) cell with
-// forensics, tracing (denser 1/8 head sampling so per-episode blame
-// diffs have a populated p99 class), telemetry, and — when cfg.Chaos is
-// set — the chaos overlay armed. Cells iterate traces outer,
-// controllers inner, so output ordering is deterministic; RunMany's
-// indexed slots keep it at any worker count. A config that fails
-// Validate returns its error before any cell runs.
-func RunEpisodes(cfg EpisodesConfig) ([]EpisodeCell, error) {
+// EpisodesStudy is the matrix: every (trace, controller) cell, keyed by
+// its controller, with forensics, tracing (denser 1/8 head sampling so
+// per-episode blame diffs have a populated p99 class), telemetry, and —
+// when cfg.Chaos is set — the chaos overlay armed. Cells iterate traces
+// outer, controllers inner. It prints the per-cell table, the controller
+// ranking and the big-spike trace's episode reports, and writes
+// episodes_summary.csv, episodes_attribution.csv, an
+// episode_report_<trace>_<controller>.json per cell and
+// episodes_perfetto.json. A config that fails Validate returns its
+// error.
+func EpisodesStudy(cfg EpisodesConfig) (Study, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Study{}, err
 	}
 	cfg = cfg.WithDefaults()
 	profile := AnalyticDCMProfile(cluster.DefaultConfig())
-	var cfgs []RunConfig
+	var cells []Cell
 	for _, tr := range cfg.Traces {
 		for _, ctrl := range cfg.Controllers {
 			fcfg := profiledConfig(scaling.EC2, profile) // Controller, not Mode, names the policy
@@ -235,15 +238,36 @@ func RunEpisodes(cfg EpisodesConfig) ([]EpisodeCell, error) {
 			if cfg.Chaos {
 				rc.Chaos = EpisodesChaos(cfg.Duration)
 			}
-			cfgs = append(cfgs, rc)
+			cells = append(cells, Cell{Key: ctrl, Config: rc})
 		}
 	}
-	results := RunMany(cfgs)
-	cells := make([]EpisodeCell, len(results))
-	for i, res := range results {
-		cells[i] = EvaluateEpisodes(res)
+	fold := func(_ []Cell, results []*RunResult) Outcome {
+		cells := make([]EpisodeCell, len(results))
+		for i, res := range results {
+			cells[i] = EvaluateEpisodes(res)
+		}
+		return Outcome{
+			Summary: func(w io.Writer) error {
+				ew := &ErrWriter{W: w}
+				renderEpisodes(ew, cells)
+				fmt.Fprintln(ew)
+				renderEpisodeRanking(ew, rankEpisodes(cells))
+				// Only the headline trace's reports: every cell's would
+				// drown the summary tables.
+				for _, c := range cells {
+					if c.Report != nil && c.Trace == workload.BigSpike && c.Episodes > 0 {
+						fmt.Fprintf(ew, "\n   episode reports, %s / %s:\n", c.Trace, c.Controller)
+						if err := forensics.WriteASCII(ew, c.Report); err != nil {
+							return err
+						}
+					}
+				}
+				return ew.Err
+			},
+			Artifacts: episodesArtifacts(cells),
+		}
 	}
-	return cells, nil
+	return Study{Cells: cells, Fold: fold}, nil
 }
 
 // EpisodeRank is one controller's aggregate standing: fewer, shorter,
@@ -256,9 +280,9 @@ type EpisodeRank struct {
 	TotalArea   float64
 }
 
-// RankEpisodes aggregates the cells per controller and orders them best
+// rankEpisodes aggregates the cells per controller and orders them best
 // (fewest episodes, then least total duration, then least area) first.
-func RankEpisodes(cells []EpisodeCell) []EpisodeRank {
+func rankEpisodes(cells []EpisodeCell) []EpisodeRank {
 	byCtrl := map[string]*EpisodeRank{}
 	var order []string
 	depthSum := map[string]float64{}
@@ -325,13 +349,13 @@ func ScoreAttribution(cells []EpisodeCell) AttributionScore {
 	return s
 }
 
-// EpisodesArtifacts is the matrix as episodes_summary.csv, one row per
+// episodesArtifacts is the matrix as episodes_summary.csv, one row per
 // episode as episodes_attribution.csv (commas in the top cause's detail
 // become semicolons), each cell's attribution report as
 // episode_report_<trace>_<controller>.json, and episodes_perfetto.json:
 // the slowest traced requests plus the episode annotation track of the
 // first big-spike cell with an episode.
-func EpisodesArtifacts(cells []EpisodeCell) []Artifact {
+func episodesArtifacts(cells []EpisodeCell) []Artifact {
 	arts := []Artifact{
 		{"episodes_summary.csv", sticky(func(w io.Writer) {
 			fmt.Fprintln(w, "trace,controller,episodes,total_dur_s,mean_depth_ms,max_depth_ms,area_over_slo,fault_overlapped,fault_attributed,fault_top,fault_top_correct")
@@ -380,8 +404,8 @@ func EpisodesArtifacts(cells []EpisodeCell) []Artifact {
 	return arts
 }
 
-// RenderEpisodes prints the per-cell table plus the attribution score.
-func RenderEpisodes(w io.Writer, cells []EpisodeCell) {
+// renderEpisodes prints the per-cell table plus the attribution score.
+func renderEpisodes(w io.Writer, cells []EpisodeCell) {
 	fmt.Fprintln(w, "Fluctuation episodes (detector: windowed p99 vs EWMA baseline, hysteresis)")
 	fmt.Fprintf(w, "  %-16s %-20s %8s %8s %10s %10s %9s %7s %7s\n",
 		"trace", "controller", "episodes", "dur", "mean depth", "max depth", "area", "flt ovl", "flt attr")
@@ -395,8 +419,8 @@ func RenderEpisodes(w io.Writer, cells []EpisodeCell) {
 		s.Attributed, s.Overlapped, s.Recall, s.TopFaultCorrect, s.TopFault, s.Precision)
 }
 
-// RenderEpisodeRanking prints the controller ranking, best first.
-func RenderEpisodeRanking(w io.Writer, ranks []EpisodeRank) {
+// renderEpisodeRanking prints the controller ranking, best first.
+func renderEpisodeRanking(w io.Writer, ranks []EpisodeRank) {
 	fmt.Fprintln(w, "Controller ranking by fluctuation exposure (fewest/shortest/shallowest episodes)")
 	fmt.Fprintf(w, "  %4s %-20s %8s %9s %10s %9s\n", "rank", "controller", "episodes", "total dur", "mean depth", "area")
 	for i, r := range ranks {

@@ -51,7 +51,7 @@ func TestForensicsRunByteIdentical(t *testing.T) {
 // and checks the pipeline detects the injected fluctuation and grades
 // attribution against the known schedule.
 func TestEpisodesExperimentSmoke(t *testing.T) {
-	cells, err := RunEpisodes(EpisodesConfig{
+	s, err := EpisodesStudy(EpisodesConfig{
 		Controllers: []string{"ec2"},
 		Traces:      []string{workload.BigSpike},
 		Users:       5000,
@@ -61,6 +61,10 @@ func TestEpisodesExperimentSmoke(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var cells []EpisodeCell
+	for _, res := range s.Run(nil) {
+		cells = append(cells, EvaluateEpisodes(res))
 	}
 	if len(cells) != 1 {
 		t.Fatalf("cells = %d, want 1", len(cells))
@@ -83,15 +87,15 @@ func TestEpisodesExperimentSmoke(t *testing.T) {
 	}
 
 	var tbl, rank strings.Builder
-	RenderEpisodes(&tbl, cells)
+	renderEpisodes(&tbl, cells)
 	if !strings.Contains(tbl.String(), "fault attribution:") {
 		t.Fatalf("table missing attribution line:\n%s", tbl.String())
 	}
-	ranks := RankEpisodes(cells)
+	ranks := rankEpisodes(cells)
 	if len(ranks) != 1 || ranks[0].Controller != "ec2" {
 		t.Fatalf("ranking wrong: %+v", ranks)
 	}
-	RenderEpisodeRanking(&rank, ranks)
+	renderEpisodeRanking(&rank, ranks)
 	if !strings.Contains(rank.String(), "ec2") {
 		t.Fatalf("ranking table missing controller:\n%s", rank.String())
 	}

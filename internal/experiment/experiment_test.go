@@ -152,7 +152,7 @@ func TestSweepMeasuredConcurrencyTracksLevel(t *testing.T) {
 }
 
 func TestFig5CapturesFineGrainedSeries(t *testing.T) {
-	res := Fig5(1)
+	res := Fig5Window(Fig5Study(1).Run(nil)[0])
 	if len(res.Samples) < 300 { // 20 s / 50 ms = 400 windows
 		t.Fatalf("Fig5 has %d samples, want ~400", len(res.Samples))
 	}
@@ -167,7 +167,7 @@ func TestFig6ScatterAndEstimate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 12-minute run")
 	}
-	res := Fig6(1)
+	res := Fig6Scatter(Fig6Study(1).Run(nil)[0])
 	if !res.OK {
 		t.Fatal("Fig6 estimate failed")
 	}
@@ -208,10 +208,11 @@ func TestFig11ConScaleBeatsStaleDCM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full runs + training")
 	}
-	res := Fig11(1)
-	if res.ConScale.P95 >= res.Baseline.P95 {
+	res := Fig11Study(1).Run(nil)
+	dcm, conscale := res[0], res[1]
+	if conscale.P95 >= dcm.P95 {
 		t.Fatalf("ConScale p95 (%v) not below stale DCM (%v)",
-			res.ConScale.P95, res.Baseline.P95)
+			conscale.P95, dcm.P95)
 	}
 }
 
@@ -249,7 +250,7 @@ func TestWriteSweepCSV(t *testing.T) {
 	cfg.Measure = 2 * des.Second
 	res := Sweep(cfg)
 	var buf bytes.Buffer
-	if err := WriteSweepCSV(&buf, res); err != nil {
+	if err := writeSweepCSV(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -260,7 +261,7 @@ func TestWriteSweepCSV(t *testing.T) {
 
 func TestWriteTraceCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTraceCSV(&buf, Fig9()); err != nil {
+	if err := writeTraceCSV(&buf, Fig9()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -276,9 +277,9 @@ func TestRenderersDoNotPanic(t *testing.T) {
 	res := Run(shortRun(scaling.EC2, workload.DualPhase, 5))
 	var buf bytes.Buffer
 	RenderRunSummary(&buf, res)
-	RenderCompare(&buf, CompareResult{Baseline: res, ConScale: res})
-	RenderTable1(&buf, []Table1Row{{Trace: "x", EC2P95: 1, EC2P99: 2, ConScaleP95: 0.5, ConScaleP99: 1}})
-	RenderAblation(&buf, "t", []AblationRow{{Label: "a", P95: 1, P99: 2}})
+	renderRuns(&buf, []*RunResult{res, res})
+	renderTable1(&buf, []Table1Row{{Trace: "x", EC2P95: 1, EC2P99: 2, ConScaleP95: 0.5, ConScaleP99: 1}})
+	renderAblation(&buf, "t", []ablationRow{{Label: "a", P95: 1, P99: 2}})
 	if buf.Len() == 0 {
 		t.Fatal("renderers produced nothing")
 	}
@@ -350,9 +351,9 @@ func TestReportMarkdownRenders(t *testing.T) {
 			TwoCore:         SweepResult{Qlower: 20},
 			TwoCoreEnlarged: SweepResult{Qlower: 15},
 		},
-		Fig11: CompareResult{
-			Baseline: &RunResult{P95: 2.7, P99: 2.9, Goodput: 800000},
-			ConScale: &RunResult{P95: 0.17, P99: 0.59, Goodput: 950000},
+		Fig11: []*RunResult{
+			{P95: 2.7, P99: 2.9, Goodput: 800000},
+			{P95: 0.17, P99: 0.59, Goodput: 950000},
 		},
 	}
 	var buf bytes.Buffer
@@ -383,9 +384,9 @@ func TestReportVerdictPartial(t *testing.T) {
 			TwoCore:         SweepResult{Qlower: 10}, // no doubling
 			TwoCoreEnlarged: SweepResult{Qlower: 10},
 		},
-		Fig11: CompareResult{
-			Baseline: &RunResult{P95: 0.1},
-			ConScale: &RunResult{P95: 0.2}, // loss
+		Fig11: []*RunResult{
+			{P95: 0.1},
+			{P95: 0.2}, // loss
 		},
 	}
 	var buf bytes.Buffer

@@ -15,20 +15,6 @@ import (
 	"conscale/internal/workload"
 )
 
-// Fig1 reproduces Figure 1: the large response-time fluctuations of a
-// 3-tier system under hardware-only EC2-AutoScaling on a bursty trace,
-// with the VM-count overlay.
-func Fig1(seed uint64) *RunResult {
-	cfg := DefaultRunConfig(scaling.EC2, workload.LargeVariations)
-	cfg.Seed = seed
-	return Run(cfg)
-}
-
-// Fig1Artifacts is Fig. 1's timeline, fig1_ec2_timeline.csv.
-func Fig1Artifacts(res *RunResult) []Artifact {
-	return []Artifact{timelineArtifact("fig1_ec2_timeline.csv", res)}
-}
-
 // Fig3Result holds the three Tomcat profiling sweeps of Figure 3.
 type Fig3Result struct {
 	// OneCore: Tomcat with 1 vCPU, original dataset (peak at ~10).
@@ -63,13 +49,31 @@ func Fig3(seed uint64) Fig3Result {
 	}
 }
 
-// Fig3Artifacts is one sweep CSV per Fig. 3 panel.
-func Fig3Artifacts(res Fig3Result) []Artifact {
-	return []Artifact{
-		sweepArtifact("fig3a_tomcat_1core.csv", res.OneCore),
-		sweepArtifact("fig3b_tomcat_2core.csv", res.TwoCore),
-		sweepArtifact("fig3c_tomcat_2core_enlarged.csv", res.TwoCoreEnlarged),
+// Fig3Outcome runs Fig. 3 and returns its knees beside the paper's and
+// one sweep CSV per panel.
+func Fig3Outcome(seed uint64) Outcome {
+	res := Fig3(seed)
+	return Outcome{
+		Summary: sticky(func(w io.Writer) {
+			fmt.Fprintf(w, "   knees: 1-core=%d, 2-core=%d, 2-core enlarged=%d (paper: 10/20/15)\n",
+				res.OneCore.Qlower, res.TwoCore.Qlower, res.TwoCoreEnlarged.Qlower)
+		}),
+		Artifacts: []Artifact{
+			sweepArtifact("fig3a_tomcat_1core.csv", res.OneCore),
+			sweepArtifact("fig3b_tomcat_2core.csv", res.TwoCore),
+			sweepArtifact("fig3c_tomcat_2core_enlarged.csv", res.TwoCoreEnlarged),
+		},
 	}
+}
+
+// Fig5Study reproduces Figure 5 from the first 150 s of Fig. 1's EC2
+// run: mysql1's 50 ms window samples over the 85–105 s period after the
+// system scales from 1/1/1 to 1/2/1. It writes
+// fig5_mysql_finegrained.csv.
+func Fig5Study(seed uint64) Study {
+	cfg := paperRun(scaling.EC2, workload.LargeVariations, seed)
+	cfg.Duration = 150 * des.Second
+	return Study{Cells: []Cell{{Key: "ec2", Config: cfg}}, Fold: foldFig5}
 }
 
 // Fig5Result is the fine-grained MySQL view of Figure 5: the 50 ms
@@ -80,13 +84,8 @@ type Fig5Result struct {
 	Samples  []metrics.WindowSample
 }
 
-// Fig5 reproduces Figure 5 by running the EC2 scenario of Fig. 1 and
-// extracting mysql1's window samples for the 85–105 s period.
-func Fig5(seed uint64) Fig5Result {
-	cfg := DefaultRunConfig(scaling.EC2, workload.LargeVariations)
-	cfg.Seed = seed
-	cfg.Duration = 150 * des.Second
-	res := Run(cfg)
+// Fig5Window cuts Fig. 5's window out of Fig5Study's run.
+func Fig5Window(res *RunResult) Fig5Result {
 	const from, to = 85 * des.Second, 105 * des.Second
 	var out []metrics.WindowSample
 	for _, s := range res.Warehouse.FineSince("mysql1", from) {
@@ -97,64 +96,80 @@ func Fig5(seed uint64) Fig5Result {
 	return Fig5Result{From: from, To: to, Samples: out}
 }
 
-// Fig5Artifacts is Fig. 5's 50 ms window samples,
-// fig5_mysql_finegrained.csv.
-func Fig5Artifacts(res Fig5Result) []Artifact {
-	return []Artifact{{"fig5_mysql_finegrained.csv", sticky(func(w io.Writer) {
-		fmt.Fprintln(w, "time_s,concurrency,throughput_rps,rt_ms,completions,errors")
-		for _, s := range res.Samples {
-			rt := s.RT * 1000
-			if math.IsNaN(rt) {
-				rt = 0
+func foldFig5(_ []Cell, results []*RunResult) Outcome {
+	res := Fig5Window(results[0])
+	return Outcome{
+		Summary: sticky(func(w io.Writer) {
+			fmt.Fprintf(w, "   %d windows over [%.0fs, %.0fs)\n", len(res.Samples), float64(res.From), float64(res.To))
+		}),
+		Artifacts: []Artifact{{"fig5_mysql_finegrained.csv", sticky(func(w io.Writer) {
+			fmt.Fprintln(w, "time_s,concurrency,throughput_rps,rt_ms,completions,errors")
+			for _, s := range res.Samples {
+				rt := s.RT * 1000
+				if math.IsNaN(rt) {
+					rt = 0
+				}
+				fmt.Fprintf(w, "%.3f,%.2f,%.1f,%.2f,%d,%d\n",
+					float64(s.Start), s.Concurrency, s.Throughput, rt, s.Completions, s.Errors)
 			}
-			fmt.Fprintf(w, "%.3f,%.2f,%.1f,%.2f,%d,%d\n",
-				float64(s.Start), s.Concurrency, s.Throughput, rt, s.Completions, s.Errors)
-		}
-	})}}
+		})}},
+	}
+}
+
+// Fig6Study reproduces Figure 6 from Fig. 1's EC2 run: the correlation
+// between MySQL's 50 ms concurrency, throughput, and response time over
+// the 12-minute bursty run, and the rational concurrency range the SCT
+// model derives from it. It writes fig6_mysql_scatter.csv.
+func Fig6Study(seed uint64) Study {
+	return Study{Cells: []Cell{{Key: "ec2", Config: paperRun(scaling.EC2, workload.LargeVariations, seed)}}, Fold: foldFig6}
 }
 
 // Fig6Result holds the scatter-correlation analysis of Figure 6.
 type Fig6Result struct {
 	TPPoints []sct.ScatterPoint // throughput vs concurrency
 	RTPoints []sct.ScatterPoint // response time vs concurrency
-	Curve    sct.BinnedCurve    // the trend line
 	Estimate sct.Estimate       // the rational range / optimal setting
 	OK       bool
 }
 
-// Fig6 reproduces Figure 6: the correlation between MySQL's 50 ms
-// concurrency, throughput, and response time over a 12-minute bursty run,
-// and the rational concurrency range the SCT model derives from it.
-func Fig6(seed uint64) Fig6Result {
-	cfg := DefaultRunConfig(scaling.EC2, workload.LargeVariations)
-	cfg.Seed = seed
-	res := Run(cfg)
+// Fig6Scatter analyses every mysql1 window sample of Fig6Study's run.
+func Fig6Scatter(res *RunResult) Fig6Result {
 	samples := res.Warehouse.FineSince("mysql1", 0)
 	tp, rt := sct.Scatter(samples)
 	est, ok := sct.New(sct.Config{}).Estimate(samples)
 	return Fig6Result{
 		TPPoints: tp,
 		RTPoints: rt,
-		Curve:    sct.Curve(samples),
 		Estimate: est,
 		OK:       ok,
 	}
 }
 
-// Fig6Artifacts is Fig. 6's scatter, fig6_mysql_scatter.csv: one row per
+// foldFig6 prints the rational range and writes the scatter: one row per
 // throughput point, with the response time at the same index (0 past
 // the end of the RT points).
-func Fig6Artifacts(res Fig6Result) []Artifact {
-	return []Artifact{{"fig6_mysql_scatter.csv", sticky(func(w io.Writer) {
-		fmt.Fprintln(w, "concurrency,throughput_rps,rt_ms")
-		for i, tp := range res.TPPoints {
-			rt := 0.0
-			if i < len(res.RTPoints) {
-				rt = res.RTPoints[i].Value * 1000
+func foldFig6(_ []Cell, results []*RunResult) Outcome {
+	res := Fig6Scatter(results[0])
+	return Outcome{
+		Summary: sticky(func(w io.Writer) {
+			if !res.OK {
+				fmt.Fprintln(w, "   estimate unavailable")
+				return
 			}
-			fmt.Fprintf(w, "%.2f,%.1f,%.2f\n", tp.Concurrency, tp.Value, rt)
-		}
-	})}}
+			fmt.Fprintf(w, "   rational range [%d, %d], plateau %.0f q/s, optimal setting %d\n",
+				res.Estimate.Qlower, res.Estimate.Qupper, res.Estimate.PlateauTP, res.Estimate.Optimal())
+		}),
+		Artifacts: []Artifact{{"fig6_mysql_scatter.csv", sticky(func(w io.Writer) {
+			fmt.Fprintln(w, "concurrency,throughput_rps,rt_ms")
+			for i, tp := range res.TPPoints {
+				rt := 0.0
+				if i < len(res.RTPoints) {
+					rt = res.RTPoints[i].Value * 1000
+				}
+				fmt.Fprintf(w, "%.2f,%.1f,%.2f\n", tp.Concurrency, tp.Value, rt)
+			}
+		})}},
+	}
 }
 
 // Fig7Panel is one of the six scatter-comparison panels of Figure 7.
@@ -205,14 +220,22 @@ func Fig7(seed uint64) []Fig7Panel {
 	return panels
 }
 
-// Fig7Artifacts is one sweep CSV per Fig. 7 panel, named by its letter
-// and label.
-func Fig7Artifacts(panels []Fig7Panel) []Artifact {
+// Fig7Outcome runs Fig. 7 and returns each panel's knee and peak
+// throughput, and one sweep CSV per panel named by its letter and label.
+func Fig7Outcome(seed uint64) Outcome {
+	panels := Fig7(seed)
 	arts := make([]Artifact, len(panels))
 	for i, p := range panels {
 		arts[i] = sweepArtifact(fmt.Sprintf("fig7%c_%s.csv", 'a'+i, sanitize(p.Label)), p.Sweep)
 	}
-	return arts
+	return Outcome{
+		Summary: sticky(func(w io.Writer) {
+			for _, p := range panels {
+				fmt.Fprintf(w, "   %s: Qlower=%d TPmax=%.0f\n", p.Label, p.Sweep.Qlower, p.Sweep.MaxTP)
+			}
+		}),
+		Artifacts: arts,
+	}
 }
 
 // TraceSeries is one Fig. 9 panel: a named user curve sampled at 1 s.
@@ -230,67 +253,59 @@ func Fig9() []TraceSeries {
 	return out
 }
 
-// Fig9Artifacts is the trace curves side by side, fig9_traces.csv.
-func Fig9Artifacts(traces []TraceSeries) []Artifact {
-	return []Artifact{{"fig9_traces.csv", func(w io.Writer) error { return WriteTraceCSV(w, traces) }}}
+// Fig9Outcome returns the trace curves side by side, fig9_traces.csv.
+func Fig9Outcome() Outcome {
+	traces := Fig9()
+	return Outcome{Artifacts: []Artifact{{"fig9_traces.csv", func(w io.Writer) error { return writeTraceCSV(w, traces) }}}}
 }
 
-// CompareResult pairs two runs of the same scenario under different
-// frameworks (Fig. 10: EC2 vs ConScale; Fig. 11: DCM vs ConScale).
-type CompareResult struct {
-	Baseline *RunResult
-	ConScale *RunResult
+// Fig1Study reproduces Figure 1: the large response-time fluctuations of
+// a 3-tier system under hardware-only EC2-AutoScaling on a bursty trace,
+// with the VM-count overlay. It writes fig1_ec2_timeline.csv.
+func Fig1Study(seed uint64) Study {
+	return Study{Cells: []Cell{{Key: "ec2", Config: paperRun(scaling.EC2, workload.LargeVariations, seed)}},
+		Fold: foldTimelines("fig1")}
 }
 
-// Fig10 reproduces Figure 10: EC2-AutoScaling vs ConScale under the Large
-// Variations trace, starting from 1/1/1 with soft resources 1000-60-40.
-func Fig10(seed uint64) CompareResult {
-	e := DefaultRunConfig(scaling.EC2, workload.LargeVariations)
-	e.Seed = seed
-	c := DefaultRunConfig(scaling.ConScale, workload.LargeVariations)
-	c.Seed = seed
-	res := RunMany([]RunConfig{e, c})
-	return CompareResult{Baseline: res[0], ConScale: res[1]}
-}
-
-// Fig10Artifacts is both Fig. 10 timelines, fig10_ec2_timeline.csv and
+// Fig10Study reproduces Figure 10: EC2-AutoScaling vs ConScale under the
+// Large Variations trace, starting from 1/1/1 with soft resources
+// 1000-60-40. It writes fig10_ec2_timeline.csv and
 // fig10_conscale_timeline.csv.
-func Fig10Artifacts(res CompareResult) []Artifact { return res.artifacts("fig10", "ec2") }
+func Fig10Study(seed uint64) Study {
+	return Study{Cells: []Cell{
+		{Key: "ec2", Config: paperRun(scaling.EC2, workload.LargeVariations, seed)},
+		{Key: "conscale", Config: paperRun(scaling.ConScale, workload.LargeVariations, seed)},
+	}, Fold: foldTimelines("fig10")}
+}
 
-// artifacts names a pair's timelines <fig>_<baseline>_timeline.csv and
-// <fig>_conscale_timeline.csv.
-func (c CompareResult) artifacts(fig, baseline string) []Artifact {
-	return []Artifact{
-		timelineArtifact(fig+"_"+baseline+"_timeline.csv", c.Baseline),
-		timelineArtifact(fig+"_conscale_timeline.csv", c.ConScale),
+// Fig11Study reproduces Figure 11: DCM (profile trained on the original
+// dataset) vs ConScale after the dataset is reduced — the system-state
+// change that makes offline-trained soft-resource settings stale. It
+// writes fig11_dcm_timeline.csv and fig11_conscale_timeline.csv.
+func Fig11Study(seed uint64) Study {
+	cells := []Cell{
+		{Key: "dcm", Config: paperRun(scaling.DCM, workload.LargeVariations, seed), Train: true},
+		{Key: "conscale", Config: paperRun(scaling.ConScale, workload.LargeVariations, seed)},
+	}
+	for i := range cells {
+		ccfg := cluster.DefaultConfig()
+		ccfg.DatasetScale = 0.5 // reduced dataset at production time
+		cells[i].Config.Cluster = &ccfg
+	}
+	return Study{Cells: cells, Fold: foldTimelines("fig11")}
+}
+
+// foldTimelines prints each run's headline numbers and writes its
+// per-second series as <fig>_<key>_timeline.csv.
+func foldTimelines(fig string) func([]Cell, []*RunResult) Outcome {
+	return func(cells []Cell, results []*RunResult) Outcome {
+		arts := make([]Artifact, len(cells))
+		for i, c := range cells {
+			arts[i] = timelineArtifact(fig+"_"+c.Key+"_timeline.csv", results[i])
+		}
+		return Outcome{Summary: sticky(func(w io.Writer) { renderRuns(w, results) }), Artifacts: arts}
 	}
 }
-
-// Fig11 reproduces Figure 11: DCM (profile trained on the original
-// dataset) vs ConScale after the dataset is reduced — the system-state
-// change that makes offline-trained soft-resource settings stale.
-func Fig11(seed uint64) CompareResult {
-	profile := TrainDCM(seed, cluster.DefaultConfig())
-
-	ccfg := cluster.DefaultConfig()
-	ccfg.DatasetScale = 0.5 // reduced dataset at production time
-
-	d := DefaultRunConfig(scaling.DCM, workload.LargeVariations)
-	d.Seed = seed
-	d.Cluster = &ccfg
-	d.Framework = profiledConfig(scaling.DCM, profile)
-
-	c := DefaultRunConfig(scaling.ConScale, workload.LargeVariations)
-	c.Seed = seed
-	c.Cluster = &ccfg
-
-	res := RunMany([]RunConfig{d, c})
-	return CompareResult{Baseline: res[0], ConScale: res[1]}
-}
-
-// Fig11Artifacts is both Fig. 11 timelines, fig11_dcm_timeline.csv and
-// fig11_conscale_timeline.csv.
-func Fig11Artifacts(res CompareResult) []Artifact { return res.artifacts("fig11", "dcm") }
 
 // Table1Row is one row of Table I: tail latencies for one trace.
 type Table1Row struct {
@@ -299,71 +314,65 @@ type Table1Row struct {
 	ConScaleP95, ConScaleP99 float64
 }
 
-// Table1 reproduces Table I: 95th and 99th percentile response times of
-// EC2-AutoScaling vs ConScale under all six bursty traces.
-func Table1(seed uint64) []Table1Row {
-	return table1(seed, DefaultRunConfig)
-}
-
-// Table1Artifacts is Table I in milliseconds, table1_tail_latency.csv.
-func Table1Artifacts(rows []Table1Row) []Artifact {
-	return []Artifact{{"table1_tail_latency.csv", sticky(func(w io.Writer) {
-		fmt.Fprintln(w, "trace,ec2_p95_ms,ec2_p99_ms,conscale_p95_ms,conscale_p99_ms")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s,%.0f,%.0f,%.0f,%.0f\n",
-				r.Trace, r.EC2P95*1000, r.EC2P99*1000, r.ConScaleP95*1000, r.ConScaleP99*1000)
-		}
-	})}}
-}
-
-// table1 runs the 6×2 (trace, framework) matrix through the worker pool;
-// the config builder is injected so tests can shrink the runs while
-// exercising the same merge path.
-func table1(seed uint64, mkConfig func(scaling.Mode, string) RunConfig) []Table1Row {
-	traces := workload.Names()
-	cfgs := make([]RunConfig, 0, len(traces)*2)
-	for _, tr := range traces {
-		e := mkConfig(scaling.EC2, tr)
-		e.Seed = seed
-		c := mkConfig(scaling.ConScale, tr)
-		c.Seed = seed
-		cfgs = append(cfgs, e, c)
+// Table1Study reproduces Table I: 95th and 99th percentile response
+// times of EC2-AutoScaling vs ConScale under all six bursty traces. Each
+// trace is the key of its two cells, EC2's first. It writes
+// table1_tail_latency.csv.
+func Table1Study(seed uint64) Study {
+	var cells []Cell
+	for _, tr := range workload.Names() {
+		cells = append(cells,
+			Cell{Key: tr, Config: paperRun(scaling.EC2, tr, seed)},
+			Cell{Key: tr, Config: paperRun(scaling.ConScale, tr, seed)})
 	}
-	results := RunMany(cfgs)
-	rows := make([]Table1Row, 0, len(traces))
-	for i, tr := range traces {
-		er, cr := results[2*i], results[2*i+1]
-		rows = append(rows, Table1Row{
-			Trace:       tr,
-			EC2P95:      er.P95,
-			EC2P99:      er.P99,
-			ConScaleP95: cr.P95,
-			ConScaleP99: cr.P99,
-		})
+	return Study{Cells: cells, Fold: foldTable1}
+}
+
+// table1Rows folds Table1Study's results, an EC2 and a ConScale run
+// per trace, into one row per trace.
+func table1Rows(cells []Cell, results []*RunResult) []Table1Row {
+	var rows []Table1Row
+	for i := 0; i < len(cells); i += 2 {
+		e, c := results[i], results[i+1]
+		rows = append(rows, Table1Row{Trace: cells[i].Key,
+			EC2P95: e.P95, EC2P99: e.P99, ConScaleP95: c.P95, ConScaleP99: c.P99})
 	}
 	return rows
 }
 
-// AblationRow is one configuration of an ablation study.
-type AblationRow struct {
+// foldTable1 prints Table I in the paper's layout and writes it in
+// milliseconds.
+func foldTable1(cells []Cell, results []*RunResult) Outcome {
+	rows := table1Rows(cells, results)
+	return Outcome{
+		Summary: sticky(func(w io.Writer) { renderTable1(w, rows) }),
+		Artifacts: []Artifact{{"table1_tail_latency.csv", sticky(func(w io.Writer) {
+			fmt.Fprintln(w, "trace,ec2_p95_ms,ec2_p99_ms,conscale_p95_ms,conscale_p99_ms")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%s,%.0f,%.0f,%.0f,%.0f\n",
+					r.Trace, r.EC2P95*1000, r.EC2P99*1000, r.ConScaleP95*1000, r.ConScaleP99*1000)
+			}
+		})}},
+	}
+}
+
+// ablationRow is one arm of an ablation study.
+type ablationRow struct {
 	Label  string
 	P95    float64 // seconds
 	P99    float64
 	Detail string
 }
 
-// Ablation is one sensitivity study beyond the paper. Every arm runs the
+// ablation is one sensitivity study beyond the paper. Every arm runs the
 // large-variations trace under the study's policy with one design choice
 // changed; the study reports each arm's tails and a detail column.
-type Ablation struct {
-	// Title heads the study's table.
-	Title string
-
-	// file names the study's CSV artifact.
-	file string
-	mode scaling.Mode
-	// base sets what every arm shares from the seed (nil: nothing).
-	base func(seed uint64, cfg *RunConfig)
+type ablation struct {
+	// title heads the study's table; file names its CSV artifact.
+	title, file string
+	mode        scaling.Mode
+	// base sets what every arm shares (nil: nothing).
+	base func(cell *Cell)
 	arms []ablationArm
 	// detail fills a finished arm's detail column (nil: empty).
 	detail func(res *RunResult) string
@@ -400,8 +409,9 @@ func frameworkArm(label string, set func(f *scaling.Config)) ablationArm {
 	}}
 }
 
-// Ablations returns studies A1–A7 in order.
-func Ablations() []Ablation {
+// Ablations returns studies A1–A7 in order, each arm a cell keyed by its
+// label. Each writes its rows in milliseconds as ablation_<id>.csv.
+func Ablations(seed uint64) []Study {
 	window := func(w des.Time) ablationArm {
 		return clusterArm(fmt.Sprintf("window=%dms", int(w/des.Millisecond)),
 			func(c *cluster.Config) { c.Window = w })
@@ -416,10 +426,10 @@ func Ablations() []Ablation {
 		})
 	}
 	unchanged := func(*scaling.Config) {}
-	return []Ablation{{
+	specs := []ablation{{
 		// A1: too-coarse windows smear the concurrency signal, too-fine
 		// ones starve bins; the detail is the estimate MySQL gets.
-		Title: "A1: SCT measurement window", file: "ablation_a1_window.csv",
+		title: "A1: SCT measurement window", file: "ablation_a1_window.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{window(10 * des.Millisecond), window(50 * des.Millisecond),
 			window(250 * des.Millisecond), window(des.Second)},
@@ -433,7 +443,7 @@ func Ablations() []Ablation {
 		// A2: Qlower (the paper's pick) against Qupper as the setting;
 		// both sustain maximum throughput, the upper bound at higher
 		// latency.
-		Title: "A2: Qlower vs Qupper setting", file: "ablation_a2_qupper.csv",
+		title: "A2: Qlower vs Qupper setting", file: "ablation_a2_qupper.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{
 			frameworkArm("setting=Qlower", unchanged),
@@ -441,13 +451,13 @@ func Ablations() []Ablation {
 		},
 	}, {
 		// A3: leastconn (the paper's deployment) against roundrobin.
-		Title: "A3: load-balancer policy", file: "ablation_a3_lb.csv",
+		title: "A3: load-balancer policy", file: "ablation_a3_lb.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{balancer(lb.LeastConn), balancer(lb.RoundRobin)},
 	}, {
 		// A4: the "quick start but slow turn off" policy against
 		// aggressive scale-in, and the oscillation that follows.
-		Title: "A4: scale-in cooldown", file: "ablation_a4_cooldown.csv",
+		title: "A4: scale-in cooldown", file: "ablation_a4_cooldown.csv",
 		mode: scaling.EC2,
 		arms: []ablationArm{
 			frameworkArm("slow-turn-off", unchanged),
@@ -470,7 +480,7 @@ func Ablations() []Ablation {
 		// against vertical (vCPUs added to live VMs, no preparation) —
 		// Section III-C.1's scale-up, whose optimal-concurrency doubling
 		// the SCT model must track online.
-		Title: "A5: horizontal vs vertical DB scaling", file: "ablation_a5_vertical.csv",
+		title: "A5: horizontal vs vertical DB scaling", file: "ablation_a5_vertical.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{
 			frameworkArm("db=horizontal", unchanged),
@@ -482,7 +492,7 @@ func Ablations() []Ablation {
 	}, {
 		// A6: the optional Memcached tier the paper mentions, and the
 		// load it takes off the DB tier.
-		Title: "A6: optional Memcached cache tier", file: "ablation_a6_cache.csv",
+		title: "A6: optional Memcached cache tier", file: "ablation_a6_cache.csv",
 		mode: scaling.ConScale,
 		arms: []ablationArm{cache("cache=off", 0), cache("cache=on(80%hit)", 1)},
 		detail: func(res *RunResult) string {
@@ -493,14 +503,13 @@ func Ablations() []Ablation {
 		// stale, under-allocating profile). The CPU threshold alone
 		// cannot see the under-allocation — hardware idles while
 		// response times burn — but the SLA trigger can.
-		Title: "A7: SLA trigger vs CPU threshold under a stale profile", file: "ablation_a7_sla.csv",
+		title: "A7: SLA trigger vs CPU threshold under a stale profile", file: "ablation_a7_sla.csv",
 		mode: scaling.DCM,
-		base: func(seed uint64, cfg *RunConfig) {
-			profile := TrainDCM(seed, cluster.DefaultConfig())
+		base: func(cell *Cell) {
 			ccfg := cluster.DefaultConfig()
 			ccfg.DatasetScale = 0.5 // system state changed after training
-			cfg.Cluster = &ccfg
-			cfg.Framework = profiledConfig(scaling.DCM, profile)
+			cell.Config.Cluster = &ccfg
+			cell.Train = true
 		},
 		arms: []ablationArm{
 			frameworkArm("dcm", unchanged),
@@ -511,37 +520,39 @@ func Ablations() []Ablation {
 		},
 		detail: func(res *RunResult) string { return fmt.Sprintf("goodput %d", res.Goodput) },
 	}}
+	studies := make([]Study, len(specs))
+	for i, a := range specs {
+		base := Cell{Config: paperRun(a.mode, workload.LargeVariations, seed)}
+		if a.base != nil {
+			a.base(&base)
+		}
+		cells := make([]Cell, len(a.arms))
+		for j, arm := range a.arms {
+			cells[j] = base
+			cells[j].Key = arm.label
+			arm.set(&cells[j].Config)
+		}
+		studies[i] = Study{Cells: cells, Fold: a.fold}
+	}
+	return studies
 }
 
-// Run executes every arm of the study, in parallel up to MaxWorkers, and
-// folds each finished run into its row.
-func (a Ablation) Run(seed uint64) []AblationRow {
-	base := DefaultRunConfig(a.mode, workload.LargeVariations)
-	base.Seed = seed
-	if a.base != nil {
-		a.base(seed, &base)
-	}
-	cfgs := make([]RunConfig, len(a.arms))
-	for i, arm := range a.arms {
-		cfgs[i] = base
-		arm.set(&cfgs[i])
-	}
-	rows := make([]AblationRow, len(cfgs))
-	for i, res := range RunMany(cfgs) {
-		rows[i] = AblationRow{Label: a.arms[i].label, P95: res.P95, P99: res.P99}
+// fold prints the study's table and writes its CSV.
+func (a ablation) fold(cells []Cell, results []*RunResult) Outcome {
+	rows := make([]ablationRow, len(cells))
+	for i, res := range results {
+		rows[i] = ablationRow{Label: cells[i].Key, P95: res.P95, P99: res.P99}
 		if a.detail != nil {
 			rows[i].Detail = a.detail(res)
 		}
 	}
-	return rows
-}
-
-// Artifacts is the study's rows in milliseconds, ablation_<id>.csv.
-func (a Ablation) Artifacts(rows []AblationRow) []Artifact {
-	return []Artifact{{a.file, sticky(func(w io.Writer) {
-		fmt.Fprintln(w, "label,p95_ms,p99_ms,detail")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s,%.0f,%.0f,%s\n", r.Label, r.P95*1000, r.P99*1000, r.Detail)
-		}
-	})}}
+	return Outcome{
+		Summary: sticky(func(w io.Writer) { renderAblation(w, a.title, rows) }),
+		Artifacts: []Artifact{{a.file, sticky(func(w io.Writer) {
+			fmt.Fprintln(w, "label,p95_ms,p99_ms,detail")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%s,%.0f,%.0f,%s\n", r.Label, r.P95*1000, r.P99*1000, r.Detail)
+			}
+		})}},
+	}
 }

@@ -306,11 +306,11 @@ func (res *FrontierResult) fillDeltas() {
 	}
 }
 
-// BestTailCut returns the row with the largest p99 reduction against
+// bestTailCut returns the row with the largest p99 reduction against
 // its always-admit baseline, over cells whose goodput loss stays within
 // maxGoodputLossPct (a positive number of percent). ok is false when no
 // non-always cell qualifies.
-func (res *FrontierResult) BestTailCut(maxGoodputLossPct float64) (FrontierRow, bool) {
+func (res *FrontierResult) bestTailCut(maxGoodputLossPct float64) (FrontierRow, bool) {
 	best, ok := FrontierRow{}, false
 	for _, r := range res.Rows {
 		if r.Policy == admission.Always {
@@ -360,19 +360,29 @@ func WriteFrontierCSV(w io.Writer, res *FrontierResult) {
 	}
 }
 
-// FrontierArtifacts is the factorial as frontier_summary.csv and
-// BENCH_10.json.
-func FrontierArtifacts(res *FrontierResult) []Artifact {
-	return []Artifact{
-		{"frontier_summary.csv", sticky(func(w io.Writer) { WriteFrontierCSV(w, res) })},
-		{"BENCH_10.json", func(w io.Writer) error { return WriteFrontierReport(w, res) }},
+// FrontierOutcome prints the per-cell frontier table and the best tail
+// cut within 10 % goodput loss, and writes the factorial as
+// frontier_summary.csv and BENCH_10.json.
+func FrontierOutcome(res *FrontierResult) Outcome {
+	return Outcome{
+		Summary: sticky(func(w io.Writer) {
+			renderFrontier(w, res)
+			if best, ok := res.bestTailCut(10); ok {
+				fmt.Fprintf(w, "\n   best tail cut within 10%% goodput loss: %s/%s/%s Δp99=%.1f%% Δgoodput=%.2f%%\n",
+					best.Trace, best.Controller, best.Policy, best.P99DeltaPct, best.GoodputDeltaPct)
+			}
+		}),
+		Artifacts: []Artifact{
+			{"frontier_summary.csv", sticky(func(w io.Writer) { WriteFrontierCSV(w, res) })},
+			{"BENCH_10.json", func(w io.Writer) error { return WriteFrontierReport(w, res) }},
+		},
 	}
 }
 
-// RenderFrontier prints the factorial as an aligned ASCII table, sorted
+// renderFrontier prints the factorial as an aligned ASCII table, sorted
 // by trace then controller then p99 — the frontier reads top-down per
 // (trace, controller) block.
-func RenderFrontier(w io.Writer, res *FrontierResult) {
+func renderFrontier(w io.Writer, res *FrontierResult) {
 	rows := append([]FrontierRow(nil), res.Rows...)
 	sort.SliceStable(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]

@@ -113,11 +113,13 @@ type HypothesisResult struct {
 	Rows    [][]string
 }
 
-// hypoSpec is one declared hypothesis and its executor.
+// hypoSpec is one declared hypothesis: its cells and the fold from
+// their results to its verdict.
 type hypoSpec struct {
 	id, claim, regime string
 	gated             bool
-	run               func(cfg HypothesisConfig) HypothesisResult
+	cells             func(cfg HypothesisConfig) []Cell
+	fold              func(cfg HypothesisConfig, cells []Cell, results []*RunResult) HypothesisResult
 }
 
 func hypoSpecs() []hypoSpec {
@@ -129,7 +131,8 @@ func hypoSpecs() []hypoSpec {
 			regime: "constant trace below the saturation knee, fixed think time, " +
 				"≥10 applicable twin samples per run after 60 s warmup",
 			gated: true,
-			run:   runTwinSteady,
+			cells: twinSteadyCells,
+			fold:  foldTwinSteady,
 		},
 		{
 			id:    "drift-calm",
@@ -137,7 +140,8 @@ func hypoSpecs() []hypoSpec {
 			regime: "constant trace at moderate load (no scaling triggers), " +
 				"≥10 applicable twin samples per run",
 			gated: true,
-			run:   runDriftCalm,
+			cells: driftCalmCells,
+			fold:  foldDriftCalm,
 		},
 		{
 			id: "blame-conservation",
@@ -148,7 +152,8 @@ func hypoSpecs() []hypoSpec {
 				"with queue-cap:cap=300 on web+app; windows with ≥5 sampled requests per class, " +
 				"≥1 shed in every armed run",
 			gated: true,
-			run:   runBlameConservation,
+			cells: blameConservationCells,
+			fold:  foldBlameConservation,
 		},
 		{
 			id:    "sct-dominance",
@@ -156,7 +161,8 @@ func hypoSpecs() []hypoSpec {
 			regime: "paper evaluation settings (7500 peak users, 720 s, 30 s warmup skip), " +
 				"paired seeds per trace",
 			gated: false,
-			run:   runSCTDominance,
+			cells: sctDominanceCells,
+			fold:  foldSCTDominance,
 		},
 	}
 }
@@ -190,29 +196,65 @@ func (cfg HypothesisConfig) Validate() error {
 	)
 }
 
-// RunHypotheses executes the selected hypotheses and returns their
-// results in declaration order. A config that fails Validate returns
-// its error before any run starts.
-func RunHypotheses(cfg HypothesisConfig) ([]HypothesisResult, error) {
+// HypothesisStudy runs the selected hypotheses, each cell keyed
+// <hypothesis id>/<label>. It prints the FINDINGS table, writes each
+// hypothesis's per-cell rows as hypothesis_<id>.csv and the
+// one-row-per-metric summary as hypothesis_summary.csv, and fails when a
+// gated hypothesis is not SUPPORTED. A config that fails Validate
+// returns its error.
+func HypothesisStudy(cfg HypothesisConfig) (Study, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Study{}, err
 	}
 	cfg = cfg.withDefaults()
-	var out []HypothesisResult
+	var cells []Cell
 	for _, s := range hypoSpecs() {
 		if len(cfg.IDs) > 0 && !slices.Contains(cfg.IDs, s.id) {
 			continue
 		}
-		r := s.run(cfg)
-		r.ID, r.Claim, r.Regime, r.Gated = s.id, s.claim, s.regime, s.gated
-		out = append(out, r)
+		for _, c := range s.cells(cfg) {
+			c.Key = s.id + "/" + c.Key
+			cells = append(cells, c)
+		}
 	}
-	return out, nil
+	fold := func(cells []Cell, results []*RunResult) Outcome {
+		hs := cfg.fold(cells, results)
+		out := Outcome{
+			Summary:   func(w io.Writer) error { return renderHypotheses(w, hs) },
+			Artifacts: hypothesisArtifacts(hs),
+		}
+		if fails := gatedFailures(hs); len(fails) != 0 {
+			out.Err = fmt.Errorf("gated hypothesis failed:\n  %s", strings.Join(fails, "\n  "))
+		}
+		return out
+	}
+	return Study{Cells: cells, Fold: fold}, nil
 }
 
-// GatedFailures returns the gated hypotheses that did not come back
+// fold hands each hypothesis the run of cells its id keys, and returns
+// the results of those that have cells in declaration order.
+func (cfg HypothesisConfig) fold(cells []Cell, results []*RunResult) []HypothesisResult {
+	var out []HypothesisResult
+	i := 0
+	for _, s := range hypoSpecs() {
+		j := i
+		for j < len(cells) && strings.HasPrefix(cells[j].Key, s.id+"/") {
+			j++
+		}
+		if j == i {
+			continue
+		}
+		r := s.fold(cfg, cells[i:j], results[i:j])
+		r.ID, r.Claim, r.Regime, r.Gated = s.id, s.claim, s.regime, s.gated
+		out = append(out, r)
+		i = j
+	}
+	return out
+}
+
+// gatedFailures returns the gated hypotheses that did not come back
 // SUPPORTED — the CI exit condition.
-func GatedFailures(results []HypothesisResult) []string {
+func gatedFailures(results []HypothesisResult) []string {
 	var out []string
 	for _, r := range results {
 		if r.Gated && r.Verdict != VerdictSupported {
@@ -280,26 +322,34 @@ var steadyCells = []struct {
 	{2500, 0.10},
 }
 
-func runTwinSteady(cfg HypothesisConfig) HypothesisResult {
-	var cfgs []RunConfig
-	type cellKey struct {
-		users int
-		seed  uint64
+// seeded is one cell of rc per seed, keyed key.
+func (cfg HypothesisConfig) seeded(key string, rc RunConfig) []Cell {
+	cells := make([]Cell, cfg.Seeds)
+	for s := range cells {
+		rc.Seed = cfg.BaseSeed + uint64(s)
+		cells[s] = Cell{Key: key, Config: rc}
 	}
-	var keys []cellKey
-	for _, cell := range steadyCells {
-		for s := 0; s < cfg.Seeds; s++ {
-			rc := DefaultRunConfig(scaling.EC2, workload.Constant)
-			rc.MaxUsers = cell.users
-			rc.Duration = cfg.Duration
-			rc.Seed = cfg.BaseSeed + uint64(s)
-			rc.Twin = &twin.Config{}
-			cfgs = append(cfgs, rc)
-			keys = append(keys, cellKey{cell.users, rc.Seed})
-		}
-	}
-	results := RunMany(cfgs)
+	return cells
+}
 
+// twinCell is a twin-armed run of users on the constant trace.
+func (cfg HypothesisConfig) twinCell(users int) RunConfig {
+	rc := DefaultRunConfig(scaling.EC2, workload.Constant)
+	rc.MaxUsers = users
+	rc.Duration = cfg.Duration
+	rc.Twin = &twin.Config{}
+	return rc
+}
+
+func twinSteadyCells(cfg HypothesisConfig) []Cell {
+	var cells []Cell
+	for _, cell := range steadyCells {
+		cells = append(cells, cfg.seeded(strconv.Itoa(cell.users), cfg.twinCell(cell.users))...)
+	}
+	return cells
+}
+
+func foldTwinSteady(_ HypothesisConfig, cells []Cell, results []*RunResult) HypothesisResult {
 	r := HypothesisResult{
 		Columns: []string{"users", "seed", "applicable", "rt_rel_err", "worst_rt_rel_err",
 			"littles_resid", "util_gap", "drift_flags"},
@@ -309,9 +359,9 @@ func runTwinSteady(cfg HypothesisConfig) HypothesisResult {
 	totalDrift, shortRuns := 0, 0
 	for i, res := range results {
 		st := twinStats(res)
-		k := keys[i]
+		c := cells[i].Config
 		r.Rows = append(r.Rows, []string{
-			strconv.Itoa(k.users), strconv.FormatUint(k.seed, 10), strconv.Itoa(st.applicable),
+			strconv.Itoa(c.MaxUsers), strconv.FormatUint(c.Seed, 10), strconv.Itoa(st.applicable),
 			fmtF(st.meanRelErr), fmtF(st.worstRel), fmtF(st.meanLittle), fmtF(st.meanGap),
 			strconv.Itoa(st.drifts),
 		})
@@ -319,7 +369,7 @@ func runTwinSteady(cfg HypothesisConfig) HypothesisResult {
 			shortRuns++
 			continue
 		}
-		perCell[k.users] = append(perCell[k.users], st.meanRelErr)
+		perCell[c.MaxUsers] = append(perCell[c.MaxUsers], st.meanRelErr)
 		littles = append(littles, st.meanLittle)
 		gaps = append(gaps, st.meanGap)
 		totalDrift += st.drifts
@@ -358,29 +408,23 @@ func runTwinSteady(cfg HypothesisConfig) HypothesisResult {
 	return r
 }
 
-func runDriftCalm(cfg HypothesisConfig) HypothesisResult {
-	controllers := []string{"ec2", "conscale"}
-	const calmUsers = 2000 // ~65% bottleneck utilization: no scaling triggers
-	var cfgs []RunConfig
-	type cellKey struct {
-		controller string
-		seed       uint64
-	}
-	var keys []cellKey
-	for _, ctrl := range controllers {
-		for s := 0; s < cfg.Seeds; s++ {
-			rc := DefaultRunConfig(scaling.EC2, workload.Constant)
-			rc.Controller = ctrl
-			rc.MaxUsers = calmUsers
-			rc.Duration = cfg.Duration
-			rc.Seed = cfg.BaseSeed + uint64(s)
-			rc.Twin = &twin.Config{}
-			cfgs = append(cfgs, rc)
-			keys = append(keys, cellKey{ctrl, rc.Seed})
-		}
-	}
-	results := RunMany(cfgs)
+// calmControllers are drift-calm's controllers, each run at calmUsers:
+// ~65% bottleneck utilization, where no scaling triggers.
+var calmControllers = []string{"ec2", "conscale"}
 
+const calmUsers = 2000
+
+func driftCalmCells(cfg HypothesisConfig) []Cell {
+	var cells []Cell
+	for _, ctrl := range calmControllers {
+		rc := cfg.twinCell(calmUsers)
+		rc.Controller = ctrl
+		cells = append(cells, cfg.seeded(ctrl, rc)...)
+	}
+	return cells
+}
+
+func foldDriftCalm(cfg HypothesisConfig, cells []Cell, results []*RunResult) HypothesisResult {
 	r := HypothesisResult{
 		Columns: []string{"controller", "seed", "applicable", "rt_rel_err", "drift_flags"},
 	}
@@ -389,19 +433,19 @@ func runDriftCalm(cfg HypothesisConfig) HypothesisResult {
 	shortRuns := 0
 	for i, res := range results {
 		st := twinStats(res)
-		k := keys[i]
+		c := cells[i].Config
 		r.Rows = append(r.Rows, []string{
-			k.controller, strconv.FormatUint(k.seed, 10), strconv.Itoa(st.applicable),
+			c.Controller, strconv.FormatUint(c.Seed, 10), strconv.Itoa(st.applicable),
 			fmtF(st.meanRelErr), strconv.Itoa(st.drifts),
 		})
 		if st.applicable < minApplicableSamples {
 			shortRuns++
 			continue
 		}
-		perCtrl[k.controller] += st.drifts
-		relByCtrl[k.controller] = append(relByCtrl[k.controller], st.meanRelErr)
+		perCtrl[c.Controller] += st.drifts
+		relByCtrl[c.Controller] = append(relByCtrl[c.Controller], st.meanRelErr)
 	}
-	for _, ctrl := range controllers {
+	for _, ctrl := range calmControllers {
 		mean, lo, hi := meanCI(relByCtrl[ctrl])
 		r.Metrics = append(r.Metrics, HypoMetric{
 			Name: fmt.Sprintf("rt_rel_err[%s]", ctrl),
@@ -428,44 +472,38 @@ func runDriftCalm(cfg HypothesisConfig) HypothesisResult {
 // relative to its mean to bound tightly.
 const blameQualifyRequests = 5
 
-func runBlameConservation(cfg HypothesisConfig) HypothesisResult {
-	// "" runs bare; the armed leg exercises the shed component of the
-	// decomposition (TestTracedRunBlameAccountsForResponseTime pins the
-	// same bound in-process on a short calm run — this is the declared,
-	// multi-seed version under genuine overload and shedding).
-	policies := []struct{ label, spec string }{
-		{"bare", ""},
-		{"queue-cap", "queue-cap:cap=300"},
-	}
-	var cfgs []RunConfig
-	type cellKey struct {
-		label string
-		seed  uint64
-	}
-	var keys []cellKey
-	for _, p := range policies {
-		for s := 0; s < cfg.Seeds; s++ {
-			rc := DefaultRunConfig(scaling.EC2, workload.BigSpike)
-			rc.MaxUsers = cfg.Users
-			rc.Duration = cfg.Duration
-			rc.Seed = cfg.BaseSeed + uint64(s)
-			rc.Tracing = &trace.Config{SampleRate: 1.0 / 16}
-			if p.spec != "" {
-				pc, err := admission.Parse(p.spec)
-				if err != nil {
-					panic(err) // static spec above
-				}
-				rc.Admission = map[cluster.Tier]admission.Config{
-					cluster.Web: pc,
-					cluster.App: pc,
-				}
-			}
-			cfgs = append(cfgs, rc)
-			keys = append(keys, cellKey{p.label, rc.Seed})
-		}
-	}
-	results := RunMany(cfgs)
+// blamePolicies are blame-conservation's admission arms. "" runs bare; the armed leg exercises the shed component
+// of the decomposition (TestTracedRunBlameAccountsForResponseTime pins
+// the same bound in-process on a short calm run — this is the declared,
+// multi-seed version under genuine overload and shedding).
+var blamePolicies = []struct{ label, spec string }{
+	{"bare", ""},
+	{"queue-cap", "queue-cap:cap=300"},
+}
 
+func blameConservationCells(cfg HypothesisConfig) []Cell {
+	var cells []Cell
+	for _, p := range blamePolicies {
+		rc := DefaultRunConfig(scaling.EC2, workload.BigSpike)
+		rc.MaxUsers = cfg.Users
+		rc.Duration = cfg.Duration
+		rc.Tracing = &trace.Config{SampleRate: 1.0 / 16}
+		if p.spec != "" {
+			pc, err := admission.Parse(p.spec)
+			if err != nil {
+				panic(err) // static spec above
+			}
+			rc.Admission = map[cluster.Tier]admission.Config{
+				cluster.Web: pc,
+				cluster.App: pc,
+			}
+		}
+		cells = append(cells, cfg.seeded(p.label, rc)...)
+	}
+	return cells
+}
+
+func foldBlameConservation(_ HypothesisConfig, cells []Cell, results []*RunResult) HypothesisResult {
 	r := HypothesisResult{
 		Columns: []string{"policy", "seed", "rows", "qualifying", "min_sum_over_rt", "max_sum_over_rt", "sheds"},
 	}
@@ -474,7 +512,7 @@ func runBlameConservation(cfg HypothesisConfig) HypothesisResult {
 	var armedSheds uint64
 	thinRuns := 0
 	for i, res := range results {
-		k := keys[i]
+		_, label, _ := strings.Cut(cells[i].Key, "/")
 		rows := res.Tracer.BlameTable()
 		qualifying := 0
 		minR, maxR := math.Inf(1), math.Inf(-1)
@@ -492,7 +530,7 @@ func runBlameConservation(cfg HypothesisConfig) HypothesisResult {
 			}
 		}
 		r.Rows = append(r.Rows, []string{
-			k.label, strconv.FormatUint(k.seed, 10), strconv.Itoa(len(rows)),
+			label, strconv.FormatUint(cells[i].Config.Seed, 10), strconv.Itoa(len(rows)),
 			strconv.Itoa(qualifying), fmtF(minR), fmtF(maxR),
 			strconv.FormatUint(res.Sheds, 10),
 		})
@@ -500,14 +538,14 @@ func runBlameConservation(cfg HypothesisConfig) HypothesisResult {
 			thinRuns++
 			continue
 		}
-		minsByLabel[k.label] = append(minsByLabel[k.label], minR)
-		maxByLabel[k.label] = append(maxByLabel[k.label], maxR)
-		if k.label != "bare" {
+		minsByLabel[label] = append(minsByLabel[label], minR)
+		maxByLabel[label] = append(maxByLabel[label], maxR)
+		if label != "bare" {
 			armedSheds += res.Sheds
 		}
 	}
 
-	for _, p := range policies {
+	for _, p := range blamePolicies {
 		mean, lo, hi := meanCI(minsByLabel[p.label])
 		r.Metrics = append(r.Metrics, HypoMetric{
 			Name: fmt.Sprintf("min_sum_over_rt[%s]", p.label),
@@ -535,49 +573,37 @@ func runBlameConservation(cfg HypothesisConfig) HypothesisResult {
 	return r
 }
 
-func runSCTDominance(cfg HypothesisConfig) HypothesisResult {
-	var cfgs []RunConfig
-	type cellKey struct {
-		trace string
-		mode  scaling.Mode
-		seed  uint64
-	}
-	var keys []cellKey
+// sctDominanceCells runs EC2's seeds, then ConScale's, on every trace.
+func sctDominanceCells(cfg HypothesisConfig) []Cell {
+	var cells []Cell
 	for _, tr := range cfg.Traces {
 		for _, mode := range []scaling.Mode{scaling.EC2, scaling.ConScale} {
-			for s := 0; s < cfg.Seeds; s++ {
-				rc := DefaultRunConfig(mode, tr)
-				rc.MaxUsers = cfg.Users
-				rc.Duration = cfg.SweepDuration
-				rc.Seed = cfg.BaseSeed + uint64(s)
-				rc.WarmupSkip = 30 * des.Second
-				cfgs = append(cfgs, rc)
-				keys = append(keys, cellKey{tr, mode, rc.Seed})
-			}
+			rc := DefaultRunConfig(mode, tr)
+			rc.MaxUsers = cfg.Users
+			rc.Duration = cfg.SweepDuration
+			rc.WarmupSkip = 30 * des.Second
+			cells = append(cells, cfg.seeded(tr, rc)...)
 		}
 	}
-	results := RunMany(cfgs)
+	return cells
+}
 
-	p99 := map[cellKey]float64{}
-	for i, res := range results {
-		p99[keys[i]] = res.P99
-	}
+func foldSCTDominance(cfg HypothesisConfig, cells []Cell, results []*RunResult) HypothesisResult {
 	r := HypothesisResult{
 		Columns: []string{"trace", "seed", "p99_ec2_ms", "p99_conscale_ms", "diff_ms"},
 	}
 	wins := 0
 	var pooled []float64
-	for _, tr := range cfg.Traces {
+	for t := 0; t < len(cells); t += 2 * cfg.Seeds {
+		tr := cells[t].Config.TraceName
 		var diffs []float64
-		for s := 0; s < cfg.Seeds; s++ {
-			seed := cfg.BaseSeed + uint64(s)
-			e := p99[cellKey{tr, scaling.EC2, seed}]
-			c := p99[cellKey{tr, scaling.ConScale, seed}]
+		for s := t; s < t+cfg.Seeds; s++ {
+			e, c := results[s].P99, results[s+cfg.Seeds].P99
 			d := e - c
 			diffs = append(diffs, d)
 			pooled = append(pooled, d)
 			r.Rows = append(r.Rows, []string{
-				tr, strconv.FormatUint(seed, 10),
+				tr, strconv.FormatUint(cells[s].Config.Seed, 10),
 				fmtF(e * 1000), fmtF(c * 1000), fmtF(d * 1000),
 			})
 		}
@@ -673,10 +699,10 @@ func fmtF(v float64) string {
 	return strconv.FormatFloat(v, 'f', 4, 64)
 }
 
-// RenderHypotheses writes the per-hypothesis FINDINGS-style table: the
+// renderHypotheses writes the per-hypothesis FINDINGS-style table: the
 // declaration, the verdict, and each checked metric with its CI and
 // bound.
-func RenderHypotheses(w io.Writer, results []HypothesisResult) error {
+func renderHypotheses(w io.Writer, results []HypothesisResult) error {
 	return sticky(func(w io.Writer) {
 		for _, r := range results {
 			gate := ""
@@ -698,10 +724,10 @@ func RenderHypotheses(w io.Writer, results []HypothesisResult) error {
 	})(w)
 }
 
-// HypothesisArtifacts is each hypothesis's per-cell rows as
+// hypothesisArtifacts is each hypothesis's per-cell rows as
 // hypothesis_<id>.csv and the one-row-per-metric summary as
 // hypothesis_summary.csv.
-func HypothesisArtifacts(results []HypothesisResult) []Artifact {
+func hypothesisArtifacts(results []HypothesisResult) []Artifact {
 	var arts []Artifact
 	for _, r := range results {
 		arts = append(arts, Artifact{"hypothesis_" + sanitize(r.ID) + ".csv", sticky(func(w io.Writer) {

@@ -41,7 +41,7 @@ func TestHypothesisIDsAndUnknown(t *testing.T) {
 			t.Fatalf("ids[%d] = %q, want %q (full list %v)", i, ids[i], id, ids)
 		}
 	}
-	if _, err := RunHypotheses(HypothesisConfig{IDs: []string{"nope"}}); err == nil {
+	if _, err := HypothesisStudy(HypothesisConfig{IDs: []string{"nope"}}); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
@@ -63,7 +63,7 @@ func TestGatedFailures(t *testing.T) {
 		{ID: "b", Gated: true, Verdict: VerdictRefuted, Detail: "boom"},
 		{ID: "c", Gated: false, Verdict: VerdictRefuted},
 	}
-	fails := GatedFailures(results)
+	fails := gatedFailures(results)
 	if len(fails) != 1 || !strings.Contains(fails[0], "b:") {
 		t.Fatalf("fails = %v", fails)
 	}
@@ -76,18 +76,20 @@ func TestHypothesisSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run hypothesis sweep")
 	}
-	results, err := RunHypotheses(HypothesisConfig{
+	cfg := HypothesisConfig{
 		IDs:      []string{"twin-steady", "drift-calm"},
 		Seeds:    1,
 		Duration: 180 * des.Second,
-	})
+	}
+	s, err := HypothesisStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := cfg.withDefaults().fold(s.Cells, s.Run(nil))
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
-	arts := HypothesisArtifacts(results)
+	arts := hypothesisArtifacts(results)
 	if len(arts) != len(results)+1 {
 		t.Fatalf("%d artifacts for %d hypotheses, want one each plus the summary", len(arts), len(results))
 	}
@@ -109,11 +111,11 @@ func TestHypothesisSmoke(t *testing.T) {
 			t.Errorf("%s: csv rows = %d, want %d", r.ID, got, len(r.Rows)+1)
 		}
 	}
-	if fails := GatedFailures(results); len(fails) != 0 {
+	if fails := gatedFailures(results); len(fails) != 0 {
 		t.Errorf("gated failures: %v", fails)
 	}
 	var buf bytes.Buffer
-	if err := RenderHypotheses(&buf, results); err != nil {
+	if err := renderHypotheses(&buf, results); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -71,15 +71,10 @@ func TestParallelForBoundsConcurrency(t *testing.T) {
 // Table 1 rows byte-identically to the strictly sequential path at the
 // same seed. (Each run owns its engine and PRNG; results merge by index.)
 func TestParallelMatchesSequentialTable1(t *testing.T) {
-	shortCfg := func(mode scaling.Mode, trace string) RunConfig {
-		cfg := DefaultRunConfig(mode, trace)
-		cfg.Duration = 90 * des.Second
-		cfg.MaxUsers = 2500
-		return cfg
-	}
 	render := func() []byte {
+		s := shrink(Table1Study(11), 90*des.Second, 2500)
 		var buf bytes.Buffer
-		RenderTable1(&buf, table1(11, shortCfg))
+		renderTable1(&buf, table1Rows(s.Cells, s.Run(nil)))
 		return buf.Bytes()
 	}
 	var seq, par []byte
@@ -94,8 +89,9 @@ func TestParallelMatchesSequentialTable1(t *testing.T) {
 // identical rows, byte-identical rendering at any worker count.
 func TestParallelMatchesSequentialChaosTable(t *testing.T) {
 	render := func() []byte {
+		s := only(chaosStudy(7, 120*des.Second), "interference")
 		var buf bytes.Buffer
-		RenderChaosTable(&buf, ChaosScenarioTable(7, "interference", 120*des.Second))
+		renderChaosTable(&buf, chaosRows(s.Cells, s.Run(nil)))
 		return buf.Bytes()
 	}
 	var seq, par []byte
@@ -113,7 +109,7 @@ func TestParallelMatchesSequentialSweep(t *testing.T) {
 	cfg.Measure = 3 * des.Second
 	render := func() []byte {
 		var buf bytes.Buffer
-		if err := WriteSweepCSV(&buf, Sweep(cfg)); err != nil {
+		if err := writeSweepCSV(&buf, Sweep(cfg)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

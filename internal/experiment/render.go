@@ -41,8 +41,8 @@ func WriteTimelineCSV(w io.Writer, r *RunResult) error {
 	})(w)
 }
 
-// WriteSweepCSV emits a profiling sweep (Fig. 3/7 panels) as CSV.
-func WriteSweepCSV(w io.Writer, s SweepResult) error {
+// writeSweepCSV emits a profiling sweep (Fig. 3/7 panels) as CSV.
+func writeSweepCSV(w io.Writer, s SweepResult) error {
 	return sticky(func(w io.Writer) {
 		fmt.Fprintln(w, "level,concurrency,throughput_rps,mean_rt_ms")
 		for _, p := range s.Points {
@@ -51,8 +51,8 @@ func WriteSweepCSV(w io.Writer, s SweepResult) error {
 	})(w)
 }
 
-// WriteTraceCSV emits the Fig. 9 trace curves side by side.
-func WriteTraceCSV(w io.Writer, traces []TraceSeries) error {
+// writeTraceCSV emits the Fig. 9 trace curves side by side.
+func writeTraceCSV(w io.Writer, traces []TraceSeries) error {
 	return sticky(func(w io.Writer) {
 		fmt.Fprint(w, "time_s")
 		maxLen := 0
@@ -75,42 +75,8 @@ func WriteTraceCSV(w io.Writer, traces []TraceSeries) error {
 	})(w)
 }
 
-// RenderFig1 summarises Fig. 1's run: its worst second, p99 and
-// scaling-event count.
-func RenderFig1(w io.Writer, r *RunResult) {
-	fmt.Fprintf(w, "   maxRT=%.0fms p99=%.0fms, %d scaling events\n", r.MaxRT()*1000, r.P99*1000, len(r.Events))
-}
-
-// RenderFig3 prints the three measured knees beside the paper's.
-func RenderFig3(w io.Writer, r Fig3Result) {
-	fmt.Fprintf(w, "   knees: 1-core=%d, 2-core=%d, 2-core enlarged=%d (paper: 10/20/15)\n",
-		r.OneCore.Qlower, r.TwoCore.Qlower, r.TwoCoreEnlarged.Qlower)
-}
-
-// RenderFig5 prints the window count and span of Fig. 5's series.
-func RenderFig5(w io.Writer, r Fig5Result) {
-	fmt.Fprintf(w, "   %d windows over [%.0fs, %.0fs)\n", len(r.Samples), float64(r.From), float64(r.To))
-}
-
-// RenderFig6 prints the rational concurrency range Fig. 6 derives.
-func RenderFig6(w io.Writer, r Fig6Result) {
-	if !r.OK {
-		fmt.Fprintln(w, "   estimate unavailable")
-		return
-	}
-	fmt.Fprintf(w, "   rational range [%d, %d], plateau %.0f q/s, optimal setting %d\n",
-		r.Estimate.Qlower, r.Estimate.Qupper, r.Estimate.PlateauTP, r.Estimate.Optimal())
-}
-
-// RenderFig7 prints each Fig. 7 panel's knee and peak throughput.
-func RenderFig7(w io.Writer, panels []Fig7Panel) {
-	for _, p := range panels {
-		fmt.Fprintf(w, "   %s: Qlower=%d TPmax=%.0f\n", p.Label, p.Sweep.Qlower, p.Sweep.MaxTP)
-	}
-}
-
-// RenderTable1 formats Table I in the paper's layout.
-func RenderTable1(w io.Writer, rows []Table1Row) {
+// renderTable1 formats Table I in the paper's layout.
+func renderTable1(w io.Writer, rows []Table1Row) {
 	fmt.Fprintf(w, "%-20s %14s %14s\n", "Trace", "EC2 p95/p99", "ConScale p95/p99")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-20s %6.0f/%6.0f  %6.0f/%6.0f ms\n",
@@ -118,19 +84,19 @@ func RenderTable1(w io.Writer, rows []Table1Row) {
 	}
 }
 
-// RenderAblation prints ablation rows.
-func RenderAblation(w io.Writer, title string, rows []AblationRow) {
+// renderAblation prints ablation rows.
+func renderAblation(w io.Writer, title string, rows []ablationRow) {
 	fmt.Fprintln(w, title)
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-18s p95=%6.0fms p99=%6.0fms %s\n", r.Label, r.P95*1000, r.P99*1000, r.Detail)
 	}
 }
 
-// RenderCompare summarises a baseline-vs-ConScale pair.
-func RenderCompare(w io.Writer, c CompareResult) {
-	for _, r := range []*RunResult{c.Baseline, c.ConScale} {
-		fmt.Fprintf(w, "%-16s p50=%5.0fms p95=%6.0fms p99=%6.0fms maxRT=%6.0fms err=%.3f goodput=%d\n",
-			r.Mode, r.P50*1000, r.P95*1000, r.P99*1000, r.MaxRT()*1000, r.ErrorRate, r.Goodput)
+// renderRuns prints each run's headline numbers, one line per run.
+func renderRuns(w io.Writer, results []*RunResult) {
+	for _, r := range results {
+		fmt.Fprintf(w, "%-16s p50=%5.0fms p95=%6.0fms p99=%6.0fms maxRT=%6.0fms err=%.3f goodput=%d, %d scaling events\n",
+			r.Mode, r.P50*1000, r.P95*1000, r.P99*1000, r.MaxRT()*1000, r.ErrorRate, r.Goodput, len(r.Events))
 	}
 }
 
@@ -143,8 +109,8 @@ func RenderRunSummary(w io.Writer, r *RunResult) {
 	}
 }
 
-// RenderChaosTable prints the robustness matrix grouped by scenario.
-func RenderChaosTable(w io.Writer, rows []ChaosRow) {
+// renderChaosTable prints the robustness matrix grouped by scenario.
+func renderChaosTable(w io.Writer, rows []ChaosRow) {
 	fmt.Fprintf(w, "%-14s %-16s %9s %9s %7s %9s %8s\n",
 		"scenario", "controller", "p95", "p99", "err", "goodput", "faults")
 	prev := ""
@@ -161,10 +127,10 @@ func RenderChaosTable(w io.Writer, rows []ChaosRow) {
 	}
 }
 
-// RenderChaosTimeline draws a run's per-second response-time chart with a
+// renderChaosTimeline draws a run's per-second response-time chart with a
 // fault-window overlay bar ('#' marks seconds inside at least one fault
 // window) and lists the activated faults.
-func RenderChaosTimeline(w io.Writer, title string, r *RunResult) {
+func renderChaosTimeline(w io.Writer, title string, r *RunResult) {
 	const width, gutter = 72, 10
 	xs := make([]float64, 0, len(r.Timeline))
 	ys := make([]float64, 0, len(r.Timeline))

@@ -11,10 +11,11 @@ import (
 // comparison — the three results that define whether the reproduction
 // holds.
 type Report struct {
-	Seed    uint64
-	Table1  []Table1Row
-	Fig3    Fig3Result
-	Fig11   CompareResult
+	Seed   uint64
+	Table1 []Table1Row
+	Fig3   Fig3Result
+	// Fig11 is Fig11Study's DCM run, then its ConScale run.
+	Fig11   []*RunResult
 	Elapsed time.Duration
 }
 
@@ -27,18 +28,21 @@ func BuildReport(seed uint64) *Report {
 	// The three headline experiments are independent; let them overlap in
 	// the pool on top of their own internal fan-out.
 	parts := []func(){
-		func() { r.Table1 = Table1(seed) },
+		func() {
+			s := Table1Study(seed)
+			r.Table1 = table1Rows(s.Cells, s.Run(nil))
+		},
 		func() { r.Fig3 = Fig3(seed) },
-		func() { r.Fig11 = Fig11(seed) },
+		func() { r.Fig11 = Fig11Study(seed).Run(nil) },
 	}
 	ParallelFor(len(parts), func(i int) { parts[i]() })
 	r.Elapsed = time.Since(start)
 	return r
 }
 
-// ReportArtifacts is the report as markdown, REPORT.md.
-func ReportArtifacts(r *Report) []Artifact {
-	return []Artifact{{"REPORT.md", r.WriteMarkdown}}
+// ReportOutcome builds the report and returns it as markdown, REPORT.md.
+func ReportOutcome(seed uint64) Outcome {
+	return Outcome{Artifacts: []Artifact{{"REPORT.md", BuildReport(seed).WriteMarkdown}}}
 }
 
 // WriteMarkdown renders the report as a standalone markdown document with
@@ -78,7 +82,7 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 		}
 		p("\nShape (ConScale wins both percentiles on every trace): **%s**\n\n", verdict)
 
-		d, c := r.Fig11.Baseline, r.Fig11.ConScale
+		d, c := r.Fig11[0], r.Fig11[1]
 		p("## Fig. 11 — stale offline profile (DCM) vs online adaption (ConScale)\n\n"+
 			"| Framework | p95 (ms) | p99 (ms) | goodput |\n|---|---|---|---|\n"+
 			"| DCM (profile trained on the original dataset) | %.0f | %.0f | %d |\n"+

@@ -45,7 +45,8 @@ type RunConfig struct {
 	// the same policies Mode selects.
 	Controller string
 
-	// ThinkTime is the mean user think time (7 s, the RUBBoS default).
+	// ThinkTime is the mean user think time in seconds.
+	// DefaultRunConfig sets 3; Run reads 0 as 7, the RUBBoS default.
 	ThinkTime float64
 
 	// Cluster overrides; zero values take cluster.DefaultConfig.
@@ -126,7 +127,7 @@ type TelemetryOptions struct {
 }
 
 // DefaultRunConfig returns the paper's evaluation parameters: 7500 users,
-// 12 minutes, 7 s think time, 1/1/1 start, soft resources 1000-60-40.
+// 12 minutes, 3 s think time, 1/1/1 start, soft resources 1000-60-40.
 func DefaultRunConfig(mode scaling.Mode, traceName string) RunConfig {
 	return RunConfig{
 		Mode:      mode,

@@ -543,10 +543,10 @@ func WriteScaleReport(w io.Writer, rows []ScaleRow) error {
 	return enc.Encode(rep)
 }
 
-// ScaleArtifacts is the sweep as scale_summary.csv and BENCH_7.json,
-// plus the client timeline of one showcase run (nil: none) as
-// scale_timeline_<mode>_<clients>.csv.
-func ScaleArtifacts(rows []ScaleRow, showcase *ScaleResult) []Artifact {
+// ScaleOutcome prints the sweep as an aligned ASCII table and writes
+// it as scale_summary.csv and BENCH_7.json, plus the client timeline of
+// one showcase run (nil: none) as scale_timeline_<mode>_<clients>.csv.
+func ScaleOutcome(rows []ScaleRow, showcase *ScaleResult) Outcome {
 	arts := []Artifact{{"scale_summary.csv", sticky(func(w io.Writer) {
 		fmt.Fprintln(w, "mode,clients,cells,workers,duration_s,wall_s,events,events_per_s,peak_heap_mb,requests,goodput,error_rate,p50_ms,p95_ms,p99_ms,vms,scale_actions")
 		for _, r := range rows {
@@ -561,11 +561,14 @@ func ScaleArtifacts(rows []ScaleRow, showcase *ScaleResult) []Artifact {
 			fmt.Sprintf("scale_timeline_%s_%d.csv", sanitize(showcase.Mode.String()), showcase.Clients),
 			sticky(func(w io.Writer) { WriteScaleTimelineCSV(w, showcase) })})
 	}
-	return append(arts, Artifact{"BENCH_7.json", func(w io.Writer) error { return WriteScaleReport(w, rows) }})
+	return Outcome{
+		Summary:   sticky(func(w io.Writer) { renderScale(w, rows) }),
+		Artifacts: append(arts, Artifact{"BENCH_7.json", func(w io.Writer) error { return WriteScaleReport(w, rows) }}),
+	}
 }
 
-// RenderScale prints the sweep as an aligned ASCII table.
-func RenderScale(w io.Writer, rows []ScaleRow) {
+// renderScale prints the sweep as an aligned ASCII table.
+func renderScale(w io.Writer, rows []ScaleRow) {
 	fmt.Fprintf(w, "%-9s %9s %6s %4s %8s %12s %10s %9s %8s %8s %8s %6s %7s\n",
 		"mode", "clients", "cells", "wrk", "wall_s", "events", "events/s", "heap_MB", "p50_ms", "p99_ms", "err", "vms", "actions")
 	for _, r := range rows {

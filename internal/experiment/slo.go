@@ -206,92 +206,74 @@ func EvaluateSLO(res *RunResult) SLORow {
 	return row
 }
 
-// SLORun is one (trace, controller) cell of the detection comparison.
-type SLORun struct {
-	Trace string
-	Mode  scaling.Mode
-	Res   *RunResult
-	Row   SLORow
-}
-
-// SLODetection runs the full comparison at the paper's evaluation size.
-// open, if non-nil, receives the headline trace's scrape timelines (see
-// SLORunsSized).
-func SLODetection(seed uint64, open func(name string) io.Writer) []SLORun {
-	return SLORunsSized(seed, 720*des.Second, 7500, open)
-}
-
-// SLORunsSized runs every bursty trace under the three controllers with
-// telemetry and tracing armed, fanned out over the worker pool, and scores
-// each run. Traces iterate in canonical order, controllers in blame order,
-// so output ordering is deterministic. open, if non-nil, is asked before
-// any run starts for one writer per controller, named
-// slo_scrape_<controller>.om: the headline (large-variations) trace's run
-// streams its OpenMetrics scrape timeline into it, a file any
-// Prometheus-compatible tool can replay. A nil writer keeps none.
-func SLORunsSized(seed uint64, duration des.Time, users int, open func(name string) io.Writer) []SLORun {
+// SLOStudy runs every bursty trace under the three controllers at the
+// paper's size, with telemetry and tracing armed. Traces iterate in
+// canonical order, controllers in chaos order, each cell keyed by its
+// trace. The headline (large-variations) trace's cells stream their
+// OpenMetrics scrape timelines to slo_scrape_<controller>.om, a file any
+// Prometheus-compatible tool can replay. It prints the detection table
+// and writes it as slo_leadtime.csv; lead times are empty where no
+// episode saw both signals.
+func SLOStudy(seed uint64) Study {
 	profile := AnalyticDCMProfile(cluster.DefaultConfig())
-	traces := workload.Names()
-	var cfgs []RunConfig
-	for _, tr := range traces {
-		for _, mode := range blameModes {
-			cfg := DefaultRunConfig(mode, tr)
-			cfg.Seed = seed
-			cfg.Duration = duration
-			cfg.MaxUsers = users
+	var cells []Cell
+	for _, tr := range workload.Names() {
+		for _, mode := range paperModes {
+			cfg := paperRun(mode, tr, seed)
 			cfg.Telemetry = &TelemetryOptions{}
-			if open != nil && tr == workload.LargeVariations {
-				cfg.Telemetry.OpenMetrics = open("slo_scrape_" + sanitize(mode.String()) + ".om")
-			}
 			// The audit trail carries the CPU triggers and SLO transitions;
 			// light head sampling keeps the span machinery out of the way.
 			cfg.Tracing = &trace.Config{SampleRate: 1.0 / 64}
 			cfg.Framework = profiledConfig(mode, profile)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results := RunMany(cfgs)
-	out := make([]SLORun, len(results))
-	for i, res := range results {
-		out[i] = SLORun{Trace: res.Trace, Mode: res.Mode, Res: res, Row: EvaluateSLO(res)}
-	}
-	return out
-}
-
-// SLOArtifacts is the detection table, slo_leadtime.csv. Lead times
-// are empty where no episode saw both signals.
-func SLOArtifacts(runs []SLORun) []Artifact {
-	return []Artifact{{"slo_leadtime.csv", sticky(func(w io.Writer) {
-		fmt.Fprintln(w, "trace,controller,episodes,alerts,detected,true_positives,precision,recall,lead_count,mean_lead_s,min_lead_s,max_lead_s,slo_only")
-		for _, r := range runs {
-			lead, lo, hi := "", "", ""
-			if r.Row.LeadCount > 0 {
-				lead = fmt.Sprintf("%.1f", r.Row.MeanLead)
-				lo = fmt.Sprintf("%.1f", r.Row.MinLead)
-				hi = fmt.Sprintf("%.1f", r.Row.MaxLead)
+			cell := Cell{Key: tr, Config: cfg}
+			if tr == workload.LargeVariations {
+				cell.Scrape = "slo_scrape_" + sanitize(mode.String()) + ".om"
 			}
-			fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d,%.3f,%.3f,%d,%s,%s,%s,%d\n",
-				r.Trace, r.Mode, r.Row.Episodes, r.Row.Alerts, r.Row.Detected,
-				r.Row.TruePositives, r.Row.Precision, r.Row.Recall,
-				r.Row.LeadCount, lead, lo, hi, r.Row.SLOOnly)
+			cells = append(cells, cell)
 		}
-	})}}
+	}
+	return Study{Cells: cells, Fold: foldSLO}
 }
 
-// RenderSLO prints the detection comparison table.
-func RenderSLO(w io.Writer, runs []SLORun) {
+func foldSLO(_ []Cell, results []*RunResult) Outcome {
+	rows := make([]SLORow, len(results))
+	for i, res := range results {
+		rows[i] = EvaluateSLO(res)
+	}
+	return Outcome{
+		Summary: sticky(func(w io.Writer) { renderSLO(w, rows) }),
+		Artifacts: []Artifact{{"slo_leadtime.csv", sticky(func(w io.Writer) {
+			fmt.Fprintln(w, "trace,controller,episodes,alerts,detected,true_positives,precision,recall,lead_count,mean_lead_s,min_lead_s,max_lead_s,slo_only")
+			for _, r := range rows {
+				lead, lo, hi := "", "", ""
+				if r.LeadCount > 0 {
+					lead = fmt.Sprintf("%.1f", r.MeanLead)
+					lo = fmt.Sprintf("%.1f", r.MinLead)
+					hi = fmt.Sprintf("%.1f", r.MaxLead)
+				}
+				fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d,%.3f,%.3f,%d,%s,%s,%s,%d\n",
+					r.Trace, r.Mode, r.Episodes, r.Alerts, r.Detected,
+					r.TruePositives, r.Precision, r.Recall,
+					r.LeadCount, lead, lo, hi, r.SLOOnly)
+			}
+		})}},
+	}
+}
+
+// renderSLO prints the detection comparison table.
+func renderSLO(w io.Writer, rows []SLORow) {
 	fmt.Fprintln(w, "SLO burn-rate detection vs 80% CPU threshold (p99 < 300 ms objective)")
 	fmt.Fprintf(w, "  %-16s %-16s %8s %7s %5s %5s %9s %8s %8s\n",
 		"trace", "controller", "episodes", "alerts", "prec", "rec", "mean lead", "min", "max")
-	for _, r := range runs {
+	for _, r := range rows {
 		lead, lo, hi := "n/a", "", ""
-		if r.Row.LeadCount > 0 {
-			lead = fmt.Sprintf("%+.1fs", r.Row.MeanLead)
-			lo = fmt.Sprintf("%+.0fs", r.Row.MinLead)
-			hi = fmt.Sprintf("%+.0fs", r.Row.MaxLead)
+		if r.LeadCount > 0 {
+			lead = fmt.Sprintf("%+.1fs", r.MeanLead)
+			lo = fmt.Sprintf("%+.0fs", r.MinLead)
+			hi = fmt.Sprintf("%+.0fs", r.MaxLead)
 		}
 		fmt.Fprintf(w, "  %-16s %-16s %8d %7d %5.2f %5.2f %9s %8s %8s\n",
-			r.Trace, r.Mode, r.Row.Episodes, r.Row.Alerts,
-			r.Row.Precision, r.Row.Recall, lead, lo, hi)
+			r.Trace, r.Mode, r.Episodes, r.Alerts,
+			r.Precision, r.Recall, lead, lo, hi)
 	}
 }

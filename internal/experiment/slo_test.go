@@ -153,24 +153,26 @@ func TestEvaluateSLONoTelemetry(t *testing.T) {
 // TestSLORunsShort drives the whole matrix at test size and checks the
 // scored rows are internally consistent and the render holds together.
 func TestSLORunsShort(t *testing.T) {
-	runs := SLORunsSized(1, ShortDuration, 5000, nil)
+	results := shrink(SLOStudy(1), ShortDuration, 5000).Run(nil)
 	traces := workload.Names()
-	if len(runs) != len(traces)*3 {
-		t.Fatalf("got %d runs, want %d", len(runs), len(traces)*3)
+	if len(results) != len(traces)*3 {
+		t.Fatalf("got %d runs, want %d", len(results), len(traces)*3)
 	}
+	rows := make([]SLORow, len(results))
 	totalEpisodes, totalAlerts := 0, 0
-	for i, r := range runs {
+	for i, r := range results {
 		wantTrace := traces[i/3]
 		if r.Trace != wantTrace {
 			t.Fatalf("run %d trace %s, want %s", i, r.Trace, wantTrace)
 		}
-		if r.Res.SLO == nil || r.Res.Registry == nil {
+		if r.SLO == nil || r.Registry == nil {
 			t.Fatalf("%s/%s: telemetry layer missing", r.Trace, r.Mode)
 		}
-		if r.Res.SLOTruth == nil {
+		if r.SLOTruth == nil {
 			t.Fatalf("%s/%s: no ground truth kept", r.Trace, r.Mode)
 		}
-		row := r.Row
+		row := EvaluateSLO(r)
+		rows[i] = row
 		if row.Detected > row.Episodes || row.TruePositives > row.Alerts {
 			t.Fatalf("%s/%s: inconsistent counts %+v", r.Trace, r.Mode, row)
 		}
@@ -193,7 +195,7 @@ func TestSLORunsShort(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	RenderSLO(&buf, runs)
+	renderSLO(&buf, rows)
 	out := buf.String()
 	for _, want := range []string{"burn-rate", "mean lead", "conscale", "ec2-autoscaling"} {
 		if !strings.Contains(out, want) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"conscale/internal/cluster"
@@ -149,54 +150,64 @@ type TournamentResult struct {
 	Ranking []TournamentRank
 }
 
-// RunTournament executes the factorial and ranks the controllers. Every
-// cell runs with telemetry (for SLO burn accounting) and the audit
-// trail armed, flowing each controller's decisions through the same
-// observability stack the single-run experiments use. Cells fan out
-// over the harness worker pool into indexed slots, so the result is the
-// same at any worker count. A config that fails Validate returns its
-// error before any cell runs.
-func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
+// TournamentStudy is the factorial: every cell a controller on a trace
+// at a tier, in controllers × traces × ascending tiers order and keyed
+// by its controller, run with telemetry (for SLO burn accounting) and
+// the audit trail armed, so each controller's decisions flow through the
+// same observability stack the single-run experiments use. It ranks the
+// controllers and writes the cells as tournament_summary.csv and
+// BENCH_6.json. A config that fails Validate returns its error.
+func TournamentStudy(cfg TournamentConfig) (Study, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Study{}, err
 	}
 	cfg = cfg.WithDefaults()
-
-	type cellSpec struct {
-		ctrl, trace string
-		users       int
-	}
-	var specs []cellSpec
+	cfg.Tiers = slices.Clone(cfg.Tiers)
+	slices.Sort(cfg.Tiers)
+	profile := AnalyticDCMProfile(cluster.DefaultConfig())
+	var cells []Cell
 	for _, ctrl := range cfg.Controllers {
 		for _, tr := range cfg.Traces {
 			for _, users := range cfg.Tiers {
-				specs = append(specs, cellSpec{ctrl: ctrl, trace: tr, users: users})
+				fcfg := profiledConfig(scaling.EC2, profile) // Controller, not Mode, names the policy
+				shortHorizonSCT(fcfg, 60*des.Second)
+				cells = append(cells, Cell{Key: ctrl, Config: RunConfig{
+					Controller: ctrl,
+					TraceName:  tr,
+					MaxUsers:   users,
+					Duration:   cfg.Duration,
+					Seed:       cfg.Seed,
+					ThinkTime:  3,
+					Framework:  fcfg,
+					Tracing:    &trace.Config{},
+					Telemetry:  &TelemetryOptions{},
+					WarmupSkip: cfg.WarmupSkip,
+				}})
 			}
 		}
 	}
+	fold := func(cells []Cell, results []*RunResult) Outcome {
+		res := tournamentResult(cfg.Controllers, cells, results)
+		return Outcome{
+			Summary: sticky(func(w io.Writer) { renderTournament(w, res) }),
+			Artifacts: []Artifact{
+				{"tournament_summary.csv", sticky(func(w io.Writer) { writeTournamentCSV(w, res) })},
+				{"BENCH_6.json", func(w io.Writer) error { return writeTournamentReport(w, res) }},
+			},
+		}
+	}
+	return Study{Cells: cells, Fold: fold}, nil
+}
 
-	profile := AnalyticDCMProfile(cluster.DefaultConfig())
-	res := &TournamentResult{Cells: make([]TournamentCell, len(specs))}
-	ParallelFor(len(specs), func(i int) {
-		spec := specs[i]
-		fcfg := profiledConfig(scaling.EC2, profile) // Controller, not Mode, names the policy
-		shortHorizonSCT(fcfg, 60*des.Second)
-		r := Run(RunConfig{
-			Controller: spec.ctrl,
-			TraceName:  spec.trace,
-			MaxUsers:   spec.users,
-			Duration:   cfg.Duration,
-			Seed:       cfg.Seed,
-			ThinkTime:  3,
-			Framework:  fcfg,
-			Tracing:    &trace.Config{},
-			Telemetry:  &TelemetryOptions{},
-			WarmupSkip: cfg.WarmupSkip,
-		})
-		res.Cells[i] = tournamentCell(spec.ctrl, spec.trace, spec.users, r)
-	})
-	res.Ranking = rankTournament(cfg.Controllers, res.Cells)
-	return res, nil
+// tournamentResult scores every cell and ranks the controllers.
+func tournamentResult(controllers []string, cells []Cell, results []*RunResult) *TournamentResult {
+	res := &TournamentResult{Cells: make([]TournamentCell, len(cells))}
+	for i, r := range results {
+		c := cells[i].Config
+		res.Cells[i] = tournamentCell(c.Controller, c.TraceName, c.MaxUsers, r)
+	}
+	res.Ranking = rankTournament(controllers, res.Cells)
+	return res
 }
 
 // tournamentCell scores one finished run.
@@ -304,8 +315,8 @@ type TournamentReport struct {
 	Cells   []TournamentCell `json:"tournament"`
 }
 
-// WriteTournamentReport writes the tournament as indented JSON.
-func WriteTournamentReport(w io.Writer, res *TournamentResult) error {
+// writeTournamentReport writes the tournament as indented JSON.
+func writeTournamentReport(w io.Writer, res *TournamentResult) error {
 	rep := TournamentReport{
 		Schema:  "conscale-bench/6",
 		Ranking: res.Ranking,
@@ -316,9 +327,9 @@ func WriteTournamentReport(w io.Writer, res *TournamentResult) error {
 	return enc.Encode(rep)
 }
 
-// WriteTournamentCSV writes every factorial cell as CSV
+// writeTournamentCSV writes every factorial cell as CSV
 // (tournament_summary.csv).
-func WriteTournamentCSV(w io.Writer, res *TournamentResult) {
+func writeTournamentCSV(w io.Writer, res *TournamentResult) {
 	fmt.Fprintln(w, "controller,trace,users,p50_ms,p95_ms,p99_ms,mean_ms,goodput,error_rate,slo_burn_min,vm_hours,actions,audit_events")
 	for _, c := range res.Cells {
 		fmt.Fprintf(w, "%s,%s,%d,%.1f,%.1f,%.1f,%.1f,%d,%.4f,%.2f,%.3f,%d,%d\n",
@@ -327,17 +338,8 @@ func WriteTournamentCSV(w io.Writer, res *TournamentResult) {
 	}
 }
 
-// TournamentArtifacts is the factorial as tournament_summary.csv and
-// BENCH_6.json.
-func TournamentArtifacts(res *TournamentResult) []Artifact {
-	return []Artifact{
-		{"tournament_summary.csv", sticky(func(w io.Writer) { WriteTournamentCSV(w, res) })},
-		{"BENCH_6.json", func(w io.Writer) error { return WriteTournamentReport(w, res) }},
-	}
-}
-
-// RenderTournament prints the ranked standings and per-cell table.
-func RenderTournament(w io.Writer, res *TournamentResult) {
+// renderTournament prints the ranked standings and per-cell table.
+func renderTournament(w io.Writer, res *TournamentResult) {
 	fmt.Fprintf(w, "%-20s %10s %9s %9s %5s %5s %5s %6s\n",
 		"controller", "p99_ms", "burn_min", "vm_hours", "rP99", "rBurn", "rVM", "score")
 	for _, r := range res.Ranking {

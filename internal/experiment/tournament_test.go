@@ -13,17 +13,18 @@ import (
 // the smallest tournament that still exercises ranking.
 func smokeTournament(t *testing.T) *TournamentResult {
 	t.Helper()
-	res, err := RunTournament(TournamentConfig{
+	cfg := TournamentConfig{
 		Controllers: []string{"ec2", "target-tracking"},
 		Traces:      []string{workload.BigSpike},
 		Tiers:       []int{1500},
 		Duration:    120 * des.Second,
 		Seed:        3,
-	})
+	}
+	s, err := TournamentStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return tournamentResult(cfg.Controllers, s.Cells, s.Run(nil))
 }
 
 func TestTournamentParallelMatchesSequential(t *testing.T) {
@@ -31,8 +32,8 @@ func TestTournamentParallelMatchesSequential(t *testing.T) {
 	withWorkers(1, func() { seq = smokeTournament(t) })
 	withWorkers(4, func() { par = smokeTournament(t) })
 	var a, b bytes.Buffer
-	WriteTournamentCSV(&a, seq)
-	WriteTournamentCSV(&b, par)
+	writeTournamentCSV(&a, seq)
+	writeTournamentCSV(&b, par)
 	if a.String() != b.String() {
 		t.Fatalf("parallel tournament diverged from sequential:\n--- seq\n%s--- par\n%s", a.String(), b.String())
 	}
@@ -65,7 +66,7 @@ func TestTournamentReportShape(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteTournamentReport(&buf, res); err != nil {
+	if err := writeTournamentReport(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"schema": "conscale-bench/6"`) {

@@ -22,11 +22,11 @@ func WriteTwinCSV(w io.Writer, r *RunResult) error {
 	return twin.WriteCSV(w, r.Twin.Samples())
 }
 
-// TwinShowcase runs one fully armed steady cell (EC2 on the constant
-// trace, 2 500 users, 300 s) and returns its twin sample series as
+// TwinStudy is one fully armed steady cell (EC2 on the constant trace,
+// 2 500 users, 300 s). It writes the twin sample series as
 // hypothesis_twin_timeline.csv and, as hypothesis_twin_perfetto.json,
-// its slowest traced requests with the twin annotation track.
-func TwinShowcase(seed uint64) []Artifact {
+// the slowest traced requests with the twin annotation track.
+func TwinStudy(seed uint64) Study {
 	rc := DefaultRunConfig(scaling.EC2, workload.Constant)
 	rc.MaxUsers = 2500
 	rc.Duration = 300 * des.Second
@@ -34,11 +34,15 @@ func TwinShowcase(seed uint64) []Artifact {
 	rc.Tracing = &trace.Config{}
 	rc.Forensics = &forensics.Config{}
 	rc.Twin = &twin.Config{}
-	res := Run(rc)
+	return Study{Cells: []Cell{{Key: "ec2", Config: rc}}, Fold: foldTwin}
+}
+
+func foldTwin(_ []Cell, results []*RunResult) Outcome {
+	res := results[0]
 	doc := trace.BuildChromeTrace(res.Tracer.Slowest(), res.Audit)
 	twin.AppendChrome(&doc, res.Twin.Samples(), res.Twin.Drifts())
-	return []Artifact{
+	return Outcome{Artifacts: []Artifact{
 		{"hypothesis_twin_timeline.csv", func(w io.Writer) error { return WriteTwinCSV(w, res) }},
 		jsonArtifact("hypothesis_twin_perfetto.json", &doc),
-	}
+	}}
 }

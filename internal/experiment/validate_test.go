@@ -21,27 +21,27 @@ func TestMatrixRunnersRejectBadInput(t *testing.T) {
 		run       func() error
 	}{
 		{"tournament trace", "no-such-trace", func() error {
-			_, err := RunTournament(TournamentConfig{Traces: []string{spike, "no-such-trace"}})
+			_, err := TournamentStudy(TournamentConfig{Traces: []string{spike, "no-such-trace"}})
 			return err
 		}},
 		{"tournament controller", "no-such-ctrl", func() error {
-			_, err := RunTournament(TournamentConfig{Controllers: []string{"ec2", "no-such-ctrl"}})
+			_, err := TournamentStudy(TournamentConfig{Controllers: []string{"ec2", "no-such-ctrl"}})
 			return err
 		}},
 		{"tournament tier", "-5", func() error {
-			_, err := RunTournament(TournamentConfig{Tiers: []int{2500, -5}})
+			_, err := TournamentStudy(TournamentConfig{Tiers: []int{2500, -5}})
 			return err
 		}},
 		{"episodes trace", "no-such-trace", func() error {
-			_, err := RunEpisodes(EpisodesConfig{Traces: []string{spike, "no-such-trace"}})
+			_, err := EpisodesStudy(EpisodesConfig{Traces: []string{spike, "no-such-trace"}})
 			return err
 		}},
 		{"episodes controller", "no-such-ctrl", func() error {
-			_, err := RunEpisodes(EpisodesConfig{Controllers: []string{"ec2", "no-such-ctrl"}})
+			_, err := EpisodesStudy(EpisodesConfig{Controllers: []string{"ec2", "no-such-ctrl"}})
 			return err
 		}},
 		{"episodes users", "Users", func() error {
-			_, err := RunEpisodes(EpisodesConfig{Users: -1})
+			_, err := EpisodesStudy(EpisodesConfig{Users: -1})
 			return err
 		}},
 		{"frontier trace", "no-such-trace", func() error {
@@ -65,11 +65,11 @@ func TestMatrixRunnersRejectBadInput(t *testing.T) {
 			return err
 		}},
 		{"hypothesis id", "no-such-id", func() error {
-			_, err := RunHypotheses(HypothesisConfig{IDs: []string{"twin-steady", "no-such-id"}})
+			_, err := HypothesisStudy(HypothesisConfig{IDs: []string{"twin-steady", "no-such-id"}})
 			return err
 		}},
 		{"hypothesis trace", "no-such-trace", func() error {
-			_, err := RunHypotheses(HypothesisConfig{IDs: []string{"sct-dominance"}, Traces: []string{spike, "no-such-trace"}})
+			_, err := HypothesisStudy(HypothesisConfig{IDs: []string{"sct-dominance"}, Traces: []string{spike, "no-such-trace"}})
 			return err
 		}},
 	} {

@@ -272,43 +272,3 @@ func Scatter(samples []metrics.WindowSample) (tp, rt []ScatterPoint) {
 	}
 	return tp, rt
 }
-
-// BinnedCurve returns the per-concurrency mean throughput and RT curve
-// (the blue trend line of Fig. 6), for reporting and plots.
-type BinnedCurve struct {
-	// Concurrency holds the integer bin centers, ascending.
-	Concurrency []int
-	// MeanTP is the mean throughput observed in each bin.
-	MeanTP []float64
-	// MeanRT is the mean response time observed in each bin.
-	MeanRT []float64
-	// Count is the number of window samples aggregated per bin.
-	Count []int
-}
-
-// Curve bins the tuples and returns the averaged curve.
-func Curve(samples []metrics.WindowSample) BinnedCurve {
-	bins := stats.NewBinSet()
-	for _, s := range samples {
-		if s.Completions == 0 || s.Concurrency <= 0 {
-			continue
-		}
-		q := int(s.Concurrency + 0.5)
-		if q < 1 {
-			q = 1
-		}
-		rt := s.RT
-		if math.IsNaN(rt) {
-			rt = 0
-		}
-		bins.Add(q, s.Throughput, rt)
-	}
-	var c BinnedCurve
-	for _, b := range bins.Sorted() {
-		c.Concurrency = append(c.Concurrency, b.Key)
-		c.MeanTP = append(c.MeanTP, b.TP.Mean())
-		c.MeanRT = append(c.MeanRT, b.RT.Mean())
-		c.Count = append(c.Count, b.TP.Count())
-	}
-	return c
-}

@@ -180,27 +180,6 @@ func TestScatterSkipsIdle(t *testing.T) {
 	}
 }
 
-func TestCurveSortedAndAveraged(t *testing.T) {
-	samples := []metrics.WindowSample{
-		{Concurrency: 5, Throughput: 100, RT: 0.01, Completions: 5},
-		{Concurrency: 5.2, Throughput: 120, RT: 0.02, Completions: 6},
-		{Concurrency: 2, Throughput: 50, RT: 0.01, Completions: 2},
-	}
-	c := Curve(samples)
-	if len(c.Concurrency) != 2 {
-		t.Fatalf("bins = %d, want 2", len(c.Concurrency))
-	}
-	if c.Concurrency[0] != 2 || c.Concurrency[1] != 5 {
-		t.Fatalf("bins unsorted: %v", c.Concurrency)
-	}
-	if math.Abs(c.MeanTP[1]-110) > 1e-9 {
-		t.Fatalf("bin-5 mean TP = %v, want 110", c.MeanTP[1])
-	}
-	if c.Count[1] != 2 {
-		t.Fatalf("bin-5 count = %d", c.Count[1])
-	}
-}
-
 func TestConfigDefaultsApplied(t *testing.T) {
 	e := New(Config{})
 	cfg := e.Config()
